@@ -11,18 +11,18 @@ on smaller boxes (CI runners are often 1–2 cores) the measurement is
 still recorded, but a parallelism assertion would measure the host,
 not the code.
 
-Caches (trace store, L1 filter memoisation, evaluation memoisation)
-are cleared before *each* phase so both start cold — otherwise the
-serial phase would warm the parent process for the fork()ed workers.
+Every process-wide memo (trace store, L1 filter, evaluation stats and
+the timing, area and energy solvers; ``bench_obs._clear_caches``) is
+emptied before *each* phase so both start cold — otherwise the serial
+phase would warm the parent process for the fork()ed workers and the
+speed-up would be overstated.
 """
 
 import os
 import time
 
-from repro.core.evaluate import _cached_stats
+from bench_obs import _clear_caches
 from repro.core.explorer import as_point, design_space, run_sweep
-from repro.cache.hierarchy import l1_miss_stream
-from repro.traces.store import clear_trace_cache
 from repro.traces.workloads import WORKLOADS
 
 #: Fixed scale: 225 units at 0.1 keeps the serial phase around tens of
@@ -34,12 +34,6 @@ WORKLOAD_SET = list(WORKLOADS)[:5]
 #: Minimum host CPUs for the speedup assertion to be meaningful.
 MIN_CPUS_FOR_GATE = 4
 SPEEDUP_GATE = 2.0
-
-
-def _clear_caches():
-    clear_trace_cache()
-    l1_miss_stream.cache_clear()
-    _cached_stats.cache_clear()
 
 
 def _sweep_all(workers):

@@ -5,8 +5,11 @@ TCP the way a fleet of curl clients would.  Phase one computes a small
 design-point mix cold (every request misses the memo store and runs a
 real evaluation); phase two hammers the same mix from concurrent
 client threads, so every request is a warm, integrity-verified memo
-hit.  Per-request wall latencies are recorded and summarized as
-p50/p99 per phase, plus the service's own memo hit-rate, into
+hit.  Per-request wall latencies are recorded and summarized per phase
+as the median plus the highest percentile that still has at least ten
+samples beyond it, with the sample count (the rule of
+``benchmarks/suite/stats.py``: a "p99" over six cold samples would just
+be the maximum), plus the service's own memo hit-rate, into
 ``benchmarks/output/BENCH_serve.json``.
 
 The gate is the acceptance criterion of the serving PR: a warm memo
@@ -20,8 +23,10 @@ memo path (which would show up as warm ≈ cold).
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
+from statistics import median
 
 from repro.serve import BackgroundServer, ServePolicy
+from suite.stats import latency_summary
 
 #: The design-point mix every phase cycles through.
 POINTS = ((1, 0), (1, 8), (2, 0), (2, 16), (4, 32), (8, 64))
@@ -42,12 +47,6 @@ def _payload(l1_kb, l2_kb):
     return {"l1_kb": l1_kb, "l2_kb": l2_kb, "workload": "gcc1", "scale": SCALE}
 
 
-def _percentile(samples, fraction):
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(round(fraction * (len(ordered) - 1))))
-    return ordered[index]
-
-
 def _timed_request(server, payload):
     started = time.perf_counter()
     status, headers, _ = server.request("POST", "/v1/evaluate", payload)
@@ -57,12 +56,12 @@ def _timed_request(server, payload):
 
 
 def _summary(samples):
-    return {
-        "n": len(samples),
-        "p50_ms": round(_percentile(samples, 0.50) * 1e3, 3),
-        "p99_ms": round(_percentile(samples, 0.99) * 1e3, 3),
-        "mean_ms": round(sum(samples) / len(samples) * 1e3, 3),
-    }
+    summary = latency_summary([sample * 1e3 for sample in samples])
+    record = {"n": summary["n"], "p50_ms": round(summary["p50"], 3)}
+    if "tail" in summary:
+        record[f"{summary['tail']}_ms"] = round(summary["tail_value"], 3)
+    record["mean_ms"] = round(sum(samples) / len(samples) * 1e3, 3)
+    return record
 
 
 def test_serve_load(bench_record, tmp_path):
@@ -99,8 +98,8 @@ def test_serve_load(bench_record, tmp_path):
     served = requests["memo"] + requests["cold"] + requests["coalesced"]
     hit_rate = requests["memo"] / max(1, served)
 
-    cold_p50 = _percentile(cold_latencies, 0.50)
-    warm_p50 = _percentile(warm_latencies, 0.50)
+    cold_p50 = median(cold_latencies)
+    warm_p50 = median(warm_latencies)
     speedup = cold_p50 / warm_p50 if warm_p50 > 0 else float("inf")
 
     record = {

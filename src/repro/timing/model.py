@@ -18,7 +18,7 @@ processor clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Any, Callable, Dict, Tuple
 
 from ..cache.geometry import CacheGeometry
 from ..errors import ModelError
@@ -66,6 +66,90 @@ class TimingResult:
             raise ModelError("cycle time cannot be below access time")
 
 
+def _data_side(
+    geometry: CacheGeometry, ndwl: int, ndbl: int, nspd: int, tech: Technology
+) -> Tuple[float, float, Dict[str, float]]:
+    """Data-array read delay, bit-line restore interval and stage breakdown."""
+    scale = tech.time_scale
+    rows, cols = data_array_shape(geometry, ndwl, ndbl, nspd)
+    wordline = wordline_rc(tech, cols)
+    chain = decoder_chain(tech, rows, ndwl * ndbl).extended("data wordline", wordline)
+    chain = chain.extended(
+        "data bitline", bitline_rc(tech, rows, max(1, cols * ndwl // OUTPUT_BITS))
+    )
+    breakdown: Dict[str, float] = {}
+    for name, rc in zip(chain.names, chain.rcs):
+        breakdown[f"data {name}" if "data" not in name else name] = (
+            tech.rc_to_delay * rc * scale * RC_UNIT_NS
+        )
+    breakdown["data sense amp"] = tech.t_sense_data * scale
+    delay = chain_delay(tech, chain) + tech.t_sense_data * scale
+    return delay, precharge_time(tech, rows, wordline), breakdown
+
+
+def _tag_side(
+    geometry: CacheGeometry, ntwl: int, ntbl: int, ntspd: int, tech: Technology
+) -> Tuple[float, float, Dict[str, float]]:
+    """Tag-array delay up to the way select, restore interval and breakdown."""
+    scale = tech.time_scale
+    rows, cols = tag_array_shape(geometry, ntwl, ntbl, ntspd)
+    wordline = wordline_rc(tech, cols)
+    chain = decoder_chain(tech, rows, ntwl * ntbl).extended("tag wordline", wordline)
+    chain = chain.extended("tag bitline", bitline_rc(tech, rows, max(1, ntspd)))
+    compare = tech.rc_to_delay * RC_UNIT_NS * comparator_rc(
+        tech, tag_bits_per_entry(geometry)
+    )
+    path = chain_delay(tech, chain)
+    delay = path + tech.t_sense_tag * scale + compare * scale
+    breakdown = {
+        "tag path": path,
+        "tag sense amp": tech.t_sense_tag * scale,
+        "comparator": compare * scale,
+    }
+    if not geometry.is_direct_mapped:
+        mux = tech.rc_to_delay * RC_UNIT_NS * mux_driver_rc(
+            tech, OUTPUT_BITS, geometry.associativity
+        )
+        delay += mux * scale
+        breakdown["mux driver"] = mux * scale
+    return delay, precharge_time(tech, rows, wordline), breakdown
+
+
+def _combine(
+    geometry: CacheGeometry,
+    tech: Technology,
+    data_side: Any,
+    tag_side: Any,
+    data_pre: Any,
+    tag_pre: Any,
+    maximum: Callable[[Any, Any], Any] = max,
+) -> Tuple[Any, Any, Dict[str, Any]]:
+    """(access, cycle, shared stages); the search passes arrays and ``np.maximum``."""
+    scale = tech.time_scale
+    out = (
+        tech.rc_to_delay * RC_UNIT_NS * output_driver_rc(tech)
+        + tech.t_output_intrinsic
+    ) * scale
+    shared = {"output driver": out}
+    if geometry.is_direct_mapped:
+        # The data array drives the output as soon as it is sensed; the
+        # tag comparison proceeds in parallel and only validates the
+        # result, so it is rarely critical.
+        access = maximum(data_side + out, tag_side)
+    else:
+        # Set-associative: the output driver cannot fire until the tag
+        # match has selected a way, and the selected data must traverse
+        # the way mux in series.
+        way_mux = (
+            tech.rc_to_delay * RC_UNIT_NS * way_select_rc(tech, geometry.associativity)
+        ) * scale
+        shared["way select"] = way_mux
+        access = maximum(data_side, tag_side) + way_mux + out
+    # The cycle adds the restore interval of the slower-recovering array.
+    shared["precharge"] = maximum(data_pre, tag_pre)
+    return access, access + shared["precharge"], shared
+
+
 def access_and_cycle_time(
     geometry: CacheGeometry,
     organization: ArrayOrganization,
@@ -78,78 +162,10 @@ def access_and_cycle_time(
     ModelError
         If the organisation is infeasible for the geometry.
     """
-    scale = tech.time_scale
-    breakdown: Dict[str, float] = {}
-
-    # ----- data side ---------------------------------------------------
-    d_rows, d_cols = data_array_shape(
-        geometry, organization.ndwl, organization.ndbl, organization.nspd
-    )
-    total_data_cols = d_cols * organization.ndwl
-    data_mux_ways = max(1, total_data_cols // OUTPUT_BITS)
-    d_chain = decoder_chain(tech, d_rows, organization.data_subarrays)
-    d_wl = wordline_rc(tech, d_cols)
-    d_bl = bitline_rc(tech, d_rows, data_mux_ways)
-    d_chain = d_chain.extended("data wordline", d_wl).extended("data bitline", d_bl)
-    data_side = chain_delay(tech, d_chain) + tech.t_sense_data * scale
-    for name, rc in zip(d_chain.names, d_chain.rcs):
-        breakdown[f"data {name}" if "data" not in name else name] = (
-            tech.rc_to_delay * rc * scale * RC_UNIT_NS
-        )
-    breakdown["data sense amp"] = tech.t_sense_data * scale
-
-    # ----- tag side ----------------------------------------------------
-    t_rows, t_cols = tag_array_shape(
-        geometry, organization.ntwl, organization.ntbl, organization.ntspd
-    )
-    tag_mux_ways = max(1, organization.ntspd)
-    t_chain = decoder_chain(tech, t_rows, organization.tag_subarrays)
-    t_wl = wordline_rc(tech, t_cols)
-    t_bl = bitline_rc(tech, t_rows, tag_mux_ways)
-    t_chain = t_chain.extended("tag wordline", t_wl).extended("tag bitline", t_bl)
-    tag_side = chain_delay(tech, t_chain) + tech.t_sense_tag * scale
-    compare = tech.rc_to_delay * RC_UNIT_NS * comparator_rc(
-        tech, tag_bits_per_entry(geometry)
-    )
-    tag_side += compare * scale
-    breakdown["tag path"] = chain_delay(tech, t_chain)
-    breakdown["tag sense amp"] = tech.t_sense_tag * scale
-    breakdown["comparator"] = compare * scale
-    if not geometry.is_direct_mapped:
-        mux = tech.rc_to_delay * RC_UNIT_NS * mux_driver_rc(
-            tech, OUTPUT_BITS, geometry.associativity
-        )
-        tag_side += mux * scale
-        breakdown["mux driver"] = mux * scale
-
-    # ----- shared output path -------------------------------------------
-    out = (
-        tech.rc_to_delay * RC_UNIT_NS * output_driver_rc(tech)
-        + tech.t_output_intrinsic
-    ) * scale
-    breakdown["output driver"] = out
-
-    if geometry.is_direct_mapped:
-        # The data array drives the output as soon as it is sensed; the
-        # tag comparison proceeds in parallel and only validates the
-        # result, so it is rarely critical.
-        access = max(data_side + out, tag_side)
-    else:
-        # Set-associative: the output driver cannot fire until the tag
-        # match has selected a way, and the selected data must traverse
-        # the way mux in series.
-        way_mux = (
-            tech.rc_to_delay * RC_UNIT_NS * way_select_rc(tech, geometry.associativity)
-        ) * scale
-        breakdown["way select"] = way_mux
-        access = max(data_side, tag_side) + way_mux + out
-
-    # ----- cycle time ----------------------------------------------------
-    d_pre = precharge_time(tech, d_rows, d_wl)
-    t_pre = precharge_time(tech, t_rows, t_wl)
-    cycle = access + max(d_pre, t_pre)
-    breakdown["precharge"] = max(d_pre, t_pre)
-
+    org = organization
+    data_side, data_pre, breakdown = _data_side(geometry, org.ndwl, org.ndbl, org.nspd, tech)
+    tag_side, tag_pre, tag_breakdown = _tag_side(geometry, org.ntwl, org.ntbl, org.ntspd, tech)
+    access, cycle, shared = _combine(geometry, tech, data_side, tag_side, data_pre, tag_pre)
     return TimingResult(
         geometry=geometry,
         organization=organization,
@@ -157,5 +173,5 @@ def access_and_cycle_time(
         cycle_ns=cycle,
         data_side_ns=data_side,
         tag_side_ns=tag_side,
-        breakdown=breakdown,
+        breakdown={**breakdown, **tag_breakdown, **shared},
     )

@@ -1,24 +1,43 @@
 """Organisation search: the fastest layout for each cache geometry.
 
 The paper always organised each memory "to give the highest
-performance": the model iterates over all feasible array organisations
-and keeps the one with the minimum cycle time (ties broken by access
-time, then by fewest subarrays, which is also the cheapest in area).
-Results are memoised — the design-space sweeps ask for the same handful
-of geometries thousands of times.
+performance": the model scores every feasible array organisation and
+keeps the one with the minimum cycle time (ties broken by access time,
+then by fewest subarrays, which is also the cheapest in area, then by
+``enumerate_organizations`` order).  The data side depends only on
+``(ndwl, ndbl, nspd)``, the tag side only on ``(ntwl, ntbl, ntspd)``, and
+access and cycle time combine them with ``max`` and ``+`` alone.  So
+each side's layouts (at most 125) are scored once by the scalar stage
+model, the same combination broadcast over numpy arrays gives every
+pairing's times bit for bit, and the scalar model recomputes the
+winner's :class:`TimingResult`.  Results are memoised — the design-space
+sweeps ask for the same handful of geometries thousands of times.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
+
+import numpy as np
 
 from ..cache.geometry import DEFAULT_LINE_SIZE, CacheGeometry
-from .model import TimingResult, access_and_cycle_time
-from .organization import enumerate_organizations
+from .model import TimingResult, _combine, _data_side, _tag_side, access_and_cycle_time
+from .organization import ArrayOrganization, side_candidates
 from .technology import TECH_05UM, Technology
 
 __all__ = ["optimal_timing"]
+
+
+def lexicographic_argmin(*keys: np.ndarray) -> int:
+    """Flat C-order index of the smallest entry by ``keys``, first key first.
+
+    Full ties go to the lowest index, as in a scan that keeps the first
+    strictly smaller key tuple.
+    """
+    candidates = np.ones(keys[0].shape, dtype=bool)
+    for key in keys:
+        candidates &= key == key[candidates].min()
+    return int(np.flatnonzero(candidates)[0])
 
 
 @lru_cache(maxsize=4096)
@@ -28,20 +47,18 @@ def _optimal_timing_cached(
     geometry = CacheGeometry(
         size_bytes, line_size=line_size, associativity=associativity
     )
-    best: Optional[TimingResult] = None
-    best_key = None
-    for organization in enumerate_organizations(geometry):
-        result = access_and_cycle_time(geometry, organization, tech)
-        key = (
-            result.cycle_ns,
-            result.access_ns,
-            organization.data_subarrays + organization.tag_subarrays,
-        )
-        if best_key is None or key < best_key:
-            best = result
-            best_key = key
-    assert best is not None  # enumerate_organizations raises if empty
-    return best
+    data, tags = side_candidates(geometry)
+    # (delay, restore) per layout; data layouts run down the rows and tag
+    # layouts across the columns, so the flat C-order index of the grid
+    # is the organisation's enumerate_organizations position.
+    d = np.array([_data_side(geometry, *triple, tech)[:2] for triple in data])
+    t = np.array([_tag_side(geometry, *triple, tech)[:2] for triple in tags])
+    access, cycle, _ = _combine(
+        geometry, tech, d[:, :1], t[:, 0], d[:, 1:], t[:, 1], maximum=np.maximum
+    )
+    subarrays = np.array(data)[:, :2].prod(axis=1)[:, None] + np.array(tags)[:, :2].prod(axis=1)
+    row, col = divmod(lexicographic_argmin(cycle, access, subarrays), len(tags))
+    return access_and_cycle_time(geometry, ArrayOrganization(*data[row], *tags[col]), tech)
 
 
 def optimal_timing(

@@ -20,7 +20,8 @@ highest performance".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from itertools import product
+from typing import Callable, Iterator, List, Tuple
 
 from ..errors import ModelError
 from ..units import is_pow2
@@ -31,11 +32,15 @@ __all__ = [
     "data_array_shape",
     "tag_array_shape",
     "tag_bits_per_entry",
+    "side_candidates",
     "enumerate_organizations",
 ]
 
-#: Largest split factor explored in any dimension.
-_MAX_SPLIT = 16
+#: Split factors explored in every dimension: powers of two up to 16.
+_SPLITS = (1, 2, 4, 8, 16)
+
+#: One side's split triple: (ndwl, ndbl, nspd) or (ntwl, ntbl, ntspd).
+Side = Tuple[int, int, int]
 
 #: Physical address width assumed for tag sizing (the paper's machines
 #: were 32-bit with physically-addressed caches).
@@ -116,44 +121,39 @@ def tag_array_shape(
     return rows, cols
 
 
-def _splits() -> List[int]:
-    values = []
-    split = 1
-    while split <= _MAX_SPLIT:
-        values.append(split)
-        split *= 2
-    return values
+def _feasible(
+    shape: Callable[[CacheGeometry, int, int, int], Tuple[int, int]],
+    geometry: CacheGeometry,
+) -> List[Side]:
+    candidates: List[Side] = []
+    for triple in product(_SPLITS, _SPLITS, _SPLITS):
+        try:
+            rows, cols = shape(geometry, *triple)
+        except ModelError:
+            continue
+        if rows >= 2 and cols >= 8:
+            candidates.append(triple)
+    return candidates
 
 
-def enumerate_organizations(geometry: CacheGeometry) -> Iterator[ArrayOrganization]:
-    """Yield every feasible organisation for ``geometry``.
+def side_candidates(geometry: CacheGeometry) -> Tuple[List[Side], List[Side]]:
+    """Feasible ``(ndwl, ndbl, nspd)`` and ``(ntwl, ntbl, ntspd)`` triples.
 
     Feasibility requires integral subarray shapes and at least two rows
     and eight columns per subarray (a subarray thinner than that has no
     sensible physical layout and would distort the periphery model).
+    The two sides are independent: every pairing is an organisation.
     """
-    data_candidates = []
-    for ndwl in _splits():
-        for ndbl in _splits():
-            for nspd in _splits():
-                try:
-                    rows, cols = data_array_shape(geometry, ndwl, ndbl, nspd)
-                except ModelError:
-                    continue
-                if rows >= 2 and cols >= 8:
-                    data_candidates.append((ndwl, ndbl, nspd))
-    tag_candidates = []
-    for ntwl in _splits():
-        for ntbl in _splits():
-            for ntspd in _splits():
-                try:
-                    rows, cols = tag_array_shape(geometry, ntwl, ntbl, ntspd)
-                except ModelError:
-                    continue
-                if rows >= 2 and cols >= 8:
-                    tag_candidates.append((ntwl, ntbl, ntspd))
-    if not data_candidates or not tag_candidates:
+    data = _feasible(data_array_shape, geometry)
+    tags = _feasible(tag_array_shape, geometry)
+    if not data or not tags:
         raise ModelError(f"no feasible organisation for {geometry}")
-    for ndwl, ndbl, nspd in data_candidates:
-        for ntwl, ntbl, ntspd in tag_candidates:
-            yield ArrayOrganization(ndwl, ndbl, nspd, ntwl, ntbl, ntspd)
+    return data, tags
+
+
+def enumerate_organizations(geometry: CacheGeometry) -> Iterator[ArrayOrganization]:
+    """Yield every feasible organisation for ``geometry``, data-major."""
+    data, tags = side_candidates(geometry)
+    for data_triple in data:
+        for tag_triple in tags:
+            yield ArrayOrganization(*data_triple, *tag_triple)
