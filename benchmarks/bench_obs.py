@@ -21,6 +21,7 @@ from repro.area.model import _optimal_cache_area_cached
 from repro.core.evaluate import _cached_stats
 from repro.core.explorer import as_point, design_space, run_sweep
 from repro.cache.hierarchy import l1_miss_stream
+from repro.cache.replacement import _way_table
 from repro.obs import Telemetry, load_metrics_file, load_spans_file
 from repro.power.energy import _optimal_access_energy_cached
 from repro.timing.optimal import _optimal_timing_cached
@@ -39,9 +40,11 @@ OVERHEAD_GATE = 0.05
 
 def _clear_caches():
     # Every process-wide memo the sweep can hit: traces, L1 filter
-    # passes, evaluation stats, and the timing/area/energy solvers.
+    # passes, the LFSR way tables, evaluation stats, and the
+    # timing/area/energy solvers.
     clear_trace_cache()
     l1_miss_stream.cache_clear()
+    _way_table.cache_clear()
     _cached_stats.cache_clear()
     _optimal_timing_cached.cache_clear()
     _optimal_cache_area_cached.cache_clear()

@@ -144,12 +144,11 @@ def l1_miss_stream(
     )
 
 
-def _make_replacement(name: str, geometry: CacheGeometry):
-    if name == "lfsr":
-        return LfsrReplacement(geometry.associativity)
-    if name == "lru":
-        return LruReplacement(geometry.associativity, geometry.n_sets)
-    raise ConfigurationError(f"unknown replacement policy {name!r}")
+#: ``l2_replacement`` name -> policy factory for an L2 geometry.
+_REPLACEMENTS = {
+    "lfsr": lambda geometry: LfsrReplacement(geometry.associativity),
+    "lru": lambda geometry: LruReplacement(geometry.associativity, geometry.n_sets),
+}
 
 
 def _simulate_l2(
@@ -172,7 +171,7 @@ def _simulate_l2(
         misses = int((result.miss_mask & counted).sum())
         return int(counted.sum()) - misses, misses
 
-    cache = SetAssociativeCache(geometry, _make_replacement(replacement, geometry))
+    cache = SetAssociativeCache(geometry, _REPLACEMENTS[replacement](geometry))
     hits = 0
     n_counted = int(counted.sum())
     lines = stream.lines.tolist()
@@ -186,9 +185,8 @@ def _simulate_l2(
     else:
         victims = stream.victims.tolist()
         for line, victim, count_it in zip(lines, victims, counted_list):
-            if cache.lookup(line):
+            if cache.invalidate(line):
                 hits += count_it
-                cache.invalidate(line)
             # On an L2 miss the line is fetched off-chip directly into
             # the L1; the L2 is not filled with it (exclusion).
             if victim != NO_VICTIM:
@@ -238,6 +236,8 @@ def simulate_hierarchy(
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ConfigurationError("warmup_fraction must be in [0, 1)")
+    if l2_replacement not in _REPLACEMENTS:
+        raise ConfigurationError(f"unknown replacement policy {l2_replacement!r}")
     warmup_time = int(trace.n_instructions * warmup_fraction)
     stream = l1_miss_stream(trace, l1_bytes, line_size)
 

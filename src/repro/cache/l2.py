@@ -1,17 +1,17 @@
 """Stateful set-associative cache used for the second level.
 
-Only the L1 miss stream reaches this simulator (typically a few percent
-of all references), so a straightforward per-reference Python loop with
-a numpy tag store is fast enough for full design-space sweeps.
-
-The tag store uses ``INVALID`` (-1) as the empty marker, which is safe
-because line addresses are non-negative by construction
-(:class:`repro.traces.address.Trace` validates this).
+Only the L1 miss stream reaches this simulator (a few percent of all
+references), so it is a per-reference loop over plain Python
+containers.  Tags sit in one flat list of ``n_sets × associativity``
+slots (set ``s`` owns the ``associativity`` slots from
+``s × associativity``); ``INVALID`` (-1) marks an empty way, which is
+safe because line addresses are non-negative.  A dict maps each
+resident line to its slot.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -44,87 +44,71 @@ class SetAssociativeCache:
         self.geometry = geometry
         self._n_sets = geometry.n_sets
         self._assoc = geometry.associativity
-        self._tags = np.full((self._n_sets, self._assoc), INVALID, dtype=np.int64)
+        self._tags: List[int] = [INVALID] * (self._n_sets * self._assoc)
+        self._slots: Dict[int, int] = {}
         self.replacement: ReplacementPolicy = (
             replacement if replacement is not None else LfsrReplacement(self._assoc)
         )
 
-    # ------------------------------------------------------------------
-    # lookups
-    # ------------------------------------------------------------------
-
-    def _find_way(self, set_index: int, line: int) -> int:
-        row = self._tags[set_index]
-        for way in range(self._assoc):
-            if row[way] == line:
-                return way
-        return -1
-
     def lookup(self, line: int) -> bool:
         """Probe for ``line``; returns True on hit (and records the touch)."""
-        set_index = line % self._n_sets
-        way = self._find_way(set_index, line)
-        if way < 0:
+        slot = self._slots.get(line)
+        if slot is None:
             return False
-        self.replacement.touch(set_index, way)
+        self.replacement.touch(*divmod(slot, self._assoc))
         return True
 
     def contains(self, line: int) -> bool:
         """Non-destructive presence check (does not update recency)."""
-        return self._find_way(line % self._n_sets, line) >= 0
-
-    # ------------------------------------------------------------------
-    # state changes
-    # ------------------------------------------------------------------
+        return line in self._slots
 
     def fill(self, line: int) -> Optional[int]:
         """Allocate ``line``, returning the evicted line (if any).
 
-        Invalid ways are filled first; otherwise the replacement policy
-        chooses the victim.  Filling a line that is already present is a
-        no-op returning ``None`` (this occurs in exclusive hierarchies
-        when the same line was victimised from both L1 caches).
+        Invalid ways are filled first, lowest way first; otherwise the
+        replacement policy chooses the victim.  Filling a line that is
+        already present is a no-op returning ``None`` (this occurs in
+        exclusive hierarchies when the same line was victimised from
+        both L1 caches).
         """
-        set_index = line % self._n_sets
-        row = self._tags[set_index]
-        existing = self._find_way(set_index, line)
-        if existing >= 0:
-            self.replacement.touch(set_index, existing)
+        slots = self._slots
+        slot = slots.get(line)
+        if slot is not None:
+            self.replacement.touch(*divmod(slot, self._assoc))
             return None
-        for way in range(self._assoc):
-            if row[way] == INVALID:
-                row[way] = line
-                self.replacement.touch(set_index, way)
-                return None
-        way = self.replacement.victim_way(set_index)
-        evicted = int(row[way])
-        row[way] = line
-        self.replacement.touch(set_index, way)
+        set_index = line % self._n_sets
+        base = set_index * self._assoc
+        row = self._tags[base : base + self._assoc]
+        if INVALID in row:
+            slot = base + row.index(INVALID)
+            evicted = None
+        else:
+            slot = base + self.replacement.victim_way(set_index)
+            evicted = self._tags[slot]
+            del slots[evicted]
+        self._tags[slot] = line
+        slots[line] = slot
+        self.replacement.touch(set_index, slot - base)
         return evicted
 
     def invalidate(self, line: int) -> bool:
         """Remove ``line`` if present; returns True if it was removed."""
-        set_index = line % self._n_sets
-        way = self._find_way(set_index, line)
-        if way < 0:
+        slot = self._slots.pop(line, None)
+        if slot is None:
             return False
-        self._tags[set_index, way] = INVALID
+        self._tags[slot] = INVALID
         return True
-
-    # ------------------------------------------------------------------
-    # introspection (tests, examples)
-    # ------------------------------------------------------------------
 
     @property
     def n_valid_lines(self) -> int:
         """Number of valid lines currently resident."""
-        return int((self._tags != INVALID).sum())
+        return len(self._slots)
 
     def resident_lines(self) -> np.ndarray:
         """Sorted array of all resident line addresses."""
-        valid = self._tags[self._tags != INVALID]
-        return np.sort(valid)
+        return np.array(sorted(self._slots), dtype=np.int64)
 
     def set_contents(self, set_index: int) -> np.ndarray:
         """Copy of one set's tag row (``INVALID`` marks empty ways)."""
-        return self._tags[set_index].copy()
+        base = set_index * self._assoc
+        return np.array(self._tags[base : base + self._assoc], dtype=np.int64)

@@ -9,12 +9,15 @@ used by any reproduced figure.
 
 from __future__ import annotations
 
-from typing import List, Protocol, Sequence
+from functools import lru_cache
+from typing import List, Protocol, Sequence, Tuple
 
 from ..errors import GeometryError
 from ..lfsr import Lfsr16
 
 __all__ = ["ReplacementPolicy", "LfsrReplacement", "LruReplacement"]
+
+_PERIOD = Lfsr16.period()
 
 
 class ReplacementPolicy(Protocol):
@@ -27,23 +30,36 @@ class ReplacementPolicy(Protocol):
         """Record an access (hit or fill) to ``(set_index, way)``."""
 
 
+@lru_cache(maxsize=None)
+def _way_table(associativity: int, seed: int) -> Tuple[int, ...]:
+    """One full LFSR period of ``next_way(associativity)`` from ``seed``."""
+    lfsr = Lfsr16(seed)
+    return tuple(lfsr.next_way(associativity) for _ in range(_PERIOD))
+
+
 class LfsrReplacement:
     """Pseudo-random replacement driven by a 16-bit LFSR.
 
     One register is shared by all sets, as in the simple hardware
     implementation: the register free-runs and is sampled whenever a
     replacement is needed, so the choice is deterministic given the
-    stream of replacements.
+    stream of replacements.  Its way sequence is read from a shared table
+    of one LFSR period, built on first use, at this policy's own cursor.
     """
 
     def __init__(self, associativity: int, seed: int = 0xACE1) -> None:
         if associativity < 1:
             raise GeometryError("associativity must be >= 1")
-        self._associativity = associativity
-        self._lfsr = Lfsr16(seed)
+        self._table_key = (associativity, Lfsr16(seed).state)
+        self._table: Tuple[int, ...] = ()
+        self._cursor = 0
 
     def victim_way(self, set_index: int) -> int:
-        return self._lfsr.next_way(self._associativity)
+        if not self._table:
+            self._table = _way_table(*self._table_key)
+        cursor = self._cursor
+        self._cursor = cursor + 1 if cursor + 1 < _PERIOD else 0
+        return self._table[cursor]
 
     def touch(self, set_index: int, way: int) -> None:
         # Random replacement keeps no per-access state.

@@ -74,6 +74,33 @@ class TestAgainstReference:
         slow = reference_simulate_hierarchy(trace, 1024, 4096, assoc, policy)
         assert fast == slow
 
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize("assoc", [2, 4])
+    def test_lru_matches_reference_on_workload(self, gcc1_tiny, policy, assoc):
+        # The exclusive replay drops a hit with one invalidate and no LRU
+        # touch; the oracle still looks up (touching) before invalidating.
+        fast = simulate_hierarchy(
+            gcc1_tiny, kb(1), kb(8), assoc, policy, l2_replacement="lru"
+        )
+        slow = reference_simulate_hierarchy(
+            gcc1_tiny, kb(1), kb(8), assoc, policy, l2_replacement="lru"
+        )
+        assert fast == slow
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        policy=st.sampled_from(list(Policy)),
+        assoc=st.sampled_from([2, 4, 8]),
+    )
+    def test_lru_matches_reference_on_random_traces(self, seed, policy, assoc):
+        trace = make_random_trace(seed, n_instructions=300, n_lines=48)
+        fast = simulate_hierarchy(trace, 512, 2048, assoc, policy, l2_replacement="lru")
+        slow = reference_simulate_hierarchy(
+            trace, 512, 2048, assoc, policy, l2_replacement="lru"
+        )
+        assert fast == slow
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**6))
     def test_dm_l2_fast_path_matches_loop_semantics(self, seed):

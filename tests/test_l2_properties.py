@@ -1,16 +1,22 @@
-"""Property tests: the set-associative cache against a model oracle,
-and the exclusivity invariant of the swap policy."""
+"""Property tests: the set-associative cache against a model oracle and
+the frozen numpy cache, and the exclusivity invariant of the swap policy."""
 
-import numpy as np
+import ast
+import inspect
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_trace
+from repro.cache import reference
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hierarchy import Policy
 from repro.cache.l2 import SetAssociativeCache
-from repro.cache.reference import ReferenceDirectMapped
+from repro.cache.reference import ReferenceDirectMapped, ReferenceSetAssociativeCache
 from repro.cache.replacement import LruReplacement
+from repro.lfsr import Lfsr16
 
 
 class ModelCache:
@@ -95,6 +101,77 @@ class TestAgainstModelOracle:
         # Every resident line sits in its own set.
         for line in resident.tolist():
             assert line in cache.set_contents(line % geometry.n_sets)
+
+
+def _cache_pair(replacement, assoc, n_sets=8):
+    """The fast cache and the frozen numpy oracle on the same geometry."""
+    geometry = CacheGeometry(16 * n_sets * assoc, associativity=assoc)
+
+    def policy():
+        if replacement == "lru":
+            return LruReplacement(assoc, n_sets)
+        return None  # each class's own LFSR default
+
+    return (
+        SetAssociativeCache(geometry, policy()),
+        ReferenceSetAssociativeCache(geometry, policy()),
+    )
+
+
+def _apply(cache, op, line):
+    return getattr(cache, op)(line)
+
+
+class TestAgainstFrozenNumpyCache:
+    def test_oracle_does_not_import_the_fast_cache(self):
+        tree = ast.parse(inspect.getsource(reference))
+        imported = {
+            node.module
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+        }
+        assert "l2" not in imported and "repro.cache.l2" not in imported
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        replacement=st.sampled_from(["lfsr", "lru"]),
+        assoc=st.sampled_from([1, 2, 4, 8]),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["lookup", "fill", "invalidate"]),
+                st.integers(min_value=0, max_value=80),
+            ),
+            min_size=1,
+            max_size=300,
+        ),
+    )
+    def test_same_answers_and_contents(self, replacement, assoc, ops):
+        fast, frozen = _cache_pair(replacement, assoc)
+        for op, line in ops:
+            assert _apply(fast, op, line) == _apply(frozen, op, line), (op, line)
+        assert fast.resident_lines().tolist() == frozen.resident_lines().tolist()
+        assert fast.n_valid_lines == frozen.n_valid_lines
+        for set_index in range(8):
+            assert (
+                fast.set_contents(set_index).tolist()
+                == frozen.set_contents(set_index).tolist()
+            )
+
+    @pytest.mark.parametrize("assoc", [2, 4, 8])
+    def test_long_stream_crosses_the_lfsr_period(self, assoc):
+        """Enough full-set fills to wrap the LFSR way table at least once."""
+        fast, frozen = _cache_pair("lfsr", assoc, n_sets=4)
+        rng = random.Random(assoc)
+        n_lines = 4 * assoc * 4
+        evictions = 0
+        while evictions < Lfsr16.period() + 1000:
+            line = rng.randrange(n_lines)
+            roll = rng.random()
+            op = "fill" if roll < 0.85 else "invalidate" if roll < 0.95 else "lookup"
+            result = _apply(fast, op, line)
+            assert result == _apply(frozen, op, line), (evictions, op, line)
+            evictions += op == "fill" and result is not None
+        assert fast.resident_lines().tolist() == frozen.resident_lines().tolist()
 
 
 class TestExclusivityInvariant:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cache.replacement import LfsrReplacement, LruReplacement
-from repro.errors import GeometryError
+from repro.errors import ConfigurationError, GeometryError
+from repro.lfsr import Lfsr16
 
 
 class TestLfsrReplacement:
@@ -28,6 +29,28 @@ class TestLfsrReplacement:
     def test_rejects_bad_associativity(self):
         with pytest.raises(GeometryError):
             LfsrReplacement(0)
+
+    def test_rejects_zero_seed(self):
+        with pytest.raises(ConfigurationError):
+            LfsrReplacement(4, seed=0x10000)
+
+    @pytest.mark.parametrize("assoc", [1, 2, 4, 8])
+    def test_table_replays_the_shared_register(self, assoc):
+        """Three full periods, so the cursor wraps twice; at one way the
+        register never steps but the table must still read 0."""
+        policy = LfsrReplacement(assoc)
+        register = Lfsr16()
+        n = 3 * Lfsr16.period() + 7
+        assert [policy.victim_way(0) for _ in range(n)] == [
+            register.next_way(assoc) for _ in range(n)
+        ]
+
+    def test_caches_sharing_a_table_keep_their_own_cursor(self):
+        a, b = LfsrReplacement(4), LfsrReplacement(4)
+        first = [a.victim_way(0) for _ in range(20)]
+        assert [b.victim_way(0) for _ in range(20)] == first
+        register = Lfsr16()
+        assert first == [register.next_way(4) for _ in range(20)]
 
 
 class TestLruReplacement:

@@ -36,6 +36,18 @@ class TestReplacementKnob:
                 gcc1_tiny, kb(2), kb(16), 4, l2_replacement="fifo"
             )
 
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize("assoc", [1, 4])
+    def test_unknown_policy_rejected_at_any_associativity(
+        self, gcc1_tiny, policy, assoc
+    ):
+        # The direct-mapped conventional L2 takes a filter shortcut that
+        # never builds a policy; the name must still be checked.
+        with pytest.raises(ConfigurationError, match="unknown replacement"):
+            simulate_hierarchy(
+                gcc1_tiny, kb(2), kb(16), assoc, policy, l2_replacement="bogus"
+            )
+
     def test_default_is_lfsr(self, gcc1_tiny):
         default = simulate_hierarchy(gcc1_tiny, kb(2), kb(16), 4)
         explicit = simulate_hierarchy(
