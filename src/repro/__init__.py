@@ -20,72 +20,61 @@ See ``examples/`` for complete walkthroughs and ``repro.study`` for the
 per-figure experiment registry.
 """
 
-from .cache import Policy, simulate_hierarchy
-from .cache.geometry import CacheGeometry
-from .core import (
-    SystemConfig,
-    SystemPerformance,
-    best_envelope,
-    compute_tpi,
-    design_space,
-    evaluate,
-    sweep,
-    system_timings,
-)
-from .errors import (
-    CheckpointError,
-    ConfigurationError,
-    ExperimentError,
-    GeometryError,
-    ModelError,
-    ReproError,
-    RunnerError,
-    TraceError,
-    UnitTimeoutError,
-)
-from .runner import RetryPolicy, RunJournal, Runner
-from .timing import optimal_timing
-from .area import optimal_cache_area
-from .traces import WORKLOADS, Trace, get_trace, workload_names
-from .units import kb
+import importlib
+
+#: Public name -> the submodule that defines it.  Names are imported on
+#: first access (PEP 562), so ``import repro.cli`` loads no model,
+#: runner or telemetry code until a command asks for it.
+_SOURCE = {
+    # configuration & evaluation
+    "SystemConfig": ".core",
+    "SystemPerformance": ".core",
+    "evaluate": ".core",
+    "sweep": ".core",
+    "design_space": ".core",
+    "best_envelope": ".core",
+    "compute_tpi": ".core",
+    "system_timings": ".core",
+    # substrates
+    "Policy": ".cache",
+    "CacheGeometry": ".cache.geometry",
+    "simulate_hierarchy": ".cache",
+    "optimal_timing": ".timing",
+    "optimal_cache_area": ".area",
+    "Trace": ".traces",
+    "WORKLOADS": ".traces",
+    "workload_names": ".traces",
+    "get_trace": ".traces",
+    # helpers
+    "kb": ".units",
+    # resilient execution
+    "Runner": ".runner",
+    "RetryPolicy": ".runner",
+    "RunJournal": ".runner",
+    # errors
+    "ReproError": ".errors",
+    "ConfigurationError": ".errors",
+    "GeometryError": ".errors",
+    "ModelError": ".errors",
+    "TraceError": ".errors",
+    "ExperimentError": ".errors",
+    "RunnerError": ".errors",
+    "CheckpointError": ".errors",
+    "UnitTimeoutError": ".errors",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # configuration & evaluation
-    "SystemConfig",
-    "SystemPerformance",
-    "evaluate",
-    "sweep",
-    "design_space",
-    "best_envelope",
-    "compute_tpi",
-    "system_timings",
-    # substrates
-    "Policy",
-    "CacheGeometry",
-    "simulate_hierarchy",
-    "optimal_timing",
-    "optimal_cache_area",
-    "Trace",
-    "WORKLOADS",
-    "workload_names",
-    "get_trace",
-    # helpers
-    "kb",
-    # resilient execution
-    "Runner",
-    "RetryPolicy",
-    "RunJournal",
-    # errors
-    "ReproError",
-    "ConfigurationError",
-    "GeometryError",
-    "ModelError",
-    "TraceError",
-    "ExperimentError",
-    "RunnerError",
-    "CheckpointError",
-    "UnitTimeoutError",
-]
+__all__ = ["__version__", *_SOURCE]
+
+
+def __getattr__(name: str) -> object:
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_SOURCE[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -85,50 +85,40 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
-from .analysis import all_rules, lint_paths, render_human, render_json
-from .analysis.cache import DEFAULT_CACHE_NAME
-from .cache.hierarchy import Policy
-from .core.config import SystemConfig
-from .core.envelope import best_envelope
-from .core.evaluate import evaluate
-from .core.explorer import (
-    SWEEP_JOURNAL_NAME,
-    default_sweep_dir,
-    design_space,
-    run_sweep_dir,
-    sweep,
-)
 from .errors import AbortError, IntegrityError, LintError, ReproError
-from .obs import load_run_metrics, load_run_spans, render_metrics, render_spans
-from .runner import EXIT_ABORTED, Supervisor, verify_tree
-from .serve import ServePolicy, run_serve
-from .study import experiment_ids, get_experiment
-from .study.chaos import run_chaos
-from .study.serve_chaos import run_serve_chaos
-from .study.plot import plot_experiment
-from .study.repair import verify_and_repair
-from .study.report import render_table
-from .study.resultstore import FAILURES_NAME, JOURNAL_NAME, write_report
-from .traces.stats import compute_stats
-from .traces.store import get_trace
-from .traces.workloads import WORKLOADS
-from .units import kb
+
+if TYPE_CHECKING:
+    from .core.config import SystemConfig
+    from .runner import Supervisor
+
+# Every other import lives in the command that uses it, so a cold
+# ``repro eval`` loads only the model packages (DESIGN.md §7).
 
 __all__ = ["main"]
 
 
+def _print_table(columns: Sequence[str], rows: Iterable[Tuple[object, ...]]) -> None:
+    from .study.report import render_table
+
+    print(render_table(columns, rows))
+
+
 def _cmd_list(args: argparse.Namespace) -> int:
+    from .study import experiment_ids, get_experiment
+
     rows = [
         (eid, get_experiment(eid).paper_reference, get_experiment(eid).title)
         for eid in experiment_ids()
     ]
-    print(render_table(("id", "paper", "title"), rows))
+    _print_table(("id", "paper", "title"), rows)
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .study import get_experiment
+
     experiment = get_experiment(args.experiment_id)
     result = experiment.run(scale=args.scale)
     print(result.render())
@@ -136,6 +126,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
+    from .study import get_experiment
+    from .study.plot import plot_experiment
+
     experiment = get_experiment(args.experiment_id)
     result = experiment.run(scale=args.scale)
     print(plot_experiment(result, width=args.width, height=args.height))
@@ -143,6 +136,10 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _config_from(args: argparse.Namespace) -> SystemConfig:
+    from .cache.hierarchy import Policy
+    from .core.config import SystemConfig
+    from .units import kb
+
     config = SystemConfig(
         l1_bytes=kb(args.l1_kb),
         l2_bytes=kb(args.l2_kb) if args.l2_kb else 0,
@@ -156,6 +153,8 @@ def _config_from(args: argparse.Namespace) -> SystemConfig:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .core.evaluate import evaluate
+
     config = _config_from(args)
     perf = evaluate(config, args.workload, scale=args.scale)
     print(f"{config.describe()} on {args.workload}")
@@ -168,11 +167,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         ("global miss rate", perf.stats.global_miss_rate),
         ("memory stall share", perf.tpi.memory_fraction),
     ]
-    print(render_table(("metric", "value"), rows))
+    _print_table(("metric", "value"), rows)
     return 0
 
 
 def _cmd_envelope(args: argparse.Namespace) -> int:
+    from .core.envelope import best_envelope
+    from .core.explorer import design_space, sweep
+
     template = _config_from(args)
     perfs = sweep(args.workload, design_space(template), scale=args.scale)
     envelope = best_envelope(perfs)
@@ -185,11 +187,15 @@ def _cmd_envelope(args: argparse.Namespace) -> int:
         )
         for p in envelope
     ]
-    print(render_table(("config", "area_rbe", "tpi_ns", "levels"), rows))
+    _print_table(("config", "area_rbe", "tpi_ns", "levels"), rows)
     return 0
 
 
 def _cmd_workloads(args: argparse.Namespace) -> int:
+    from .traces.stats import compute_stats
+    from .traces.store import get_trace
+    from .traces.workloads import WORKLOADS
+
     rows = []
     for name, spec in WORKLOADS.items():
         trace = get_trace(name, args.scale)
@@ -205,19 +211,17 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
                 spec.description,
             )
         )
-    print(
-        render_table(
-            (
-                "workload",
-                "paper_Mrefs",
-                "synth_refs",
-                "data_ratio",
-                "code_KB",
-                "data_KB",
-                "description",
-            ),
-            rows,
-        )
+    _print_table(
+        (
+            "workload",
+            "paper_Mrefs",
+            "synth_refs",
+            "data_ratio",
+            "code_KB",
+            "data_KB",
+            "description",
+        ),
+        rows,
     )
     return 0
 
@@ -238,6 +242,9 @@ def _drain_notice(supervisor: Supervisor, journal: Path) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .runner import Supervisor
+    from .study.resultstore import FAILURES_NAME, JOURNAL_NAME, write_report
+
     ids = args.ids.split(",") if args.ids else None
     with Supervisor() as supervisor:
         written = write_report(
@@ -267,6 +274,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .core.explorer import SWEEP_JOURNAL_NAME, default_sweep_dir, run_sweep_dir
+    from .runner import Supervisor
+
     template = _config_from(args)
     # Every sweep gets a managed run directory: --out names it, else
     # the deterministic default (same sweep = same directory, so a
@@ -292,7 +302,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not args.out:
         print(f"sweep directory: {out}")
     rows = [(p.label, p.area_rbe, p.tpi_ns, p.levels) for p in points]
-    print(render_table(("config", "area_rbe", "tpi_ns", "levels"), rows))
+    _print_table(("config", "area_rbe", "tpi_ns", "levels"), rows)
     if supervisor.triggered:
         return _drain_notice(supervisor, out / SWEEP_JOURNAL_NAME)
     if run.failed:
@@ -304,6 +314,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    from .obs import load_run_metrics, render_metrics
+
     samples, source = load_run_metrics(args.run_dir)
     if args.format == "json":
         print(json.dumps({"source": source, "metrics": samples}, indent=2))
@@ -313,6 +325,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_spans(args: argparse.Namespace) -> int:
+    from .obs import load_run_spans, render_spans
+
     records = load_run_spans(args.run_dir)
     if args.format == "json":
         print(json.dumps(records, indent=2))
@@ -322,6 +336,9 @@ def _cmd_spans(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .runner import verify_tree
+    from .study.repair import verify_and_repair
+
     target = Path(args.directory)
     if not target.is_dir():
         raise IntegrityError(
@@ -351,6 +368,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
+    from .study.chaos import run_chaos
+    from .study.serve_chaos import run_serve_chaos
+
     if args.serve:
         serve_result = run_serve_chaos(
             args.out,
@@ -381,6 +401,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from .serve import ServePolicy, run_serve
+
     policy = ServePolicy(
         deadline_s=args.deadline,
         max_active=args.max_active,
@@ -400,12 +422,15 @@ LINT_DEFAULT_PATHS = ("src", "benchmarks", "examples")
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
+    from .analysis import all_rules, lint_paths, render_human, render_json
+    from .analysis.cache import DEFAULT_CACHE_NAME
+
     if args.list_rules:
         rows = [
             (rule.rule_id, rule.name, rule.severity, rule.rationale)
             for rule in all_rules()
         ]
-        print(render_table(("rule", "name", "severity", "rationale"), rows))
+        _print_table(("rule", "name", "severity", "rationale"), rows)
         return 0
     paths = args.paths or [
         path for path in LINT_DEFAULT_PATHS if Path(path).is_dir()
@@ -421,7 +446,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         ignore=args.ignore.split(",") if args.ignore else None,
         workers=args.workers,
         program=args.program,
-        cache=None if args.no_cache else args.cache_file,
+        cache=None if args.no_cache else args.cache_file or DEFAULT_CACHE_NAME,
     )
     if args.format == "json":
         print(render_json(report))
@@ -477,6 +502,14 @@ def _build_parser() -> argparse.ArgumentParser:
     wl = sub.add_parser("workloads", help="describe the workload models")
     wl.add_argument("--scale", type=float, default=0.1)
     wl.set_defaults(func=_cmd_workloads)
+
+    def add_format_arg(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--format",
+            choices=("human", "json"),
+            default="human",
+            help="report format (default: human)",
+        )
 
     def add_runner_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -551,12 +584,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "when the run recorded telemetry, else synthesized from its "
         "journal)",
     )
-    metrics.add_argument(
-        "--format",
-        choices=("human", "json"),
-        default="human",
-        help="report format (default: human)",
-    )
+    add_format_arg(metrics)
     metrics.set_defaults(func=_cmd_metrics)
 
     spans = sub.add_parser(
@@ -572,12 +600,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="show at most N spans (default: all)",
     )
-    spans.add_argument(
-        "--format",
-        choices=("human", "json"),
-        default="human",
-        help="report format (default: human)",
-    )
+    add_format_arg(spans)
     spans.set_defaults(func=_cmd_spans)
 
     verify = sub.add_parser(
@@ -590,12 +613,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="quarantine corrupt artefacts and replay the affected runs "
         "from their RUN.json recipes",
     )
-    verify.add_argument(
-        "--format",
-        choices=("human", "json"),
-        default="human",
-        help="report format (default: human)",
-    )
+    add_format_arg(verify)
     verify.add_argument(
         "--workers",
         default=None,
@@ -624,12 +642,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--scale", type=float, default=0.05, help="trace scale (default: 0.05)"
     )
-    chaos.add_argument(
-        "--format",
-        choices=("human", "json"),
-        default="human",
-        help="report format (default: human)",
-    )
+    add_format_arg(chaos)
     chaos.add_argument(
         "--workers",
         default=None,
@@ -687,12 +700,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint "
         f"(default: {' '.join(LINT_DEFAULT_PATHS)} under the cwd)",
     )
-    lint.add_argument(
-        "--format",
-        choices=("human", "json"),
-        default="human",
-        help="report format (default: human)",
-    )
+    add_format_arg(lint)
     lint.add_argument(
         "--select",
         default="",
@@ -729,9 +737,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--cache-file",
-        default=DEFAULT_CACHE_NAME,
+        default=None,
         metavar="PATH",
-        help=f"lint cache location (default: {DEFAULT_CACHE_NAME})",
+        help="lint cache location (default: .repro-lint-cache.json in the cwd)",
     )
     lint.set_defaults(func=_cmd_lint)
 
@@ -754,6 +762,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.debug:
             raise
         print(f"aborted: {error}", file=sys.stderr)
+        from .runner import EXIT_ABORTED
+
         return EXIT_ABORTED
     except ReproError as error:
         if args.debug:

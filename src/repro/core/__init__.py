@@ -23,7 +23,6 @@ Public API
 from .config import SystemConfig
 from .envelope import EnvelopePoint, best_envelope, envelope_tpi_at
 from .evaluate import SystemPerformance, evaluate
-from .explorer import design_space, standard_l1_sizes, standard_l2_sizes, sweep
 from .tpi import SystemTimings, TpiBreakdown, compute_tpi, system_timings
 
 __all__ = [
@@ -42,3 +41,17 @@ __all__ = [
     "best_envelope",
     "envelope_tpi_at",
 ]
+
+
+def __getattr__(name: str) -> object:
+    # Only :mod:`.explorer`'s names get here: it pulls in the runner and
+    # telemetry layers, so it is imported on first access (PEP 562).
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import explorer
+
+    return getattr(explorer, name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -21,19 +21,6 @@ from .registry import (
     run_experiment,
 )
 
-# Importing the experiment modules registers them.
-from .experiments import (  # noqa: F401
-    dual_ported,
-    exclusion_demo,
-    exclusive,
-    extensions,
-    long_offchip,
-    single_level,
-    table1,
-    timing_figures,
-    two_level_baseline,
-)
-
 __all__ = [
     "Experiment",
     "ExperimentResult",

@@ -112,8 +112,14 @@ def register(
     return wrap
 
 
+def _register_exhibits() -> None:
+    # Importing the experiment modules registers them, once per process.
+    from . import experiments  # noqa: F401
+
+
 def experiment_ids() -> List[str]:
     """All registered ids, sorted naturally (fig2 before fig10)."""
+    _register_exhibits()
 
     def natural(eid: str) -> Tuple[str, int]:
         prefix = eid.rstrip("0123456789")
@@ -125,6 +131,7 @@ def experiment_ids() -> List[str]:
 
 def get_experiment(experiment_id: str) -> Experiment:
     """Look up an experiment by id (e.g. ``"fig5"``, ``"table1"``)."""
+    _register_exhibits()
     try:
         return _REGISTRY[experiment_id]
     except KeyError:

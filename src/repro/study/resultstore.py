@@ -175,10 +175,9 @@ def _artifact_valid(out: Path, experiment_id: str) -> bool:
 class _ReportRun:
     """Picklable body of one report unit: run one exhibit, write artefacts.
 
-    The experiment is looked up by id at call time — importing
-    :mod:`repro.study` (which unpickling this class triggers) populates
-    the registry, so pool workers resolve the same experiment the
-    parent validated up front.
+    The experiment is looked up by id at call time — the first lookup
+    imports the experiment modules, which registers them, so pool
+    workers resolve the same experiment the parent validated up front.
     """
 
     out_dir: str

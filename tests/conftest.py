@@ -8,6 +8,12 @@ generated trace.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +28,8 @@ MEDIUM = 0.2
 
 #: Full scale for the calibration anchors.
 FULL = 1.0
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def make_random_trace(
@@ -42,6 +50,27 @@ def make_random_trace(
     d_times = np.nonzero(mask)[0]
     d_addrs = rng.integers(0, n_lines, size=len(d_times)) * 16 + (1 << 40)
     return Trace(name, i_addrs, d_addrs, d_times)
+
+
+def run_fresh(*argv: str, cwd: Path) -> subprocess.CompletedProcess:
+    """``python argv...`` in a fresh interpreter with nothing imported yet."""
+    env = os.environ.copy()
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    return subprocess.run(
+        [sys.executable, *argv],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+
+
+def fresh_json(code: str, cwd: Path):
+    """The JSON value ``code`` prints last, run in a fresh interpreter."""
+    done = run_fresh("-c", code, cwd=cwd)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 @pytest.fixture(scope="session")

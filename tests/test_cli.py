@@ -277,6 +277,14 @@ class TestLint:
         capsys.readouterr()
         assert (tmp_path / ".repro-lint-cache.json").exists()
 
+    def test_help_names_the_default_cache_file(self, capsys):
+        from repro.analysis.cache import DEFAULT_CACHE_NAME
+
+        with pytest.raises(SystemExit):
+            main(["lint", "--help"])
+        # argparse may wrap the help text at the file name's hyphens.
+        assert DEFAULT_CACHE_NAME in "".join(capsys.readouterr().out.split())
+
 
 class TestSweepDefaultOut:
     """Satellite: sweeping without --out gets a managed run directory."""
