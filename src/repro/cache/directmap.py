@@ -5,8 +5,14 @@ set holds exactly the most recently referenced line that maps to it.
 Consequently reference *i* misses **iff** the closest previous reference
 mapping to the same set used a different line — a property of the
 reference stream alone.  A stable sort by set index brings every set's
-references together in program order, so one vectorised pass yields the
-full miss mask *and* the victim line evicted by each miss.
+references together in program order, so one vectorised pass yields
+every miss *and* the victim line evicted by it.
+
+The pass is sparse.  A reference equal to the one just before it always
+hits, so only the first of each run of equal lines is sorted (a quarter
+of a sequential instruction stream); the set key takes the narrowest
+unsigned type, where numpy's stable sort is a radix sort up to 16 bits;
+and :func:`direct_mapped_misses` returns only the misses and victims.
 
 This is what makes whole-design-space sweeps tractable in Python: the
 L1 caches (always direct-mapped in the paper) are filtered at numpy
@@ -18,12 +24,18 @@ property-based tests (see ``tests/test_directmap.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 from ..errors import GeometryError, TraceError
 
-__all__ = ["DirectMappedFilter", "direct_mapped_filter", "dirty_victim_mask"]
+__all__ = [
+    "DirectMappedFilter",
+    "direct_mapped_filter",
+    "direct_mapped_misses",
+    "dirty_victim_mask",
+]
 
 #: Marker for "no victim" (cold fill into an empty set).
 NO_VICTIM = -1
@@ -61,53 +73,69 @@ class DirectMappedFilter:
         return self.n_misses / self.n_refs
 
 
-def direct_mapped_filter(lines: np.ndarray, n_sets: int) -> DirectMappedFilter:
-    """Simulate a direct-mapped cache over a stream of line addresses.
+def _set_sorted_runs(lines: np.ndarray, n_sets: int) -> Tuple[np.ndarray, ...]:
+    """The run heads of ``lines``, stably sorted by set.
+
+    Returns ``heads`` (the positions that start a run of equal lines),
+    the ``order`` sorting them by set, their sorted ``lines``, ``new_set``
+    (True where a set's group begins) and ``misses``, the sorted indices
+    that start a set group or change line within one.  Each residency is
+    the run from one miss to the next.
+    """
+    if n_sets < 1:
+        raise GeometryError("n_sets must be >= 1")
+    keep = np.ones(len(lines), dtype=bool)
+    np.not_equal(lines[1:], lines[:-1], out=keep[1:])
+    heads = np.flatnonzero(keep)
+    key = (lines[heads] % n_sets).astype(np.min_scalar_type(n_sets - 1))
+    order = np.argsort(key, kind="stable")
+    sorted_lines = lines[heads[order]]
+    sorted_key = key[order]
+    new_set = np.ones(len(order), dtype=bool)
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=new_set[1:])
+    miss = new_set.copy()
+    miss[1:] |= sorted_lines[1:] != sorted_lines[:-1]
+    return heads, order, sorted_lines, new_set, np.flatnonzero(miss)
+
+
+def direct_mapped_misses(
+    lines: np.ndarray, n_sets: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions at which a direct-mapped cache misses, and the victims.
 
     Parameters
     ----------
     lines:
-        ``int64`` array of line addresses (byte address // line size),
-        in program order.
+        Line addresses (byte address // line size), in program order.
     n_sets:
         Number of cache sets (= number of lines for a DM cache).
 
     Returns
     -------
-    DirectMappedFilter
-        Miss mask and victim lines, both aligned with ``lines``.
+    (positions, victims)
+        Increasing ``int64`` indices into ``lines`` of every miss, and
+        the line each miss evicts (``NO_VICTIM`` for a cold fill).
     """
-    if n_sets < 1:
-        raise GeometryError("n_sets must be >= 1")
     lines = np.ascontiguousarray(lines, dtype=np.int64)
-    n = len(lines)
-    miss = np.empty(n, dtype=bool)
-    victims = np.full(n, NO_VICTIM, dtype=np.int64)
-    if n == 0:
-        return DirectMappedFilter(miss, victims)
+    heads, order, sorted_lines, new_set, misses = _set_sorted_runs(lines, n_sets)
+    victims = np.where(new_set[misses], NO_VICTIM, sorted_lines[misses - 1])
+    positions = heads[order[misses]]
+    by_position = np.argsort(positions, kind="stable")
+    return positions[by_position], victims[by_position]
 
-    sets = lines % n_sets
-    order = np.argsort(sets, kind="stable")
-    sorted_sets = sets[order]
-    sorted_lines = lines[order]
 
-    miss_sorted = np.empty(n, dtype=bool)
-    victims_sorted = np.full(n, NO_VICTIM, dtype=np.int64)
-    miss_sorted[0] = True
-    if n > 1:
-        same_set = sorted_sets[1:] == sorted_sets[:-1]
-        changed_line = sorted_lines[1:] != sorted_lines[:-1]
-        # A reference misses if it starts a new set group (cold miss) or
-        # the previous reference in its set used a different line.
-        miss_sorted[1:] = ~same_set | changed_line
-        # The victim is the previous line in the same set, when there is
-        # one and it differs (i.e. a genuine replacement, not a cold fill).
-        evicting = same_set & changed_line
-        victims_sorted[1:][evicting] = sorted_lines[:-1][evicting]
+def direct_mapped_filter(lines: np.ndarray, n_sets: int) -> DirectMappedFilter:
+    """Simulate a direct-mapped cache over a stream of line addresses.
 
-    miss[order] = miss_sorted
-    victims[order] = victims_sorted
-    return DirectMappedFilter(miss, victims)
+    The dense, per-reference form of :func:`direct_mapped_misses`: a
+    miss mask and victim array both aligned with ``lines``.
+    """
+    positions, victims = direct_mapped_misses(lines, n_sets)
+    miss = np.zeros(len(lines), dtype=bool)
+    miss[positions] = True
+    dense_victims = np.full(len(lines), NO_VICTIM, dtype=np.int64)
+    dense_victims[positions] = victims
+    return DirectMappedFilter(miss, dense_victims)
 
 
 def dirty_victim_mask(
@@ -116,54 +144,25 @@ def dirty_victim_mask(
     """Per-reference flag: does this miss evict a *dirty* victim?
 
     A direct-mapped victim is dirty iff the evicted line received at
-    least one store during its residency.  In the set-sorted view, each
-    residency is a maximal run of equal line addresses within a set
-    (runs are delimited exactly by the misses), so the dirty flag of
-    the victim at a replacement is the OR of ``is_store`` over the
-    immediately preceding run — computable in one vectorised pass.
+    least one store during its residency.  In the set-sorted view of
+    :func:`direct_mapped_misses`, each residency is a run between two
+    consecutive misses of a set, so the dirty flag of the victim at a
+    replacement is the OR of ``is_store`` over the preceding residency
+    (each run head first ORs the stores of the duplicates it stands for).
 
     Returns a boolean array aligned with ``lines``; True only at
     positions that are misses evicting a dirty line.
     """
-    if n_sets < 1:
-        raise GeometryError("n_sets must be >= 1")
     lines = np.ascontiguousarray(lines, dtype=np.int64)
     is_store = np.ascontiguousarray(is_store, dtype=bool)
     if len(lines) != len(is_store):
         raise TraceError("lines and is_store must align")
-    n = len(lines)
-    result = np.zeros(n, dtype=bool)
-    if n == 0:
+    result = np.zeros(len(lines), dtype=bool)
+    heads, order, _, new_set, misses = _set_sorted_runs(lines, n_sets)
+    if len(lines) == 0:
         return result
-
-    sets = lines % n_sets
-    order = np.argsort(sets, kind="stable")
-    sorted_sets = sets[order]
-    sorted_lines = lines[order]
-    sorted_stores = is_store[order]
-
-    miss_sorted = np.empty(n, dtype=bool)
-    miss_sorted[0] = True
-    if n > 1:
-        same_set = sorted_sets[1:] == sorted_sets[:-1]
-        changed_line = sorted_lines[1:] != sorted_lines[:-1]
-        miss_sorted[1:] = ~same_set | changed_line
-        evicting = same_set & changed_line
-    else:
-        evicting = np.zeros(0, dtype=bool)
-
-    # Residency runs are numbered by cumulative miss count; the victim
-    # of an eviction is the previous run (same set by construction).
-    run_id = np.cumsum(miss_sorted) - 1
-    n_runs = int(run_id[-1]) + 1
-    run_dirty = np.zeros(n_runs, dtype=bool)
-    np.logical_or.at(run_dirty, run_id, sorted_stores)
-
-    dirty_sorted = np.zeros(n, dtype=bool)
-    if n > 1:
-        eviction_positions = np.nonzero(evicting)[0] + 1
-        dirty_sorted[eviction_positions] = run_dirty[
-            run_id[eviction_positions] - 1
-        ]
-    result[order] = dirty_sorted
+    run_stores = np.logical_or.reduceat(is_store, heads)[order]
+    residency_dirty = np.logical_or.reduceat(run_stores, misses)
+    evicting = misses[1:]
+    result[heads[order[evicting]]] = residency_dirty[:-1] & ~new_set[evicting]
     return result

@@ -41,7 +41,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..traces.address import Trace
-from .directmap import NO_VICTIM, direct_mapped_filter
+from .directmap import direct_mapped_misses
 from .geometry import DEFAULT_LINE_SIZE, CacheGeometry
 from .l2 import SetAssociativeCache
 from .replacement import LfsrReplacement, LruReplacement
@@ -51,6 +51,10 @@ __all__ = [
     "Policy",
     "MissStream",
     "l1_miss_stream",
+    "program_order",
+    "merge",
+    "counted_split",
+    "counted_data_refs",
     "simulate_hierarchy",
     "DEFAULT_WARMUP_FRACTION",
 ]
@@ -101,6 +105,27 @@ class MissStream:
         return len(self.lines)
 
 
+def program_order(i_times: np.ndarray, d_times: np.ndarray) -> np.ndarray:
+    """Merge two issue-time-sorted streams; True where an instruction goes.
+
+    At equal issue time the instruction fetch precedes the data access,
+    matching pipeline order.  Returns one flag per merged slot; pass it
+    to :func:`merge` to interleave arrays aligned with either stream.
+    """
+    d_slots = np.searchsorted(i_times, d_times, side="right") + np.arange(len(d_times))
+    is_instruction = np.ones(len(i_times) + len(d_times), dtype=bool)
+    is_instruction[d_slots] = False
+    return is_instruction
+
+
+def merge(is_instruction: np.ndarray, i_values: np.ndarray, d_values: np.ndarray) -> np.ndarray:
+    """Interleave ``i_values`` and ``d_values`` in :func:`program_order`."""
+    merged = np.empty(len(is_instruction), dtype=np.result_type(i_values, d_values))
+    merged[is_instruction] = i_values
+    merged[~is_instruction] = d_values
+    return merged
+
+
 @lru_cache(maxsize=256)
 def l1_miss_stream(
     trace: Trace, l1_bytes: int, line_size: int = DEFAULT_LINE_SIZE
@@ -111,33 +136,19 @@ def l1_miss_stream(
     design space prescribes.  Results are memoised on the trace object's
     identity, so repeated L2 sweeps pay for the L1 pass once.
     """
-    geometry = CacheGeometry(l1_bytes, line_size=line_size, associativity=1)
-    n_sets = geometry.n_sets
-
+    n_sets = CacheGeometry(l1_bytes, line_size=line_size, associativity=1).n_sets
     i_lines = trace.i_lines(line_size)
+    i_times, i_victims = direct_mapped_misses(i_lines, n_sets)
     d_lines = trace.d_lines(line_size)
-    i_filter = direct_mapped_filter(i_lines, n_sets)
-    d_filter = direct_mapped_filter(d_lines, n_sets)
-
-    i_idx = np.nonzero(i_filter.miss_mask)[0]
-    d_idx = np.nonzero(d_filter.miss_mask)[0]
-
-    times = np.concatenate([i_idx, trace.d_times[d_idx]])
-    lines = np.concatenate([i_lines[i_idx], d_lines[d_idx]])
-    victims = np.concatenate([i_filter.victims[i_idx], d_filter.victims[d_idx]])
-    is_instruction = np.concatenate(
-        [np.ones(len(i_idx), dtype=bool), np.zeros(len(d_idx), dtype=bool)]
-    )
-
-    # Merge into program order; at equal issue time the instruction
-    # fetch precedes the data access, matching pipeline order.
-    order = np.lexsort((~is_instruction, times))
+    d_idx, d_victims = direct_mapped_misses(d_lines, n_sets)
+    d_times = trace.d_times[d_idx]
+    is_instruction = program_order(i_times, d_times)
     return MissStream(
-        times=times[order],
-        lines=lines[order],
-        victims=victims[order],
-        is_instruction=is_instruction[order],
-        l1i_misses=len(i_idx),
+        times=merge(is_instruction, i_times, d_times),
+        lines=merge(is_instruction, i_lines[i_times], d_lines[d_idx]),
+        victims=merge(is_instruction, i_victims, d_victims),
+        is_instruction=is_instruction,
+        l1i_misses=len(i_times),
         l1d_misses=len(d_idx),
         n_instructions=trace.n_instructions,
         n_data_refs=trace.n_data_refs,
@@ -163,35 +174,34 @@ def _simulate_l2(
     The full stream updates the cache state; only events issued at or
     after ``warmup_time`` are counted.
     """
-    counted = stream.times >= warmup_time
     if policy is Policy.CONVENTIONAL and geometry.is_direct_mapped:
-        # Fast path: a conventional DM L2 is itself a pure filter
-        # (replacement is irrelevant with one way per set).
-        result = direct_mapped_filter(stream.lines, geometry.n_sets)
-        misses = int((result.miss_mask & counted).sum())
-        return int(counted.sum()) - misses, misses
-
-    cache = SetAssociativeCache(geometry, _REPLACEMENTS[replacement](geometry))
-    hits = 0
-    n_counted = int(counted.sum())
-    lines = stream.lines.tolist()
-    counted_list = counted.tolist()
-    if policy is Policy.CONVENTIONAL:
-        for line, count_it in zip(lines, counted_list):
-            if cache.lookup(line):
-                hits += count_it
-            else:
-                cache.fill(line)
+        # A conventional DM L2 is itself a pure filter (replacement is
+        # irrelevant with one way per set).
+        missed, _ = direct_mapped_misses(stream.lines, geometry.n_sets)
     else:
-        victims = stream.victims.tolist()
-        for line, victim, count_it in zip(lines, victims, counted_list):
-            if cache.invalidate(line):
-                hits += count_it
-            # On an L2 miss the line is fetched off-chip directly into
-            # the L1; the L2 is not filled with it (exclusion).
-            if victim != NO_VICTIM:
-                cache.fill(victim)
-    return hits, n_counted - hits
+        cache = SetAssociativeCache(geometry, _REPLACEMENTS[replacement](geometry))
+        exclusive = policy is Policy.EXCLUSIVE
+        missed = cache.replay(stream.lines, stream.victims if exclusive else None)
+    return counted_split(stream.times, missed, warmup_time)
+
+
+def counted_split(
+    times: np.ndarray, missed: np.ndarray, warmup_time: int
+) -> "tuple[int, int]":
+    """Counted (hits, misses) of a level that saw events issued at ``times``.
+
+    ``missed`` are the increasing positions that missed.  Events issued
+    before ``warmup_time`` (a prefix, as ``times`` is sorted) update
+    state but are not counted.
+    """
+    first = int(np.searchsorted(times, warmup_time, side="left"))
+    misses = len(missed) - int(np.searchsorted(missed, first, side="left"))
+    return len(times) - first - misses, misses
+
+
+def counted_data_refs(trace: Trace, warmup_time: int) -> int:
+    """Data references issued at or after ``warmup_time``."""
+    return trace.n_data_refs - int(np.searchsorted(trace.d_times, warmup_time, side="left"))
 
 
 def simulate_hierarchy(
@@ -241,13 +251,11 @@ def simulate_hierarchy(
     warmup_time = int(trace.n_instructions * warmup_fraction)
     stream = l1_miss_stream(trace, l1_bytes, line_size)
 
-    counted = stream.times >= warmup_time
-    l1i_misses = int((counted & stream.is_instruction).sum())
-    l1d_misses = int((counted & ~stream.is_instruction).sum())
+    first = int(np.searchsorted(stream.times, warmup_time, side="left"))
+    l1i_misses = int(np.count_nonzero(stream.is_instruction[first:]))
+    l1d_misses = len(stream) - first - l1i_misses
     n_instructions = trace.n_instructions - warmup_time
-    n_data_refs = int(
-        len(trace.d_times) - np.searchsorted(trace.d_times, warmup_time, side="left")
-    )
+    n_data_refs = counted_data_refs(trace, warmup_time)
 
     if l2_bytes == 0:
         return HierarchyStats(

@@ -6,15 +6,18 @@ containers.  Tags sit in one flat list of ``n_sets × associativity``
 slots (set ``s`` owns the ``associativity`` slots from
 ``s × associativity``); ``INVALID`` (-1) marks an empty way, which is
 safe because line addresses are non-negative.  A dict maps each
-resident line to its slot.
+resident line to its slot, and a per-set count of empty ways says
+whether a fill must evict.  :meth:`SetAssociativeCache.replay` runs a
+whole stream through that state in one loop.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from .directmap import NO_VICTIM
 from .geometry import CacheGeometry
 from .replacement import LfsrReplacement, ReplacementPolicy
 
@@ -46,6 +49,7 @@ class SetAssociativeCache:
         self._assoc = geometry.associativity
         self._tags: List[int] = [INVALID] * (self._n_sets * self._assoc)
         self._slots: Dict[int, int] = {}
+        self._free: List[int] = [self._assoc] * self._n_sets
         self.replacement: ReplacementPolicy = (
             replacement if replacement is not None else LfsrReplacement(self._assoc)
         )
@@ -78,10 +82,10 @@ class SetAssociativeCache:
             return None
         set_index = line % self._n_sets
         base = set_index * self._assoc
-        row = self._tags[base : base + self._assoc]
-        if INVALID in row:
-            slot = base + row.index(INVALID)
-            evicted = None
+        evicted = None
+        if self._free[set_index]:
+            self._free[set_index] -= 1
+            slot = self._tags.index(INVALID, base)
         else:
             slot = base + self.replacement.victim_way(set_index)
             evicted = self._tags[slot]
@@ -97,7 +101,60 @@ class SetAssociativeCache:
         if slot is None:
             return False
         self._tags[slot] = INVALID
+        self._free[slot // self._assoc] += 1
         return True
+
+    def replay(
+        self, lines: Sequence[int], victims: Optional[Sequence[int]] = None
+    ) -> np.ndarray:
+        """Run a stream through the cache; returns the positions that missed.
+
+        Without ``victims``, a hit touches the line and a miss fills it
+        (a conventional level).  With ``victims``, a hit removes the line
+        and each victim but ``NO_VICTIM`` is filled (the exclusive L2).
+        State and result match per-reference ``lookup``/``fill``/
+        ``invalidate`` calls; the residual positions feed the level below.
+        """
+        lines = np.asarray(lines, dtype=np.int64).tolist()
+        exclusive = victims is not None
+        fills = np.asarray(victims, dtype=np.int64).tolist() if exclusive else lines
+        tags, slots, free, n_sets, assoc = (
+            self._tags, self._slots, self._free, self._n_sets, self._assoc
+        )
+        victim_way, touch = self.replacement.victim_way, self.replacement.touch
+        if isinstance(self.replacement, LfsrReplacement):
+            touch = None  # random replacement keeps no per-access state
+        missed: List[int] = []
+        for position, line, fill in zip(range(len(lines)), lines, fills):
+            if exclusive:
+                slot = slots.pop(line, None)
+                if slot is None:
+                    missed.append(position)
+                else:
+                    tags[slot] = INVALID
+                    free[slot // assoc] += 1
+                if fill == NO_VICTIM:
+                    continue
+            slot = slots.get(fill)
+            if slot is not None:
+                if touch is not None:
+                    touch(*divmod(slot, assoc))
+                continue
+            if not exclusive:
+                missed.append(position)
+            set_index = fill % n_sets
+            base = set_index * assoc
+            if free[set_index]:
+                free[set_index] -= 1
+                slot = tags.index(INVALID, base)
+            else:
+                slot = base + victim_way(set_index)
+                del slots[tags[slot]]
+            tags[slot] = fill
+            slots[fill] = slot
+            if touch is not None:
+                touch(set_index, slot - base)
+        return np.array(missed, dtype=np.int64)
 
     @property
     def n_valid_lines(self) -> int:

@@ -7,8 +7,10 @@ associativity lowers the miss rate but raises the access/cycle time,
 and since the L1 cycle *is* the machine cycle, every instruction pays.
 
 Associative L1s break the vectorised decomposition (replacement state
-matters), so this module carries its own straightforward whole-trace
-simulator.  Use modest trace scales.
+matters), so each L1 replays its stream through the stateful cache, but
+only the references that miss a direct-mapped cache with the same set
+count: any other hits the way its set touched last, which changes no
+LRU state.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
+import numpy as np
+
+from ..cache.directmap import direct_mapped_misses
 from ..cache.geometry import DEFAULT_LINE_SIZE, CacheGeometry
-from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION
+from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, counted_data_refs
 from ..cache.l2 import SetAssociativeCache
 from ..cache.replacement import LruReplacement
 from ..errors import ConfigurationError
@@ -73,34 +78,23 @@ def evaluate_associative_l1(
     trace = get_trace(workload, scale) if isinstance(workload, str) else workload
 
     geometry = CacheGeometry(l1_bytes, line_size=line_size, associativity=associativity)
+    warmup_time = int(trace.n_instructions * warmup_fraction)
 
-    def make_cache() -> SetAssociativeCache:
-        return SetAssociativeCache(
+    def counted_misses(lines: np.ndarray, times: np.ndarray) -> int:
+        # The I and D caches are independent, so each stream replays on
+        # its own, and only the references that miss a DM cache of the
+        # same set count: any other re-touches its set's MRU way.
+        missed, _ = direct_mapped_misses(lines, geometry.n_sets)
+        cache = SetAssociativeCache(
             geometry, LruReplacement(associativity, geometry.n_sets)
         )
+        missed = missed[cache.replay(lines[missed])]
+        return int(np.count_nonzero(times[missed] >= warmup_time))
 
-    icache, dcache = make_cache(), make_cache()
-    warmup_time = int(trace.n_instructions * warmup_fraction)
-    misses = 0
-    counted_data = 0
-
-    i_lines = trace.i_lines(line_size).tolist()
-    d_lines = trace.d_lines(line_size).tolist()
-    d_times = trace.d_times.tolist()
-    d_cursor = 0
-    n_data = len(d_lines)
-    for cycle, line in enumerate(i_lines):
-        counted = cycle >= warmup_time
-        if not icache.lookup(line):
-            icache.fill(line)
-            misses += counted
-        while d_cursor < n_data and d_times[d_cursor] == cycle:
-            d_line = d_lines[d_cursor]
-            if not dcache.lookup(d_line):
-                dcache.fill(d_line)
-                misses += counted
-            counted_data += counted
-            d_cursor += 1
+    misses = counted_misses(
+        trace.i_lines(line_size), np.arange(trace.n_instructions)
+    ) + counted_misses(trace.d_lines(line_size), trace.d_times)
+    counted_data = counted_data_refs(trace, warmup_time)
 
     timing = optimal_timing(l1_bytes, associativity, line_size)
     cycle_ns = timing.cycle_ns

@@ -19,11 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..cache.directmap import NO_VICTIM
+import numpy as np
+
 from ..cache.geometry import DEFAULT_LINE_SIZE, CacheGeometry
 from ..cache.hierarchy import (
     DEFAULT_WARMUP_FRACTION,
     Policy,
+    counted_split,
     l1_miss_stream,
 )
 from ..cache.l2 import SetAssociativeCache
@@ -91,57 +93,22 @@ def evaluate_with_board_cache(
         raise ConfigurationError("DRAM cannot be faster than the board cache")
     trace = get_trace(workload, scale) if isinstance(workload, str) else workload
 
-    # Replay the hierarchy, collecting the off-chip fetch stream.
+    # Replay the hierarchy; the off-chip fetches are the L2's residual
+    # stream (every L1 miss without an L2), which the L3 replays in turn.
     stream = l1_miss_stream(trace, config.l1_bytes, config.line_size)
     warmup_time = int(trace.n_instructions * warmup_fraction)
-    l3 = SetAssociativeCache(
-        CacheGeometry(
-            l3_bytes, line_size=config.line_size, associativity=l3_associativity
-        )
-    )
-
-    l1_misses = 0
+    fetched = np.arange(len(stream))
     l2_hits = 0
-    l3_hits = 0
-    l3_misses = 0
-
-    def offchip_fetch(line: int, counted: int) -> None:
-        nonlocal l3_hits, l3_misses
-        if l3.lookup(line):
-            l3_hits += counted
-        else:
-            l3_misses += counted
-            l3.fill(line)
-
-    lines = stream.lines.tolist()
-    victims = stream.victims.tolist()
-    counted_mask = (stream.times >= warmup_time).tolist()
-
     if config.has_l2:
-        l2 = SetAssociativeCache(
-            CacheGeometry(
-                config.l2_bytes,
-                line_size=config.line_size,
-                associativity=config.l2_associativity,
-            )
-        )
+        l2 = CacheGeometry(config.l2_bytes, config.line_size, config.l2_associativity)
         exclusive = config.policy is Policy.EXCLUSIVE
-        for line, victim, counted in zip(lines, victims, counted_mask):
-            l1_misses += counted
-            if l2.lookup(line):
-                l2_hits += counted
-                if exclusive:
-                    l2.invalidate(line)
-            else:
-                offchip_fetch(line, counted)
-                if not exclusive:
-                    l2.fill(line)
-            if exclusive and victim != NO_VICTIM:
-                l2.fill(victim)
-    else:
-        for line, counted in zip(lines, counted_mask):
-            l1_misses += counted
-            offchip_fetch(line, counted)
+        fetched = SetAssociativeCache(l2).replay(
+            stream.lines, stream.victims if exclusive else None
+        )
+        l2_hits, _ = counted_split(stream.times, fetched, warmup_time)
+    l3 = CacheGeometry(l3_bytes, config.line_size, l3_associativity)
+    l3_missed = SetAssociativeCache(l3).replay(stream.lines[fetched])
+    l3_hits, l3_misses = counted_split(stream.times[fetched], l3_missed, warmup_time)
 
     timings = system_timings(config)
     hit_ns = round_up_to_multiple(board_hit_ns, timings.l1_cycle_ns)
@@ -149,26 +116,16 @@ def evaluate_with_board_cache(
     n_instructions = trace.n_instructions - warmup_time
 
     base = n_instructions * timings.l1_cycle_ns / config.issue_width
-    transfers = timings.transfers_per_line
-    if config.has_l2:
-        hit_penalty = transfers * timings.l2_cycle_ns + timings.l1_cycle_ns
-        probe = (transfers + 1) * timings.l2_cycle_ns + timings.l1_cycle_ns
-        total = (
-            base
-            + l2_hits * hit_penalty
-            + l3_hits * (hit_ns + probe)
-            + l3_misses * (miss_ns + probe)
-        )
-        constant = base + l2_hits * hit_penalty + (l3_hits + l3_misses) * (
-            hit_ns + probe
-        )
-    else:
-        total = (
-            base
-            + l3_hits * (hit_ns + timings.l1_cycle_ns)
-            + l3_misses * (miss_ns + timings.l1_cycle_ns)
-        )
-        constant = base + (l3_hits + l3_misses) * (hit_ns + timings.l1_cycle_ns)
+    # Without an L2, l2_cycle_ns is 0: no L2 hits, and a fetch pays one L1 cycle.
+    hit_penalty = timings.l2_hit_penalty_ns
+    probe = (timings.transfers_per_line + 1) * timings.l2_cycle_ns + timings.l1_cycle_ns
+    total = (
+        base
+        + l2_hits * hit_penalty
+        + l3_hits * (hit_ns + probe)
+        + l3_misses * (miss_ns + probe)
+    )
+    constant = base + l2_hits * hit_penalty + (l3_hits + l3_misses) * (hit_ns + probe)
 
     return BoardCacheResult(
         config=config,

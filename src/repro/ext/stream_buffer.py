@@ -19,9 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Optional, Union
 
-import numpy as np
-
-from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, l1_miss_stream
+from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, counted_data_refs, l1_miss_stream
 from ..cache.geometry import DEFAULT_LINE_SIZE
 from ..errors import ConfigurationError
 from ..traces.address import Trace
@@ -144,9 +142,7 @@ def simulate_stream_buffer(
             buffers[victim_index].allocate(line)
             allocation_order.append(victim_index)
 
-    n_data = int(
-        len(trace.d_times) - np.searchsorted(trace.d_times, warmup_time, side="left")
-    )
+    n_data = counted_data_refs(trace, warmup_time)
     return StreamBufferStats(
         n_instructions=trace.n_instructions - warmup_time,
         n_data_refs=n_data,

@@ -9,7 +9,8 @@ one: a unified cache of capacity 2N usually misses less than split
 N + N caches (ignoring the bandwidth problem a unified L1 would have).
 
 A unified direct-mapped cache over the merged (program-order) reference
-stream is still replacement-free, so the vectorised filter applies.
+stream is still replacement-free, so the vectorised filter applies; an
+associative one replays only that filter's misses.
 """
 
 from __future__ import annotations
@@ -19,9 +20,17 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..cache.directmap import direct_mapped_filter
+from ..cache.directmap import direct_mapped_misses
 from ..cache.geometry import DEFAULT_LINE_SIZE, CacheGeometry
-from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, l1_miss_stream
+from ..cache.hierarchy import (
+    DEFAULT_WARMUP_FRACTION,
+    counted_data_refs,
+    l1_miss_stream,
+    merge,
+    program_order,
+)
+from ..cache.l2 import SetAssociativeCache
+from ..cache.replacement import LruReplacement
 from ..errors import ConfigurationError
 from ..traces.address import Trace
 from ..traces.store import get_trace
@@ -70,8 +79,8 @@ def compare_split_vs_unified(
     (instruction fetch before same-cycle data access); capacities are
     equal in total.  A direct-mapped unified cache often *loses* to the
     split pair (streaming data evicts code), which is half of the
-    paper's design argument; with ``unified_associativity > 1`` (LRU,
-    simulated stepwise) dynamic allocation pays off — the other half:
+    paper's design argument; with ``unified_associativity > 1`` (LRU)
+    dynamic allocation pays off — the other half:
     put the mixed capacity in the set-associative L2.
     """
     if not 0.0 <= warmup_fraction < 1.0:
@@ -83,41 +92,25 @@ def compare_split_vs_unified(
     stream = l1_miss_stream(trace, per_cache_bytes, line_size)
     split_misses = int((stream.times >= warmup_time).sum())
 
-    # Unified: one 2N cache over the merged program-order stream.
+    # Unified: one 2N cache over the merged program-order stream.  Only
+    # the references that miss a DM cache of the same set count reach the
+    # LRU replay: any other re-touches its set's MRU way, a no-op.
     unified = CacheGeometry(
         2 * per_cache_bytes, line_size=line_size, associativity=unified_associativity
     )
-    i_lines = trace.i_lines(line_size)
-    d_lines = trace.d_lines(line_size)
-    times = np.concatenate([np.arange(trace.n_instructions), trace.d_times])
-    kinds = np.concatenate(
-        [np.zeros(trace.n_instructions, dtype=np.int8),
-         np.ones(trace.n_data_refs, dtype=np.int8)]
-    )
-    order = np.lexsort((kinds, times))
-    merged_lines = np.concatenate([i_lines, d_lines])[order]
-    merged_times = times[order]
-    if unified.is_direct_mapped:
-        result = direct_mapped_filter(merged_lines, unified.n_sets)
-        unified_misses = int(
-            (result.miss_mask & (merged_times >= warmup_time)).sum()
-        )
-    else:
-        from ..cache.l2 import SetAssociativeCache
-        from ..cache.replacement import LruReplacement
-
+    i_times = np.arange(trace.n_instructions)
+    is_instruction = program_order(i_times, trace.d_times)
+    merged_lines = merge(is_instruction, trace.i_lines(line_size), trace.d_lines(line_size))
+    missed, _ = direct_mapped_misses(merged_lines, unified.n_sets)
+    if not unified.is_direct_mapped:
         cache = SetAssociativeCache(
             unified, LruReplacement(unified.associativity, unified.n_sets)
         )
-        unified_misses = 0
-        for line, time in zip(merged_lines.tolist(), merged_times.tolist()):
-            if not cache.lookup(line):
-                cache.fill(line)
-                unified_misses += time >= warmup_time
+        missed = missed[cache.replay(merged_lines[missed])]
+    merged_times = merge(is_instruction, i_times, trace.d_times)
+    unified_misses = int(np.count_nonzero(merged_times[missed] >= warmup_time))
 
-    counted_data = int(
-        len(trace.d_times) - np.searchsorted(trace.d_times, warmup_time, side="left")
-    )
+    counted_data = counted_data_refs(trace, warmup_time)
     n_refs = (trace.n_instructions - warmup_time) + counted_data
     return SplitVsUnified(
         workload=trace.name,

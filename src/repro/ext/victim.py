@@ -18,10 +18,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
 from ..cache.directmap import NO_VICTIM
-from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, l1_miss_stream
+from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, counted_data_refs, l1_miss_stream
 from ..cache.geometry import DEFAULT_LINE_SIZE
 from ..errors import ConfigurationError
 from ..traces.address import Trace
@@ -124,9 +122,7 @@ def simulate_victim_cache(
         if victim != NO_VICTIM:
             buffer.insert(victim)
 
-    n_data = int(
-        len(trace.d_times) - np.searchsorted(trace.d_times, warmup_time, side="left")
-    )
+    n_data = counted_data_refs(trace, warmup_time)
     return VictimCacheStats(
         n_instructions=trace.n_instructions - warmup_time,
         n_data_refs=n_data,

@@ -26,9 +26,9 @@ from typing import Optional, Set, Union
 
 import numpy as np
 
-from ..cache.directmap import NO_VICTIM, dirty_victim_mask
+from ..cache.directmap import NO_VICTIM, direct_mapped_misses, dirty_victim_mask
 from ..cache.geometry import CacheGeometry
-from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, Policy, l1_miss_stream
+from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, Policy, counted_data_refs, l1_miss_stream
 from ..cache.l2 import SetAssociativeCache
 from ..core.config import SystemConfig
 from ..core.evaluate import _cached_stats, system_area_rbe
@@ -70,20 +70,16 @@ class WriteTraffic:
 
 def _l1_dirty_flags(trace: Trace, l1_bytes: int, line_size: int) -> np.ndarray:
     """Dirty flag per merged L1 miss event (instruction misses: False)."""
-    from ..cache.directmap import direct_mapped_filter
-
     stream = l1_miss_stream(trace, l1_bytes, line_size)
-    geometry = CacheGeometry(l1_bytes, line_size=line_size, associativity=1)
+    n_sets = CacheGeometry(l1_bytes, line_size=line_size, associativity=1).n_sets
     d_lines = trace.d_lines(line_size)
-    d_dirty = dirty_victim_mask(d_lines, trace.d_is_store, geometry.n_sets)
-    d_miss_mask = direct_mapped_filter(d_lines, geometry.n_sets).miss_mask
-    # ``d_dirty`` is aligned with every data reference; the D-cache's
-    # misses are exactly the data events that entered the merged stream,
-    # in the same order.  Instruction victims are never dirty (code is
-    # read-only on these machines).
+    d_dirty = dirty_victim_mask(d_lines, trace.d_is_store, n_sets)
+    d_misses, _ = direct_mapped_misses(d_lines, n_sets)
+    # The D-cache's misses are exactly the data events of the merged
+    # stream, in the same order.  Instruction victims are never dirty
+    # (code is read-only on these machines).
     dirty = np.zeros(len(stream), dtype=bool)
-    data_positions = np.nonzero(~stream.is_instruction)[0]
-    dirty[data_positions] = d_dirty[np.nonzero(d_miss_mask)[0]]
+    dirty[~stream.is_instruction] = d_dirty[d_misses]
     return dirty
 
 
@@ -117,9 +113,7 @@ def count_write_traffic(
     warmup_time = int(trace.n_instructions * warmup_fraction)
     counted_mask = stream.times >= warmup_time
 
-    n_data = int(
-        len(trace.d_times) - np.searchsorted(trace.d_times, warmup_time, side="left")
-    )
+    n_data = counted_data_refs(trace, warmup_time)
     d_counted = trace.d_times >= warmup_time
     n_stores = int((trace.d_is_store & d_counted).sum())
 

@@ -5,9 +5,48 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.directmap import NO_VICTIM, direct_mapped_filter
+from repro.cache.directmap import (
+    NO_VICTIM,
+    direct_mapped_filter,
+    direct_mapped_misses,
+    dirty_victim_mask,
+)
 from repro.cache.reference import reference_direct_mapped_filter
 from repro.errors import GeometryError
+
+#: Set counts of both kinds: powers of two and not.
+SET_COUNTS = [1, 2, 3, 4, 5, 7, 8, 12, 16]
+
+
+def with_runs(lines: st.SearchStrategy) -> st.SearchStrategy:
+    """Streams of lines drawn from ``lines``, each repeated 1-4 times in a row."""
+    runs = st.lists(
+        st.tuples(lines, st.integers(min_value=1, max_value=4)), min_size=1, max_size=150
+    )
+    return runs.map(lambda pairs: [line for line, times in pairs for _ in range(times)])
+
+
+def assert_matches_reference(lines, n_sets):
+    fast = direct_mapped_filter(np.array(lines, dtype=np.int64), n_sets)
+    ref_miss, ref_victims = reference_direct_mapped_filter(lines, n_sets)
+    assert fast.miss_mask.tolist() == ref_miss
+    assert fast.victims.tolist() == ref_victims
+    positions, victims = direct_mapped_misses(np.array(lines, dtype=np.int64), n_sets)
+    assert positions.tolist() == [i for i, miss in enumerate(ref_miss) if miss]
+    assert victims.tolist() == [ref_victims[i] for i in positions.tolist()]
+
+
+def reference_dirty_victims(lines, is_store, n_sets):
+    """Per reference: does it evict a line stored to during its residency?"""
+    resident, dirty, result = {}, {}, []
+    for line, store in zip(lines, is_store):
+        set_index = line % n_sets
+        evicts_dirty = resident.get(set_index, line) != line and dirty[set_index]
+        if resident.get(set_index) != line:
+            resident[set_index], dirty[set_index] = line, False
+        dirty[set_index] |= store
+        result.append(evicts_dirty)
+    return result
 
 
 class TestBasics:
@@ -41,6 +80,11 @@ class TestBasics:
         assert result.miss_mask.tolist() == [True, True, True]
         assert result.victims.tolist() == [NO_VICTIM, 3, 9]
 
+    def test_wide_set_keys_do_not_alias(self):
+        # Sets 5 and 65,541 of a 70,001-set cache agree in their low 16 bits.
+        result = direct_mapped_filter(np.array([5, 65_541, 5]), 70_001)
+        assert result.miss_mask.tolist() == [True, True, False]
+
     def test_rejects_bad_set_count(self):
         with pytest.raises(GeometryError):
             direct_mapped_filter(np.array([1]), 0)
@@ -53,26 +97,45 @@ class TestBasics:
 class TestAgainstReference:
     @settings(max_examples=200, deadline=None)
     @given(
-        lines=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=300),
-        n_sets=st.sampled_from([1, 2, 4, 8, 16]),
+        lines=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=300)
+        | with_runs(st.integers(min_value=0, max_value=40)),
+        n_sets=st.sampled_from(SET_COUNTS),
     )
     def test_matches_reference_on_random_streams(self, lines, n_sets):
-        fast = direct_mapped_filter(np.array(lines, dtype=np.int64), n_sets)
-        ref_miss, ref_victims = reference_direct_mapped_filter(lines, n_sets)
-        assert fast.miss_mask.tolist() == ref_miss
-        assert fast.victims.tolist() == ref_victims
+        assert_matches_reference(lines, n_sets)
 
     @settings(max_examples=50, deadline=None)
     @given(
         lines=st.lists(
             st.integers(min_value=0, max_value=2**40), min_size=1, max_size=100
+        )
+        | with_runs(st.integers(min_value=0, max_value=2**40)),
+        n_sets=st.sampled_from([8, 12, 70_001]),
+    )
+    def test_huge_addresses(self, lines, n_sets):
+        assert_matches_reference(lines, n_sets)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        lines=with_runs(
+            st.builds(lambda hi, lo: hi * 65_536 + lo, st.integers(0, 3), st.integers(0, 3))
         ),
     )
-    def test_huge_addresses(self, lines):
-        fast = direct_mapped_filter(np.array(lines, dtype=np.int64), 8)
-        ref_miss, ref_victims = reference_direct_mapped_filter(lines, 8)
-        assert fast.miss_mask.tolist() == ref_miss
-        assert fast.victims.tolist() == ref_victims
+    def test_wide_set_keys(self, lines):
+        # 70,001 sets need a set key wider than 16 bits; these lines are
+        # 65,536 apart, so their sets share the low 16 bits.
+        assert_matches_reference(lines, 70_001)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        lines=with_runs(st.integers(min_value=0, max_value=40)),
+        n_sets=st.sampled_from(SET_COUNTS + [70_001]),
+    )
+    def test_dirty_victims_match_reference(self, data, lines, n_sets):
+        is_store = data.draw(st.lists(st.booleans(), min_size=len(lines), max_size=len(lines)))
+        fast = dirty_victim_mask(np.array(lines), np.array(is_store), n_sets)
+        assert fast.tolist() == reference_dirty_victims(lines, is_store, n_sets)
 
 
 class TestInvariants:

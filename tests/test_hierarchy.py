@@ -12,7 +12,7 @@ from repro.cache.hierarchy import (
     l1_miss_stream,
     simulate_hierarchy,
 )
-from repro.cache.reference import reference_simulate_hierarchy
+from repro.cache.reference import ReferenceDirectMapped, reference_simulate_hierarchy
 from repro.errors import ConfigurationError
 from repro.traces.address import Trace
 from repro.units import kb
@@ -42,6 +42,40 @@ class TestMissStream:
         stream = l1_miss_stream(gcc1_tiny, kb(4))
         assert stream.l1i_misses + stream.l1d_misses == len(stream)
         assert stream.l1i_misses == int(stream.is_instruction.sum())
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**6), l1_bytes=st.sampled_from([256, 512]))
+    def test_fields_match_reference_hierarchy(self, seed, l1_bytes):
+        """Every field against split reference DM caches walked in program order."""
+        trace = make_random_trace(seed, n_instructions=300, n_lines=48)
+        n_sets = l1_bytes // 16
+        icache, dcache = ReferenceDirectMapped(n_sets), ReferenceDirectMapped(n_sets)
+        expected = []  # (time, line, victim, is_instruction)
+        d_lines, d_times = trace.d_lines(16).tolist(), trace.d_times.tolist()
+        d_cursor = 0
+        for cycle, line in enumerate(trace.i_lines(16).tolist()):
+            miss, victim = icache.access(line)
+            if miss:
+                expected.append((cycle, line, victim, True))
+            while d_cursor < len(d_lines) and d_times[d_cursor] == cycle:
+                miss, victim = dcache.access(d_lines[d_cursor])
+                if miss:
+                    expected.append((cycle, d_lines[d_cursor], victim, False))
+                d_cursor += 1
+        times = [event[0] for event in expected]
+        assert any(a == b for a, b in zip(times, times[1:])), "no same-cycle I and D misses"
+
+        stream = l1_miss_stream(trace, l1_bytes)
+        assert stream.times.tolist() == times
+        assert stream.lines.tolist() == [event[1] for event in expected]
+        assert stream.victims.tolist() == [event[2] for event in expected]
+        assert stream.is_instruction.tolist() == [event[3] for event in expected]
+        assert stream.l1i_misses == sum(event[3] for event in expected)
+        assert stream.l1d_misses == sum(not event[3] for event in expected)
+        assert (stream.n_instructions, stream.n_data_refs) == (
+            trace.n_instructions,
+            trace.n_data_refs,
+        )
 
     def test_larger_cache_fewer_misses(self, gcc1_tiny):
         small = l1_miss_stream(gcc1_tiny, kb(1))

@@ -5,17 +5,21 @@ import ast
 import inspect
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_trace
 from repro.cache import reference
+from repro.cache.directmap import NO_VICTIM
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hierarchy import Policy
 from repro.cache.l2 import SetAssociativeCache
 from repro.cache.reference import ReferenceDirectMapped, ReferenceSetAssociativeCache
 from repro.cache.replacement import LruReplacement
+from repro.ext.associative_l1 import evaluate_associative_l1
+from repro.ext.unified_l1 import compare_split_vs_unified
 from repro.lfsr import Lfsr16
 
 
@@ -172,6 +176,195 @@ class TestAgainstFrozenNumpyCache:
             assert result == _apply(frozen, op, line), (evictions, op, line)
             evictions += op == "fill" and result is not None
         assert fast.resident_lines().tolist() == frozen.resident_lines().tolist()
+
+
+def replay_per_reference(cache, lines, victims=None):
+    """``replay`` spelled out with per-reference calls: the positions that missed."""
+    missed = []
+    for position, line in enumerate(lines):
+        if victims is None:
+            if not cache.lookup(line):
+                missed.append(position)
+                cache.fill(line)
+            continue
+        if not cache.invalidate(line):
+            missed.append(position)
+        if victims[position] != NO_VICTIM:
+            cache.fill(victims[position])
+    return missed
+
+
+def assert_same_state(fast, frozen, n_sets):
+    assert fast.resident_lines().tolist() == frozen.resident_lines().tolist()
+    for set_index in range(n_sets):
+        assert fast.set_contents(set_index).tolist() == frozen.set_contents(set_index).tolist()
+
+
+#: A stream of (line, victim) events: victims are lines or NO_VICTIM.
+#: Twelve lines per set of the 2-set caches, so hits and evictions mix
+#: even in short streams.
+events_strategy = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=23),
+        st.one_of(st.just(NO_VICTIM), st.integers(min_value=0, max_value=23)),
+    ),
+    min_size=1,
+    max_size=300,
+)
+
+
+class TestReplay:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        replacement=st.sampled_from(["lfsr", "lru"]),
+        assoc=st.sampled_from([1, 2, 4, 8]),
+        exclusive=st.booleans(),
+        events=events_strategy,
+    )
+    def test_matches_per_reference_calls(self, replacement, assoc, exclusive, events):
+        fast, frozen = _cache_pair(replacement, assoc, n_sets=2)
+        lines = [line for line, _ in events]
+        victims = [victim for _, victim in events] if exclusive else None
+        assert fast.replay(lines, victims).tolist() == replay_per_reference(
+            frozen, lines, victims
+        )
+        assert_same_state(fast, frozen, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        replacement=st.sampled_from(["lfsr", "lru"]),
+        assoc=st.sampled_from([2, 4]),
+        exclusive=st.booleans(),
+        events=events_strategy,
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["lookup", "fill", "invalidate"]),
+                st.integers(min_value=0, max_value=23),
+            ),
+            max_size=100,
+        ),
+    )
+    def test_replay_then_per_reference_calls(
+        self, replacement, assoc, exclusive, events, ops
+    ):
+        """Replay leaves the tags, slots, free-way counts and policy state
+        exactly where per-reference calls would."""
+        fast, frozen = _cache_pair(replacement, assoc, n_sets=2)
+        lines = [line for line, _ in events]
+        victims = [victim for _, victim in events] if exclusive else None
+        fast.replay(lines, victims)
+        replay_per_reference(frozen, lines, victims)
+        for op, line in ops:
+            assert _apply(fast, op, line) == _apply(frozen, op, line), (op, line)
+        assert_same_state(fast, frozen, 2)
+        assert fast.replay(lines, victims).tolist() == replay_per_reference(
+            frozen, lines, victims
+        )
+
+    @pytest.mark.parametrize("exclusive", [False, True])
+    def test_long_stream_crosses_the_lfsr_period(self, exclusive):
+        """More than 65,535 evictions in one replay wrap the LFSR way table."""
+        fast, frozen = _cache_pair("lfsr", 4, n_sets=4)
+        rng = random.Random(7)
+        lines = [rng.randrange(256) for _ in range(90_000)]
+        victims = [rng.randrange(256) for _ in lines] if exclusive else None
+        evictions = 0
+        fill = frozen.fill
+
+        def counting_fill(line):
+            nonlocal evictions
+            evicted = fill(line)
+            evictions += evicted is not None
+            return evicted
+
+        frozen.fill = counting_fill
+        assert fast.replay(lines, victims).tolist() == replay_per_reference(
+            frozen, lines, victims
+        )
+        assert evictions > Lfsr16.period()
+        assert_same_state(fast, frozen, 4)
+
+
+def deleted_unified_loop_misses(trace, per_cache_bytes, assoc, warmup_time):
+    """The per-reference LRU loop over the lexsorted merged stream that
+    ``compare_split_vs_unified`` ran before its DM prefilter."""
+    unified = CacheGeometry(2 * per_cache_bytes, associativity=assoc)
+    times = np.concatenate([np.arange(trace.n_instructions), trace.d_times])
+    kinds = np.concatenate(
+        [np.zeros(trace.n_instructions, dtype=np.int8), np.ones(trace.n_data_refs, dtype=np.int8)]
+    )
+    order = np.lexsort((kinds, times))
+    merged_lines = np.concatenate([trace.i_lines(16), trace.d_lines(16)])[order]
+    cache = ReferenceSetAssociativeCache(unified, LruReplacement(assoc, unified.n_sets))
+    misses = 0
+    for line, time in zip(merged_lines.tolist(), times[order].tolist()):
+        if not cache.lookup(line):
+            cache.fill(line)
+            misses += time >= warmup_time
+    return misses
+
+
+def deleted_associative_loop(trace, l1_bytes, assoc, warmup_time):
+    """The per-cycle I/D cursor loop ``evaluate_associative_l1`` ran
+    before its DM prefilter: (counted misses, counted data references)."""
+    geometry = CacheGeometry(l1_bytes, associativity=assoc)
+    icache, dcache = (
+        ReferenceSetAssociativeCache(geometry, LruReplacement(assoc, geometry.n_sets))
+        for _ in range(2)
+    )
+    misses = counted_data = d_cursor = 0
+    d_lines, d_times = trace.d_lines(16).tolist(), trace.d_times.tolist()
+    for cycle, line in enumerate(trace.i_lines(16).tolist()):
+        counted = cycle >= warmup_time
+        if not icache.lookup(line):
+            icache.fill(line)
+            misses += counted
+        while d_cursor < len(d_lines) and d_times[d_cursor] == cycle:
+            if not dcache.lookup(d_lines[d_cursor]):
+                dcache.fill(d_lines[d_cursor])
+                misses += counted
+            counted_data += counted
+            d_cursor += 1
+    return misses, counted_data
+
+
+class TestSameSetPrefilter:
+    """Dropping the references that hit a same-set-count DM cache is exact."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**6), per_cache=st.sampled_from([256, 512]))
+    def test_unified_lru_matches_the_deleted_loop(self, seed, per_cache):
+        trace = make_random_trace(seed, n_instructions=400, n_lines=96)
+        result = compare_split_vs_unified(trace, per_cache, unified_associativity=4)
+        warmup_time = int(trace.n_instructions * 0.25)
+        assert result.unified_misses == deleted_unified_loop_misses(
+            trace, per_cache, 4, warmup_time
+        )
+
+    def test_unified_lru_matches_the_deleted_loop_on_a_workload(self, gcc1_tiny):
+        result = compare_split_vs_unified(gcc1_tiny, 2048, unified_associativity=4)
+        warmup_time = int(gcc1_tiny.n_instructions * 0.25)
+        assert result.unified_misses == deleted_unified_loop_misses(
+            gcc1_tiny, 2048, 4, warmup_time
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**6), assoc=st.sampled_from([2, 4]))
+    def test_associative_l1_matches_the_deleted_loop(self, seed, assoc):
+        trace = make_random_trace(seed, n_instructions=400, n_lines=96)
+        result = evaluate_associative_l1(trace, 512, assoc)
+        warmup_time = int(trace.n_instructions * 0.25)
+        assert (result.l1_misses, result.n_data_refs) == deleted_associative_loop(
+            trace, 512, assoc, warmup_time
+        )
+
+    @pytest.mark.parametrize("assoc", [2, 4])
+    def test_associative_l1_matches_the_deleted_loop_on_a_workload(self, gcc1_tiny, assoc):
+        result = evaluate_associative_l1(gcc1_tiny, 2048, assoc)
+        warmup_time = int(gcc1_tiny.n_instructions * 0.25)
+        assert (result.l1_misses, result.n_data_refs) == deleted_associative_loop(
+            gcc1_tiny, 2048, assoc, warmup_time
+        )
 
 
 class TestExclusivityInvariant:
