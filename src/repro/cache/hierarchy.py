@@ -248,6 +248,8 @@ def simulate_hierarchy(
         raise ConfigurationError("warmup_fraction must be in [0, 1)")
     if l2_replacement not in _REPLACEMENTS:
         raise ConfigurationError(f"unknown replacement policy {l2_replacement!r}")
+    if l2_bytes < 0:
+        raise ConfigurationError("l2_bytes must be >= 0")
     warmup_time = int(trace.n_instructions * warmup_fraction)
     stream = l1_miss_stream(trace, l1_bytes, line_size)
 
@@ -267,8 +269,6 @@ def simulate_hierarchy(
             l2_misses=0,
             has_l2=False,
         )
-    if l2_bytes < 0:
-        raise ConfigurationError("l2_bytes must be >= 0")
     geometry = CacheGeometry(
         l2_bytes, line_size=line_size, associativity=l2_associativity
     )

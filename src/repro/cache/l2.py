@@ -13,6 +13,8 @@ whole stream through that state in one loop.
 
 from __future__ import annotations
 
+from array import array
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -114,25 +116,37 @@ class SetAssociativeCache:
         and each victim but ``NO_VICTIM`` is filled (the exclusive L2).
         State and result match per-reference ``lookup``/``fill``/
         ``invalidate`` calls; the residual positions feed the level below.
+        Contiguous ``int64`` inputs are read in place, without a copy.
         """
-        lines = np.asarray(lines, dtype=np.int64).tolist()
         exclusive = victims is not None
-        fills = np.asarray(victims, dtype=np.int64).tolist() if exclusive else lines
+        fills = memoryview(np.ascontiguousarray(victims if exclusive else lines, dtype=np.int64))
+        # Only an exclusive replay reads ``line``; a conventional one fills what it probes.
+        lines = memoryview(np.ascontiguousarray(lines, dtype=np.int64)) if exclusive else repeat(0)
         tags, slots, free, n_sets, assoc = (
             self._tags, self._slots, self._free, self._n_sets, self._assoc
         )
         victim_way, touch = self.replacement.victim_way, self.replacement.touch
-        if isinstance(self.replacement, LfsrReplacement):
-            touch = None  # random replacement keeps no per-access state
-        missed: List[int] = []
-        for position, line, fill in zip(range(len(lines)), lines, fills):
+        lfsr = isinstance(self.replacement, LfsrReplacement)
+        if lfsr:  # random replacement keeps no per-access state
+            table, cursor, touch = self.replacement.table, self.replacement.cursor, None
+            period = len(table)
+        missed = array("q")
+        for position, line, fill in zip(range(len(fills)), lines, fills):
             if exclusive:
                 slot = slots.pop(line, None)
                 if slot is None:
                     missed.append(position)
-                else:
+                elif (fill % n_sets != slot // assoc or fill == NO_VICTIM
+                      or free[slot // assoc] or fill in slots):
                     tags[slot] = INVALID
                     free[slot // assoc] += 1
+                else:
+                    # The freed way is the set's only free way: a fill takes it, no draw.
+                    tags[slot] = fill
+                    slots[fill] = slot
+                    if touch is not None:
+                        touch(*divmod(slot, assoc))
+                    continue
                 if fill == NO_VICTIM:
                     continue
             slot = slots.get(fill)
@@ -148,13 +162,19 @@ class SetAssociativeCache:
                 free[set_index] -= 1
                 slot = tags.index(INVALID, base)
             else:
-                slot = base + victim_way(set_index)
+                if lfsr:
+                    slot = base + table[cursor]
+                    cursor = cursor + 1 if cursor + 1 < period else 0
+                else:
+                    slot = base + victim_way(set_index)
                 del slots[tags[slot]]
             tags[slot] = fill
             slots[fill] = slot
             if touch is not None:
                 touch(set_index, slot - base)
-        return np.array(missed, dtype=np.int64)
+        if lfsr:
+            self.replacement.cursor = cursor
+        return np.frombuffer(missed, dtype=np.int64)
 
     @property
     def n_valid_lines(self) -> int:

@@ -10,7 +10,9 @@ used by any reproduced figure.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Protocol, Sequence, Tuple
+from typing import List, Protocol, Sequence
+
+import numpy as np
 
 from ..errors import GeometryError
 from ..lfsr import Lfsr16
@@ -31,10 +33,23 @@ class ReplacementPolicy(Protocol):
 
 
 @lru_cache(maxsize=None)
-def _way_table(associativity: int, seed: int) -> Tuple[int, ...]:
-    """One full LFSR period of ``next_way(associativity)`` from ``seed``."""
-    lfsr = Lfsr16(seed)
-    return tuple(lfsr.next_way(associativity) for _ in range(_PERIOD))
+def _way_table(associativity: int, seed: int) -> Sequence[int]:
+    """One full LFSR period of ``next_way(associativity)`` from ``seed``.
+
+    The register step is a linear map ``M`` over GF(2)^16, so the states
+    ``[n, 2n)`` are ``M^n`` of the states ``[0, n)``: sixteen doublings,
+    with ``M^n`` kept as its image of each bit, build the period in numpy.
+    """
+    images = np.array([Lfsr16(1 << bit).step() for bit in range(16)], dtype=np.uint16)
+    states = np.array([Lfsr16(seed).step()], dtype=np.uint16)
+    while len(states) < _PERIOD:
+        both = np.concatenate([states, images])
+        moved = np.zeros_like(both)
+        for bit, image in enumerate(images):
+            moved ^= (both >> bit & 1) * image
+        states, images = np.concatenate([states, moved[: len(states)]]), moved[len(states) :]
+    ways = states[:_PERIOD] % associativity
+    return memoryview(ways.astype(np.min_scalar_type(associativity - 1))).toreadonly()
 
 
 class LfsrReplacement:
@@ -43,23 +58,20 @@ class LfsrReplacement:
     One register is shared by all sets, as in the simple hardware
     implementation: the register free-runs and is sampled whenever a
     replacement is needed, so the choice is deterministic given the
-    stream of replacements.  Its way sequence is read from a shared table
-    of one LFSR period, built on first use, at this policy's own cursor.
+    stream of replacements.  Its way sequence is read from a shared
+    ``table`` of one LFSR period at this policy's own ``cursor``.
     """
 
     def __init__(self, associativity: int, seed: int = 0xACE1) -> None:
         if associativity < 1:
             raise GeometryError("associativity must be >= 1")
-        self._table_key = (associativity, Lfsr16(seed).state)
-        self._table: Tuple[int, ...] = ()
-        self._cursor = 0
+        self.table = _way_table(associativity, Lfsr16(seed).state)
+        self.cursor = 0
 
     def victim_way(self, set_index: int) -> int:
-        if not self._table:
-            self._table = _way_table(*self._table_key)
-        cursor = self._cursor
-        self._cursor = cursor + 1 if cursor + 1 < _PERIOD else 0
-        return self._table[cursor]
+        cursor = self.cursor
+        self.cursor = cursor + 1 if cursor + 1 < _PERIOD else 0
+        return self.table[cursor]
 
     def touch(self, set_index: int, way: int) -> None:
         # Random replacement keeps no per-access state.

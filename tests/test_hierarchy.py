@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_trace
+from repro.cache import hierarchy
 from repro.cache.hierarchy import (
     DEFAULT_WARMUP_FRACTION,
     Policy,
@@ -186,9 +187,13 @@ class TestStatsShape:
         assert stats.l2_hits + stats.l2_misses == stats.l1_misses
         assert stats.off_chip_fetches == stats.l2_misses
 
-    def test_negative_l2_rejected(self, gcc1_tiny):
+    def test_negative_l2_rejected(self, gcc1_tiny, monkeypatch):
+        """Rejected before the L1 pass runs, so nothing is filtered or memoised."""
+        l1_passes = []
+        monkeypatch.setattr(hierarchy, "l1_miss_stream", lambda *args: l1_passes.append(args))
         with pytest.raises(ConfigurationError):
             simulate_hierarchy(gcc1_tiny, kb(1), -4)
+        assert l1_passes == []
 
     def test_l2_strictly_helps_off_chip_traffic(self, gcc1_tiny):
         single = simulate_hierarchy(gcc1_tiny, kb(2))

@@ -4,23 +4,25 @@ the frozen numpy cache, and the exclusivity invariant of the swap policy."""
 import ast
 import inspect
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_trace
 from repro.cache import reference
 from repro.cache.directmap import NO_VICTIM
 from repro.cache.geometry import CacheGeometry
-from repro.cache.hierarchy import Policy
-from repro.cache.l2 import SetAssociativeCache
+from repro.cache.hierarchy import Policy, l1_miss_stream
+from repro.cache.l2 import INVALID, SetAssociativeCache
 from repro.cache.reference import ReferenceDirectMapped, ReferenceSetAssociativeCache
 from repro.cache.replacement import LruReplacement
 from repro.ext.associative_l1 import evaluate_associative_l1
 from repro.ext.unified_l1 import compare_split_vs_unified
 from repro.lfsr import Lfsr16
+from repro.units import kb
 
 
 class ModelCache:
@@ -213,6 +215,60 @@ events_strategy = st.lists(
 )
 
 
+@st.composite
+def l1_miss_events(draw):
+    """The merged miss events of a direct-mapped I and D L1: ``(lines, victims)``.
+
+    Each victim is the line its L1 set held before (``NO_VICTIM`` while
+    the set is cold).  I and D lines come from two disjoint pools or one
+    shared pool; with a shared pool a line can sit in both L1s, so its
+    second victimisation finds it already resident in the L2.  With as
+    many or more L1 sets than the 2-set L2, each victim maps to the L2
+    set of its line, the case the exclusive swap path takes.
+    """
+    l1_sets = draw(st.sampled_from([1, 2, 4]))
+    pool = draw(st.integers(min_value=2, max_value=24))
+    shared = draw(st.booleans())
+    data_share = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    rng = draw(st.randoms(use_true_random=False))
+    held_by = ({}, {})
+    lines, victims = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=300))):
+        is_data = rng.random() < data_share
+        line = rng.randrange(pool) + (pool if is_data and not shared else 0)
+        held = held_by[is_data].get(line % l1_sets)
+        if held != line:
+            held_by[is_data][line % l1_sets] = line
+            lines.append(line)
+            victims.append(NO_VICTIM if held is None else held)
+    return lines, victims
+
+
+def as_input(values, form):
+    """``values`` as a Python list, an int32 array or a strided int64 view."""
+    if form == "list":
+        return values
+    if form == "int32":
+        return np.array(values, dtype=np.int32)
+    padded = np.zeros(2 * len(values), dtype=np.int64)
+    padded[::2] = values
+    return padded[::2]
+
+
+class CountingDraws:
+    """A replacement policy that counts its victim draws."""
+
+    def __init__(self, policy):
+        self.policy, self.draws = policy, 0
+
+    def victim_way(self, set_index):
+        self.draws += 1
+        return self.policy.victim_way(set_index)
+
+    def touch(self, set_index, way):
+        self.policy.touch(set_index, way)
+
+
 class TestReplay:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -283,6 +339,63 @@ class TestReplay:
         )
         assert evictions > Lfsr16.period()
         assert_same_state(fast, frozen, 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        replacement=st.sampled_from(["lfsr", "lru"]),
+        assoc=st.sampled_from([1, 2, 4, 8]),
+        exclusive=st.booleans(),
+        form=st.sampled_from(["list", "int32", "strided"]),
+        events=l1_miss_events(),
+    )
+    # A hit from a cold L1 set (no victim) in a full last set, where
+    # NO_VICTIM % n_sets names the hit line's own set.
+    @example(
+        replacement="lfsr", assoc=1, exclusive=True, form="list", events=([5, 1], [1, NO_VICTIM])
+    )
+    def test_l1_miss_streams_match_per_reference_calls(
+        self, replacement, assoc, exclusive, form, events
+    ):
+        """Missed positions, tag rows, free-way counts and the policy state
+        (LFSR cursor or LRU recency) all equal per-reference calls."""
+        fast, frozen = _cache_pair(replacement, assoc, n_sets=2)
+        frozen.replacement = CountingDraws(frozen.replacement)
+        lines, victims = events
+        victims = victims if exclusive else None
+        missed = fast.replay(
+            as_input(lines, form), None if victims is None else as_input(victims, form)
+        )
+        assert missed.dtype == np.int64
+        assert missed.tolist() == replay_per_reference(frozen, lines, victims)
+        assert_same_state(fast, frozen, 2)
+        assert fast._free == [
+            frozen.set_contents(set_index).tolist().count(INVALID) for set_index in range(2)
+        ]
+        if replacement == "lfsr":
+            assert fast.replacement.cursor == frozen.replacement.draws % Lfsr16.period()
+        else:
+            for set_index in range(2):
+                assert fast.replacement.recency_order(set_index) == (
+                    frozen.replacement.policy.recency_order(set_index)
+                )
+
+    @pytest.mark.parametrize(
+        "l2_bytes, exclusive", [(kb(4), True), (kb(64), False)], ids=["exclusive", "conventional"]
+    )
+    def test_traced_memory_per_event(self, gcc1_full, l2_bytes, exclusive):
+        """The stream is read in place: no Python object per event is kept,
+        only the cache state and eight bytes per missed position."""
+        stream = l1_miss_stream(gcc1_full, kb(1))
+        lines, victims = stream.lines[:100_000], stream.victims[:100_000]
+        assert len(lines) == 100_000
+        cache = SetAssociativeCache(CacheGeometry(l2_bytes, associativity=4))
+        tracemalloc.start()
+        try:
+            cache.replay(lines, victims if exclusive else None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(lines) <= 24
 
 
 def deleted_unified_loop_misses(trace, per_cache_bytes, assoc, warmup_time):

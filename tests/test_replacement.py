@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.replacement import LfsrReplacement, LruReplacement
+from repro.cache.replacement import LfsrReplacement, LruReplacement, _way_table
 from repro.errors import ConfigurationError, GeometryError
 from repro.lfsr import Lfsr16
 
@@ -43,6 +43,14 @@ class TestLfsrReplacement:
         n = 3 * Lfsr16.period() + 7
         assert [policy.victim_way(0) for _ in range(n)] == [
             register.next_way(assoc) for _ in range(n)
+        ]
+
+    @pytest.mark.parametrize("seed", [0xACE1, 0x0001, 0x8000, 0xFFFF])
+    @pytest.mark.parametrize("assoc", [1, 2, 3, 4, 8])
+    def test_numpy_built_table_is_one_register_period(self, assoc, seed):
+        register = Lfsr16(seed)
+        assert list(_way_table(assoc, seed)) == [
+            register.next_way(assoc) for _ in range(Lfsr16.period())
         ]
 
     def test_caches_sharing_a_table_keep_their_own_cursor(self):
