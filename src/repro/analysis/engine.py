@@ -43,8 +43,8 @@ from typing import (
 
 from .. import __version__
 from ..errors import LintError
-from ..runner.engine import Runner, RunResult, RunUnit
-from ..runner.pool import PoolRunner, resolve_workers
+from ..runner.engine import RunResult, RunUnit
+from ..runner.pool import resolve_workers, run_units
 from .cache import LintCache, file_sha256, ruleset_key
 from .finding import FileContext, Finding
 from .program.graph import Program, link_program
@@ -281,21 +281,17 @@ class _ProgramRuleTask:
 def _run_units(
     units: List[RunUnit], workers: Union[None, int, str]
 ) -> RunResult:
-    worker_count = resolve_workers(workers)
-    if worker_count is None or len(units) <= 1:
-        return Runner(keep_going=True).run(units)
-    return PoolRunner(keep_going=True, workers=worker_count).run(units)
+    serial = len(units) <= 1 or resolve_workers(workers) is None
+    return run_units(units, None if serial else workers, keep_going=True)
 
 
-def _raise_broken(result: RunResult) -> None:
+def _raise_broken(result: RunResult, message: str = "lint failed on {} file(s): {}") -> None:
     broken = [
         f"{outcome.unit_id}: {(outcome.error or {}).get('message', 'unknown error')}"
         for outcome in result.failed
     ]
     if broken:
-        raise LintError(
-            "lint failed on {} file(s): {}".format(len(broken), "; ".join(broken))
-        )
+        raise LintError(message.format(len(broken), "; ".join(broken)))
 
 
 def _build_summaries(
@@ -348,16 +344,7 @@ def _program_phase(
         for rule in program_rules
     ]
     result = _run_units(units, workers)
-    broken = [
-        f"{outcome.unit_id}: {(outcome.error or {}).get('message', 'unknown error')}"
-        for outcome in result.failed
-    ]
-    if broken:
-        raise LintError(
-            "program analysis failed on {} rule(s): {}".format(
-                len(broken), "; ".join(broken)
-            )
-        )
+    _raise_broken(result, "program analysis failed on {} rule(s): {}")
     rule_map = {rule.rule_id: rule for rule in program_rules}
     raw: List[Finding] = []
     for outcome in result.completed:

@@ -14,29 +14,24 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import json
-
 from ..cache.hierarchy import Policy, l1_miss_stream
 from ..errors import RunnerError
 from ..obs.profile import PROFILE_DIR_NAME
 from ..obs.telemetry import Telemetry
 from ..obs.telemetry import current as current_telemetry
 from ..runner import (
+    FAILURES_NAME,
     CancelToken,
-    PoolRunner,
     ResourceWatchdog,
-    RetryPolicy,
     RunJournal,
-    Runner,
     RunResult,
     RunUnit,
-    resolve_workers,
+    close_run_dir,
+    open_run_dir,
+    run_units,
     unit_key,
-    untrack,
-    write_manifest,
     write_text_atomic,
 )
-from ..runner.integrity import RUN_METADATA_NAME
 from ..traces.address import Trace
 from ..traces.store import get_trace
 from ..units import kb
@@ -61,7 +56,7 @@ __all__ = [
 #: File names used inside a sweep output directory.
 SWEEP_JOURNAL_NAME = "sweep.journal.jsonl"
 SWEEP_TABLE_NAME = "sweep.tsv"
-SWEEP_FAILURES_NAME = "FAILURES.json"
+SWEEP_FAILURES_NAME = FAILURES_NAME
 
 _MIN_KB = 1
 _MAX_KB = 256
@@ -236,13 +231,13 @@ class _EvaluateRun:
 def _sweep_worker_init(
     workload: Union[str, Trace],
     scale: Optional[float],
-    l1_shapes: Sequence[Tuple[int, int]],
+    configs: Sequence[SystemConfig],
 ) -> None:
     """Pool initializer: warm this worker's trace and L1 filter caches.
 
     Runs once per worker process.  Generating (or receiving) the trace
     and running the memoised L1 filter pass for every (L1 size, line
-    size) in the sweep up front means the per-unit work each worker
+    size) in ``configs`` up front means the per-unit work each worker
     does afterwards is only the L2 replay — the expensive shared
     prefix is computed once per worker, not once per unit.
     """
@@ -251,7 +246,7 @@ def _sweep_worker_init(
         trace = workload
     else:
         trace = get_trace(workload, scale)
-    for l1_bytes, line_size in l1_shapes:
+    for l1_bytes, line_size in sorted({(c.l1_bytes, c.line_size) for c in configs}):
         l1_miss_stream(trace, l1_bytes, line_size)
 
 
@@ -329,40 +324,31 @@ def run_sweep(
     points finish and are journalled, queued points are left for a
     ``resume=True`` re-run — and the returned result marks itself
     ``interrupted``.
+
+    A ``watchdog`` preflights the journal directory's disk before the
+    journal is opened, and lets a pool shed to serial under memory
+    pressure.
     """
+    if watchdog is not None and journal_path is not None:
+        watchdog.preflight_disk(Path(journal_path).parent)
     journal = (
         RunJournal.open(journal_path, resume=resume) if journal_path is not None else None
     )
-    units = _sweep_units(workload, configs, scale)
-    n_workers = resolve_workers(workers)
-    profile_path = Path(profile_dir) if profile_dir is not None else None
-    if n_workers is None:
-        runner: "Union[Runner, PoolRunner]" = Runner(
-            journal=journal,
-            retry=RetryPolicy(max_attempts=retries + 1),
-            timeout_s=timeout_s,
-            keep_going=keep_going,
-            telemetry=telemetry,
-            profile_dir=profile_path,
-            cancel=cancel,
-        )
-    else:
-        l1_shapes = sorted({(c.l1_bytes, c.line_size) for c in configs})
-        runner = PoolRunner(
-            journal=journal,
-            retry=RetryPolicy(max_attempts=retries + 1),
-            timeout_s=timeout_s,
-            keep_going=keep_going,
-            workers=n_workers,
-            initializer=_sweep_worker_init,
-            initargs=(workload, scale, l1_shapes),
-            submit_order=submit_order,
-            watchdog=watchdog,
-            telemetry=telemetry,
-            profile_dir=profile_path,
-            cancel=cancel,
-        )
-    return runner.run(units)
+    return run_units(
+        _sweep_units(workload, configs, scale),
+        workers,
+        journal=journal,
+        retries=retries,
+        timeout_s=timeout_s,
+        keep_going=keep_going,
+        telemetry=telemetry,
+        profile_dir=Path(profile_dir) if profile_dir is not None else None,
+        cancel=cancel,
+        watchdog=watchdog,
+        initializer=_sweep_worker_init,
+        initargs=(workload, scale, configs),
+        submit_order=submit_order,
+    )
 
 
 def default_sweep_dir(
@@ -427,18 +413,6 @@ def run_sweep_dir(
     run.
     """
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    bundle: Optional[Telemetry]
-    if isinstance(telemetry, Telemetry):
-        bundle = telemetry.bind(out_dir)
-    elif telemetry:
-        bundle = Telemetry().bind(out_dir)
-    else:
-        bundle = None
-    guard = watchdog if watchdog is not None else ResourceWatchdog()
-    if guard.telemetry is None:
-        guard.telemetry = bundle
-    guard.preflight_disk(out_dir)
     metadata = {
         "run": 1,
         "kind": "sweep",
@@ -446,26 +420,21 @@ def run_sweep_dir(
         "scale": scale,
         "config": template.to_dict(),
     }
-    write_text_atomic(
-        out_dir / RUN_METADATA_NAME,
-        json.dumps(metadata, sort_keys=True) + "\n",
-        track=True,
-    )
+    bundle, guard = open_run_dir(out_dir, metadata, telemetry, watchdog)
     configs = design_space(template)
-    result = run_sweep(
-        workload,
-        configs,
-        scale=scale,
-        keep_going=keep_going,
-        timeout_s=timeout_s,
+    result = run_units(
+        _sweep_units(workload, configs, scale),
+        workers,
+        journal=RunJournal.open(out_dir / SWEEP_JOURNAL_NAME, resume=resume),
         retries=retries,
-        journal_path=out_dir / SWEEP_JOURNAL_NAME,
-        resume=resume,
-        workers=workers,
-        watchdog=guard,
+        timeout_s=timeout_s,
+        keep_going=keep_going,
         telemetry=bundle,
         profile_dir=(out_dir / PROFILE_DIR_NAME) if profile else None,
         cancel=cancel,
+        watchdog=guard,
+        initializer=_sweep_worker_init,
+        initargs=(workload, scale, configs),
     )
     points = [as_point(value) for value in result.values()]
     lines = [
@@ -477,17 +446,7 @@ def run_sweep_dir(
         "\n".join(lines) + "\n" if lines else "",
         track=True,
     )
-    failures_path = out_dir / SWEEP_FAILURES_NAME
-    if result.failed:
-        write_text_atomic(
-            failures_path,
-            json.dumps(result.failures_manifest(), indent=2) + "\n",
-            track=True,
-        )
-    else:
-        failures_path.unlink(missing_ok=True)
-        untrack(failures_path)
-    write_manifest(out_dir)
+    close_run_dir(out_dir, result)
     return result, points
 
 

@@ -24,17 +24,21 @@ from .engine import (
     UnitOutcome,
     error_record,
     execute_attempts,
+    record_outcome,
     resume_outcome,
     unit_timeout,
 )
 from .integrity import (
+    FAILURES_NAME,
     MANIFEST_NAME,
     MANIFEST_SCHEMA,
     RUN_METADATA_NAME,
     IntegrityFinding,
     IntegrityReport,
+    close_run_dir,
     hash_file,
     matches_sidecar,
+    open_run_dir,
     read_sidecar,
     tree_fingerprint,
     untrack,
@@ -52,7 +56,7 @@ from .lifecycle import (
     Supervisor,
     read_heartbeats,
 )
-from .pool import PoolRunner, resolve_workers
+from .pool import PoolRunner, resolve_workers, run_units
 from .watchdog import ResourceWatchdog, WatchdogPolicy, peak_rss_bytes
 
 __all__ = [
@@ -67,15 +71,19 @@ __all__ = [
     "UnitOutcome",
     "error_record",
     "execute_attempts",
+    "record_outcome",
     "resume_outcome",
     "unit_timeout",
+    "FAILURES_NAME",
     "MANIFEST_NAME",
     "MANIFEST_SCHEMA",
     "RUN_METADATA_NAME",
     "IntegrityFinding",
     "IntegrityReport",
+    "close_run_dir",
     "hash_file",
     "matches_sidecar",
+    "open_run_dir",
     "read_sidecar",
     "tree_fingerprint",
     "untrack",
@@ -91,6 +99,7 @@ __all__ = [
     "read_heartbeats",
     "PoolRunner",
     "resolve_workers",
+    "run_units",
     "ResourceWatchdog",
     "WatchdogPolicy",
     "peak_rss_bytes",

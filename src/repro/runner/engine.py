@@ -52,6 +52,7 @@ __all__ = [
     "Runner",
     "error_record",
     "execute_attempts",
+    "record_outcome",
     "jitter_unit",
     "resume_outcome",
     "unit_timeout",
@@ -295,44 +296,38 @@ def execute_attempts(
                 # crash, with everything already journalled staying put.
                 raise
             except Exception as error:
-                elapsed = time.monotonic() - started
-                duration = time.monotonic() - attempt_started
                 transient = not isinstance(error, UnitTimeoutError)
                 if transient and attempts < retry.max_attempts:
                     telemetry.count("repro_retries_total")
                     sleep(retry.delay(attempts, unit.unit_id))
                     continue
-                if isinstance(error, UnitTimeoutError):
+                if not transient:
                     telemetry.count("repro_timeouts_total")
-                telemetry.count("repro_units_total", status="failed")
-                telemetry.observe("repro_unit_duration_seconds", duration)
-                span.set(status="failed", attempts=attempts)
-                record = error_record(unit, error, attempts, elapsed)
-                return UnitOutcome(
-                    unit.unit_id,
-                    "failed",
-                    attempts=attempts,
-                    elapsed_s=elapsed,
-                    duration_s=duration,
-                    started_at=started_wall,
-                    ended_at=time.time(),
-                    error=record,
-                    exception=error,
-                )
+                failure: Optional[Exception] = error
+                value = None
+            else:
+                failure = None
             elapsed = time.monotonic() - started
             duration = time.monotonic() - attempt_started
-            telemetry.count("repro_units_total", status="ok")
+            status = "ok" if failure is None else "failed"
+            telemetry.count("repro_units_total", status=status)
             telemetry.observe("repro_unit_duration_seconds", duration)
-            span.set(status="ok", attempts=attempts)
+            span.set(status=status, attempts=attempts)
             return UnitOutcome(
                 unit.unit_id,
-                "ok",
+                status,
                 value=value,
                 attempts=attempts,
                 elapsed_s=elapsed,
                 duration_s=duration,
                 started_at=started_wall,
                 ended_at=time.time(),
+                error=(
+                    None
+                    if failure is None
+                    else error_record(unit, failure, attempts, elapsed)
+                ),
+                exception=failure,
             )
 
 
@@ -354,6 +349,34 @@ def resume_outcome(journal: Optional[RunJournal], unit: RunUnit) -> Optional[Uni
     if unit.from_record is not None and stored is not None:
         value = unit.from_record(stored)
     return UnitOutcome(unit.unit_id, "skipped", value=value)
+
+
+def record_outcome(
+    journal: Optional[RunJournal],
+    unit: RunUnit,
+    outcome: UnitOutcome,
+    stored: Optional[dict],
+) -> None:
+    """Append one executed unit's outcome to ``journal`` (None: no-op).
+
+    The single journal writer of both execution backends.  ``stored``
+    is the ``to_record`` payload of an OK outcome (None when the unit
+    has no serialiser); a failed outcome carries its error record.
+    """
+    if journal is None:
+        return
+    journal.record(
+        unit.unit_id,
+        unit.key,
+        outcome.status,
+        attempts=outcome.attempts,
+        elapsed_s=outcome.elapsed_s,
+        duration_s=outcome.duration_s,
+        started_at=outcome.started_at,
+        ended_at=outcome.ended_at,
+        error=outcome.error,
+        result=stored,
+    )
 
 
 class Runner:
@@ -387,6 +410,12 @@ class Runner:
         self.cancel = cancel
 
     def run(self, units: Sequence[RunUnit]) -> RunResult:
+        result = self._run_serial(units)
+        self.telemetry.flush([unit.unit_id for unit in units])
+        return result
+
+    def _run_serial(self, units: Sequence[RunUnit]) -> RunResult:
+        """The serial loop minus the final flush (the pool's last rung)."""
         outcomes: List[UnitOutcome] = []
         interrupted: Optional[str] = None
         for unit in units:
@@ -400,14 +429,10 @@ class Runner:
             outcomes.append(outcome)
             if outcome.status == "failed" and not self.keep_going:
                 break
-        self.telemetry.flush([unit.unit_id for unit in units])
         return RunResult(tuple(outcomes), interrupted=interrupted)
 
-    def _resume_outcome(self, unit: RunUnit) -> Optional[UnitOutcome]:
-        return resume_outcome(self.journal, unit)
-
     def _run_unit(self, unit: RunUnit) -> UnitOutcome:
-        skipped = self._resume_outcome(unit)
+        skipped = resume_outcome(self.journal, unit)
         if skipped is not None:
             self.telemetry.count("repro_units_total", status="skipped")
             return skipped
@@ -419,35 +444,9 @@ class Runner:
             telemetry=self.telemetry,
             profile_dir=self.profile_dir,
         )
-        if self.journal is not None:
-            if outcome.status == "ok":
-                stored = (
-                    unit.to_record(outcome.value)
-                    if unit.to_record is not None
-                    else None
-                )
-                self.journal.record(
-                    unit.unit_id,
-                    unit.key,
-                    "ok",
-                    attempts=outcome.attempts,
-                    elapsed_s=outcome.elapsed_s,
-                    duration_s=outcome.duration_s,
-                    started_at=outcome.started_at,
-                    ended_at=outcome.ended_at,
-                    result=stored,
-                )
-            else:
-                self.journal.record(
-                    unit.unit_id,
-                    unit.key,
-                    "failed",
-                    attempts=outcome.attempts,
-                    elapsed_s=outcome.elapsed_s,
-                    duration_s=outcome.duration_s,
-                    started_at=outcome.started_at,
-                    ended_at=outcome.ended_at,
-                    error=outcome.error,
-                )
+        stored = None
+        if self.journal is not None and outcome.ok and unit.to_record is not None:
+            stored = unit.to_record(outcome.value)
+        record_outcome(self.journal, unit, outcome, stored)
         self.telemetry.unit_done()
         return outcome

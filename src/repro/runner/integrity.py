@@ -36,10 +36,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..errors import IntegrityError
+from ..obs.telemetry import Telemetry
 from .atomic import write_text_atomic
+from .watchdog import ResourceWatchdog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs.telemetry import Telemetry
+    from .engine import RunResult
 
 __all__ = [
     "MANIFEST_NAME",
@@ -47,6 +49,9 @@ __all__ = [
     "SIDECAR_SUFFIX",
     "QUARANTINE_DIR",
     "RUN_METADATA_NAME",
+    "FAILURES_NAME",
+    "open_run_dir",
+    "close_run_dir",
     "hash_file",
     "write_sidecar",
     "read_sidecar",
@@ -71,9 +76,12 @@ SIDECAR_SUFFIX = ".sha256"
 #: Sub-directory corrupt artefacts are moved into by ``--repair``.
 QUARANTINE_DIR = "quarantine"
 
-#: Re-run metadata written by ``write_report`` / ``run_sweep_dir`` so
+#: Re-run metadata written by :func:`open_run_dir` so
 #: ``repro verify --repair`` can re-execute the affected units.
 RUN_METADATA_NAME = "RUN.json"
+
+#: Failure manifest of a run directory: one error record per failed unit.
+FAILURES_NAME = "FAILURES.json"
 
 _CHUNK = 1 << 20
 
@@ -219,6 +227,57 @@ def write_manifest(directory: Union[str, Path]) -> dict:
         json.dumps(payload, indent=2, sort_keys=True) + "\n",
     )
     return payload
+
+
+def open_run_dir(
+    out: Path,
+    metadata: dict,
+    telemetry: Union[bool, Telemetry] = False,
+    watchdog: Optional[ResourceWatchdog] = None,
+) -> Tuple[Optional[Telemetry], ResourceWatchdog]:
+    """Open a managed run directory (a report or a sweep) before its units run.
+
+    Creates ``out``; binds the telemetry bundle to it (True builds a
+    fresh one, False means none); hands that bundle to the watchdog (a
+    stock :class:`~repro.runner.watchdog.ResourceWatchdog` when None)
+    unless it already reports elsewhere; runs the run's one disk
+    preflight; and writes ``metadata`` as the tracked ``RUN.json``
+    re-run recipe.  Returns the bound bundle and the watchdog.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    bundle: Optional[Telemetry] = None
+    if telemetry:
+        bundle = (telemetry if isinstance(telemetry, Telemetry) else Telemetry()).bind(out)
+    guard = watchdog if watchdog is not None else ResourceWatchdog()
+    if guard.telemetry is None:
+        guard.telemetry = bundle
+    guard.preflight_disk(out)
+    write_text_atomic(
+        out / RUN_METADATA_NAME,
+        json.dumps(metadata, sort_keys=True) + "\n",
+        track=True,
+    )
+    return bundle, guard
+
+
+def close_run_dir(out: Path, run: "RunResult") -> None:
+    """Close a managed run directory once its result artefacts are written.
+
+    Writes the tracked ``FAILURES.json`` when a unit failed, or removes
+    a stale one and its sidecar after a healing run, then rebuilds
+    ``MANIFEST.json`` so even a failed run leaves a verifiable tree.
+    """
+    failures_path = out / FAILURES_NAME
+    if run.failed:
+        write_text_atomic(
+            failures_path,
+            json.dumps(run.failures_manifest(), indent=2) + "\n",
+            track=True,
+        )
+    else:
+        failures_path.unlink(missing_ok=True)
+        untrack(failures_path)
+    write_manifest(out)
 
 
 def load_manifest(directory: Union[str, Path]) -> Optional[dict]:

@@ -52,28 +52,29 @@ import shutil
 import tempfile
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from pathlib import Path
 
 from ..errors import RunnerError
-from ..obs.telemetry import DISABLED as _DISABLED_TELEMETRY
 from ..obs.telemetry import Telemetry
 from .engine import (
     RetryPolicy,
+    Runner,
     RunResult,
     RunUnit,
     UnitOutcome,
     error_record,
     execute_attempts,
+    record_outcome,
     resume_outcome,
 )
 from .journal import RunJournal
 from .lifecycle import CancelToken, Heartbeat, HeartbeatRecord, read_heartbeats
 from .watchdog import ResourceWatchdog, peak_rss_bytes
 
-__all__ = ["PoolRunner", "resolve_workers"]
+__all__ = ["PoolRunner", "resolve_workers", "run_units"]
 
 
 def resolve_workers(spec: Union[None, int, str]) -> Optional[int]:
@@ -107,16 +108,17 @@ def resolve_workers(spec: Union[None, int, str]) -> Optional[int]:
 
 @dataclass(frozen=True)
 class _WorkerTask:
-    """The picklable slice of a unit shipped to a worker process."""
+    """What a worker process needs to run one unit.
 
-    unit_id: str
-    payload: dict
-    run: Callable[[], Any] = field(repr=False)
-    to_record: Optional[Callable[[Any], dict]] = field(default=None, repr=False)
+    ``unit`` is stripped of its parent-side ``check_skip`` and
+    ``from_record`` callables, which may be unpicklable closures.
+    """
+
+    unit: RunUnit
     retry: RetryPolicy = RetryPolicy()
     timeout_s: Optional[float] = None
     telemetry_on: bool = False
-    profile_dir: Optional[str] = None
+    profile_dir: Optional[Path] = None
     heartbeat_dir: Optional[str] = None
 
 
@@ -131,12 +133,7 @@ def _execute_task(task: _WorkerTask) -> dict:
     ``BaseException`` (injected crashes, interrupts) propagates out and
     surfaces on the future — the parent treats it like a process kill.
     """
-    unit = RunUnit(
-        unit_id=task.unit_id,
-        payload=task.payload,
-        run=task.run,
-        to_record=task.to_record,
-    )
+    unit = task.unit
     telemetry = Telemetry() if task.telemetry_on else None
     heartbeat = Heartbeat(task.heartbeat_dir) if task.heartbeat_dir else None
     outcome = execute_attempts(
@@ -144,44 +141,37 @@ def _execute_task(task: _WorkerTask) -> dict:
         retry=task.retry,
         timeout_s=task.timeout_s,
         telemetry=telemetry,
-        profile_dir=Path(task.profile_dir) if task.profile_dir else None,
+        profile_dir=task.profile_dir,
         heartbeat=heartbeat,
     )
     if heartbeat is not None:
-        heartbeat.beat(task.unit_id, phase="idle")
-    reply: Dict[str, Any] = {
-        "status": outcome.status,
-        "attempts": outcome.attempts,
-        "elapsed_s": outcome.elapsed_s,
-        "duration_s": outcome.duration_s,
-        "started_at": outcome.started_at,
-        "ended_at": outcome.ended_at,
-        "error": outcome.error,
-        "result": None,
-        "value": None,
-        "has_value": False,
-        "exception": None,
+        heartbeat.beat(unit.unit_id, phase="idle")
+    result = None
+    if outcome.status == "ok" and unit.to_record is not None:
+        result = unit.to_record(outcome.value)
+    # The outcome travels back whole, minus a value or exception that
+    # does not pickle: the parent then falls back to
+    # from_record(result) (or None), and the error record still
+    # describes the failure.
+    value = _shippable(outcome.value)
+    return {
+        "outcome": replace(
+            outcome, value=value, exception=_shippable(outcome.exception)
+        ),
+        "has_value": value is not None or outcome.value is None,
+        "result": result,
         "rss_bytes": peak_rss_bytes(),
         "telemetry": telemetry.snapshot() if telemetry is not None else None,
     }
-    if outcome.status == "ok":
-        if task.to_record is not None:
-            reply["result"] = task.to_record(outcome.value)
-        try:
-            pickle.dumps(outcome.value)
-        except Exception:
-            pass  # parent falls back to from_record(result), or None
-        else:
-            reply["value"] = outcome.value
-            reply["has_value"] = True
-    elif outcome.exception is not None:
-        try:
-            pickle.dumps(outcome.exception)
-        except Exception:
-            pass  # error record still describes the failure
-        else:
-            reply["exception"] = outcome.exception
-    return reply
+
+
+def _shippable(obj: Any) -> Any:
+    """``obj`` if it pickles, else None."""
+    try:
+        pickle.dumps(obj)
+    except Exception:
+        return None
+    return obj
 
 
 def _kill_workers(executor: ProcessPoolExecutor) -> None:
@@ -200,13 +190,15 @@ def _kill_workers(executor: ProcessPoolExecutor) -> None:
             pass
 
 
-class PoolRunner:
+class PoolRunner(Runner):
     """Drive :class:`RunUnit` sequences over a process pool.
 
-    Mirrors the serial :class:`~repro.runner.engine.Runner` contract:
-    ``run`` returns a :class:`RunResult` in unit submission order and
-    never raises for unit failures; ``BaseException`` from a worker
-    (an injected crash) propagates with the journal intact.  With
+    Extends the serial :class:`~repro.runner.engine.Runner`: it takes
+    the same settings, keeps the same contract, and its inherited
+    serial loop is the last rung of the degradation ladder.  ``run``
+    returns a :class:`RunResult` in unit submission order and never
+    raises for unit failures; ``BaseException`` from a worker (an
+    injected crash) propagates with the journal intact.  With
     ``keep_going=False`` the first failure (in submission order)
     truncates the result exactly like the serial engine; units already
     finished by other workers remain journalled so a later ``resume``
@@ -257,33 +249,39 @@ class PoolRunner:
     ):
         if workers < 1:
             raise RunnerError(f"PoolRunner needs at least one worker, got {workers}")
-        self.journal = journal
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.timeout_s = timeout_s
-        self.keep_going = keep_going
+        super().__init__(
+            journal,
+            retry,
+            timeout_s,
+            keep_going,
+            telemetry=telemetry,
+            profile_dir=profile_dir,
+            cancel=cancel,
+        )
         self.workers = workers
         self.initializer = initializer
         self.initargs = initargs
         self.submit_order = submit_order
         self.mp_context = mp_context
         self.watchdog = watchdog
-        self.telemetry = telemetry if telemetry is not None else _DISABLED_TELEMETRY
-        self.profile_dir = profile_dir
-        self.cancel = cancel
         #: Why the last run shed its workers, or None if it never did.
         self.degraded_reason: Optional[str] = None
         #: Hung workers killed-and-requeued during the last run.
         self.rescues = 0
 
     def run(self, units: Sequence[RunUnit]) -> RunResult:
+        if self.watchdog is not None and self.journal is not None:
+            self.watchdog.preflight_disk(self.journal.path.parent)
+        return self._run_preflighted(units)
+
+    def _run_preflighted(self, units: Sequence[RunUnit]) -> RunResult:
+        """:meth:`run` minus the disk preflight, for already-checked dirs."""
         units = list(units)
         unit_ids = [unit.unit_id for unit in units]
         if len(set(unit_ids)) != len(unit_ids):
             raise RunnerError("duplicate unit ids in one parallel run")
         self.degraded_reason = None
         self.rescues = 0
-        if self.watchdog is not None and self.journal is not None:
-            self.watchdog.preflight_disk(self.journal.path.parent)
         outcomes: Dict[str, UnitOutcome] = {}
         pending: List[RunUnit] = []
         for unit in units:
@@ -323,7 +321,6 @@ class PoolRunner:
     def _run_pool(
         self, pending: Sequence[RunUnit], outcomes: Dict[str, UnitOutcome]
     ) -> None:
-        pending = list(pending)
         stopping = self._drive_pool(pending, outcomes)
         if self.degraded_reason is not None:
             reason = "worker-death"
@@ -336,30 +333,14 @@ class PoolRunner:
             return
         # Degradation ladder, final rung before --resume: the pool was
         # shed (RSS ceiling), broke (worker death), or exhausted its
-        # hung-worker rescue budget; finish the units that never
-        # produced an outcome serially in the parent, with the same
-        # retry/timeout/journal semantics workers had.
-        for unit in pending:
-            if unit.unit_id in outcomes:
-                continue
-            if self.cancel is not None and self.cancel.cancelled:
-                self.cancel.raise_if_expired()
-                break
-            outcome = execute_attempts(
-                unit,
-                retry=self.retry,
-                timeout_s=self.timeout_s,
-                telemetry=self.telemetry,
-                profile_dir=self.profile_dir,
-            )
-            stored = None
-            if outcome.status == "ok" and unit.to_record is not None:
-                stored = unit.to_record(outcome.value)
-            outcomes[unit.unit_id] = outcome
-            self._journal_outcome(unit, outcome, stored)
-            self.telemetry.unit_done()
-            if outcome.status == "failed" and not self.keep_going:
-                break
+        # hung-worker rescue budget; the inherited serial Runner loop,
+        # with this pool's journal, retry, timeout, keep_going,
+        # telemetry, profile and cancel settings, finishes the units
+        # that never produced an outcome in the parent.  Telemetry is
+        # flushed once, for the whole run, after this rung.
+        leftover = [unit for unit in pending if unit.unit_id not in outcomes]
+        for outcome in self._run_serial(leftover).outcomes:
+            outcomes[outcome.unit_id] = outcome
 
     def _drive_pool(
         self, pending: Sequence[RunUnit], outcomes: Dict[str, UnitOutcome]
@@ -452,16 +433,11 @@ class PoolRunner:
                 executor.submit(
                     _execute_task,
                     _WorkerTask(
-                        unit_id=unit.unit_id,
-                        payload=unit.payload,
-                        run=unit.run,
-                        to_record=unit.to_record,
+                        unit=replace(unit, check_skip=None, from_record=None),
                         retry=self.retry,
                         timeout_s=self.timeout_s,
                         telemetry_on=self.telemetry.enabled,
-                        profile_dir=(
-                            str(self.profile_dir) if self.profile_dir else None
-                        ),
+                        profile_dir=self.profile_dir,
                         heartbeat_dir=heartbeat_dir,
                     ),
                 ): unit
@@ -557,7 +533,7 @@ class PoolRunner:
                             for other in not_done:
                                 other.cancel()
                     outcomes[unit.unit_id] = outcome
-                    self._journal_outcome(unit, outcome, stored)
+                    record_outcome(self.journal, unit, outcome, stored)
                     self.telemetry.unit_done()
                     if outcome.status == "failed" and not self.keep_going and not stopping:
                         stopping = True
@@ -627,51 +603,54 @@ class PoolRunner:
             )
 
     def _outcome_from_reply(self, unit: RunUnit, reply: dict) -> UnitOutcome:
-        value = None
-        if reply["status"] == "ok":
-            if reply["has_value"]:
-                value = reply["value"]
-            elif unit.from_record is not None and reply["result"] is not None:
-                value = unit.from_record(reply["result"])
-        return UnitOutcome(
-            unit.unit_id,
-            reply["status"],
-            value=value,
-            attempts=reply["attempts"],
-            elapsed_s=reply["elapsed_s"],
-            duration_s=reply.get("duration_s", 0.0),
-            started_at=reply.get("started_at", 0.0),
-            ended_at=reply.get("ended_at", 0.0),
-            error=reply["error"],
-            exception=reply["exception"],
-        )
+        outcome: UnitOutcome = reply["outcome"]
+        stored = reply["result"]  # only an OK outcome carries one
+        if not reply["has_value"] and unit.from_record is not None and stored is not None:
+            outcome = replace(outcome, value=unit.from_record(stored))
+        return outcome
 
-    def _journal_outcome(
-        self, unit: RunUnit, outcome: UnitOutcome, stored: Optional[dict]
-    ) -> None:
-        if self.journal is None:
-            return
-        if outcome.status == "ok":
-            self.journal.record(
-                unit.unit_id,
-                unit.key,
-                "ok",
-                attempts=outcome.attempts,
-                elapsed_s=outcome.elapsed_s,
-                duration_s=outcome.duration_s,
-                started_at=outcome.started_at,
-                ended_at=outcome.ended_at,
-                result=stored,
-            )
-        else:
-            self.journal.record(
-                unit.unit_id,
-                unit.key,
-                "failed",
-                attempts=outcome.attempts,
-                elapsed_s=outcome.elapsed_s,
-                duration_s=outcome.duration_s,
-                started_at=outcome.started_at,
-                ended_at=outcome.ended_at,
-                error=outcome.error,
-            )
+
+def run_units(
+    units: Sequence[RunUnit],
+    workers: Union[None, int, str] = None,
+    *,
+    journal: Optional[RunJournal] = None,
+    retries: int = 0,
+    timeout_s: Optional[float] = None,
+    keep_going: bool = False,
+    telemetry: Optional[Telemetry] = None,
+    profile_dir: Optional[Path] = None,
+    cancel: Optional[CancelToken] = None,
+    watchdog: Optional[ResourceWatchdog] = None,
+    initializer: Optional[Callable[..., None]] = None,
+    initargs: Tuple[Any, ...] = (),
+    submit_order: Optional[Sequence[int]] = None,
+) -> RunResult:
+    """Run ``units`` serially, or on a pool when ``workers`` asks for one.
+
+    The one backend choice of reports, sweeps and lint.  ``retries``
+    counts extra attempts; the watchdog, initializer and submission
+    order concern the pool only.  The disk preflight belongs to the
+    caller that opens the output directory, so the pool skips its own.
+    """
+    n_workers = resolve_workers(workers)
+    settings: Dict[str, Any] = dict(
+        journal=journal,
+        retry=RetryPolicy(max_attempts=retries + 1),
+        timeout_s=timeout_s,
+        keep_going=keep_going,
+        telemetry=telemetry,
+        profile_dir=profile_dir,
+        cancel=cancel,
+    )
+    if n_workers is None:
+        return Runner(**settings).run(units)
+    pool = PoolRunner(
+        workers=n_workers,
+        initializer=initializer,
+        initargs=initargs,
+        submit_order=submit_order,
+        watchdog=watchdog,
+        **settings,
+    )
+    return pool._run_preflighted(units)

@@ -376,6 +376,23 @@ class ServeApp:
             functools.partial(self.journal.record, unit, key, status, **fields),
         )
 
+    async def _journal_failure(
+        self, key: str, attempts: int, started: float, error: BaseException
+    ) -> None:
+        await self._journal_record(
+            key,
+            key,
+            "failed",
+            attempts=attempts,
+            elapsed_s=time.monotonic() - started,
+            error={
+                "unit": key,
+                "type": type(error).__name__,
+                "message": str(error),
+                "degraded_reason": self.degraded_reason,
+            },
+        )
+
     async def _compute_cold(self, key: str, request: dict) -> dict:
         """One admitted cold computation: retries, pool healing, journal."""
         started = time.monotonic()
@@ -403,19 +420,7 @@ class ServeApp:
                 # another pool slot computing an answer nobody awaits.
                 # Not a breaker failure — the backend is healthy, the
                 # request was just too expensive for its budget.
-                await self._journal_record(
-                    key,
-                    key,
-                    "failed",
-                    attempts=attempts,
-                    elapsed_s=time.monotonic() - started,
-                    error={
-                        "unit": key,
-                        "type": type(error).__name__,
-                        "message": str(error),
-                        "degraded_reason": self.degraded_reason,
-                    },
-                )
+                await self._journal_failure(key, attempts, started, error)
                 raise DeadlineError(
                     f"compute for {key} exceeded its "
                     f"{self.policy.deadline_s:g}s budget in the worker",
@@ -455,19 +460,7 @@ class ServeApp:
                 # LFSR and the canonical key, never the global RNG.
                 await asyncio.sleep(self.retry.delay(attempts, key))
                 continue
-            await self._journal_record(
-                key,
-                key,
-                "failed",
-                attempts=attempts,
-                elapsed_s=time.monotonic() - started,
-                error={
-                    "unit": key,
-                    "type": type(failure).__name__,
-                    "message": str(failure),
-                    "degraded_reason": self.degraded_reason,
-                },
-            )
+            await self._journal_failure(key, attempts, started, failure)
             raise UpstreamError(
                 f"compute for {key} failed after {attempts} attempt(s): "
                 f"{failure}",

@@ -40,6 +40,7 @@ from ..runner import (
     Supervisor,
     WatchdogPolicy,
     faults,
+    resolve_workers,
     tree_fingerprint,
 )
 from ..runner.integrity import RUN_METADATA_NAME, SIDECAR_SUFFIX, is_volatile
@@ -200,7 +201,7 @@ def _soak_round(
     previous = os.environ.get(faults.ENV_VAR)
     if schedule:
         os.environ[faults.ENV_VAR] = schedule
-    pooled = workers not in (None, 0, "", "serial")
+    pooled = resolve_workers(workers) is not None
     guard = (
         ResourceWatchdog(WatchdogPolicy(hang_timeout_s=_SOAK_HANG_TIMEOUT_S))
         if pooled
@@ -349,12 +350,3 @@ def run_chaos(
     result.mismatches = mismatches
     result.converged = not mismatches and outcome.clean
     return result
-
-
-def write_chaos_record(result: ChaosResult, path: Union[str, Path]) -> None:
-    """Persist a soak's record as JSON (handy for CI artefact upload)."""
-    from ..runner import write_text_atomic
-
-    write_text_atomic(
-        path, json.dumps(result.to_record(), indent=2) + "\n", track=False
-    )

@@ -25,18 +25,15 @@ from typing import Iterable, List, Optional, Union
 from ..errors import ExperimentError, ReproError
 from ..obs.telemetry import Telemetry
 from ..runner import (
-    RUN_METADATA_NAME,
+    FAILURES_NAME,
     CancelToken,
-    PoolRunner,
     ResourceWatchdog,
-    RetryPolicy,
     RunJournal,
-    Runner,
     RunUnit,
+    close_run_dir,
     matches_sidecar,
-    resolve_workers,
-    untrack,
-    write_manifest,
+    open_run_dir,
+    run_units,
     write_text_atomic,
 )
 from ..runner import faults
@@ -57,7 +54,6 @@ SCHEMA_VERSION = 1
 
 #: File names used inside a report directory.
 JOURNAL_NAME = "journal.jsonl"
-FAILURES_NAME = "FAILURES.json"
 
 
 def result_to_dict(result: ExperimentResult) -> dict:
@@ -280,51 +276,23 @@ def write_report(
         (freshly run or resumed), in run order.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     chosen = list(ids) if ids is not None else experiment_ids()
     # Resolve everything up front: an unknown id fails fast, before any
     # artefact or journal is touched.
     experiments = [get_experiment(experiment_id) for experiment_id in chosen]
-    bundle: Optional[Telemetry]
-    if isinstance(telemetry, Telemetry):
-        bundle = telemetry.bind(out)
-    elif telemetry:
-        bundle = Telemetry().bind(out)
-    else:
-        bundle = None
-    guard = watchdog if watchdog is not None else ResourceWatchdog()
-    if guard.telemetry is None:
-        guard.telemetry = bundle
-    guard.preflight_disk(out)
     metadata = {"run": 1, "kind": "report", "ids": chosen, "scale": scale}
-    write_text_atomic(
-        out / RUN_METADATA_NAME,
-        json.dumps(metadata, sort_keys=True) + "\n",
-        track=True,
+    bundle, guard = open_run_dir(out, metadata, telemetry, watchdog)
+    run = run_units(
+        [_report_unit(out, experiment, scale) for experiment in experiments],
+        workers,
+        journal=RunJournal.open(out / JOURNAL_NAME, resume=resume),
+        retries=retries,
+        timeout_s=timeout_s,
+        keep_going=keep_going,
+        telemetry=bundle,
+        cancel=cancel,
+        watchdog=guard,
     )
-    journal = RunJournal.open(out / JOURNAL_NAME, resume=resume)
-    n_workers = resolve_workers(workers)
-    if n_workers is None:
-        runner: "Union[Runner, PoolRunner]" = Runner(
-            journal=journal,
-            retry=RetryPolicy(max_attempts=retries + 1),
-            timeout_s=timeout_s,
-            keep_going=keep_going,
-            telemetry=bundle,
-            cancel=cancel,
-        )
-    else:
-        runner = PoolRunner(
-            journal=journal,
-            retry=RetryPolicy(max_attempts=retries + 1),
-            timeout_s=timeout_s,
-            keep_going=keep_going,
-            workers=n_workers,
-            watchdog=guard,
-            telemetry=bundle,
-            cancel=cancel,
-        )
-    run = runner.run([_report_unit(out, experiment, scale) for experiment in experiments])
 
     completed = {outcome.unit_id for outcome in run.completed}
     written = [eid for eid in chosen if eid in completed]
@@ -338,20 +306,9 @@ def write_report(
             out / "INDEX.tsv", "\n".join(index_lines) + "\n", track=True
         )
 
-    failures_path = out / FAILURES_NAME
-    if run.failed:
-        write_text_atomic(
-            failures_path,
-            json.dumps(run.failures_manifest(), indent=2) + "\n",
-            track=True,
-        )
-    else:
-        failures_path.unlink(missing_ok=True)
-        untrack(failures_path)
-
     # Bind the directory's artefacts together before surfacing any
     # failure: even a failed run leaves a verifiable tree behind.
-    write_manifest(out)
+    close_run_dir(out, run)
     if run.failed and not keep_going:
         run.raise_first_failure()
     return written

@@ -18,7 +18,7 @@ time adds the precharge/restore interval to the access time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from ..errors import ModelError
 from .technology import Technology
@@ -205,8 +205,3 @@ def precharge_time(tech: Technology, rows: int, cols_delay_rc: float) -> float:
     r_pre = tech.r_pmos(tech.precharge_um)
     restore = 1.2 * r_pre * c_line
     return tech.time_scale * tech.rc_to_delay * (restore + cols_delay_rc) * RC_UNIT_NS
-
-
-def stage_rcs_as_list(chain: StageChain) -> List[Tuple[str, float]]:
-    """Convenience for reporting: list of (stage name, RC ns)."""
-    return list(zip(chain.names, chain.rcs))

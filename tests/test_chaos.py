@@ -16,7 +16,7 @@ import pytest
 from repro.cli import main
 from repro.runner import tree_fingerprint, verify_tree
 from repro.runner.integrity import SIDECAR_SUFFIX, is_volatile
-from repro.study.chaos import ChaosResult, run_chaos, write_chaos_record
+from repro.study.chaos import ChaosResult, run_chaos
 from repro.study.registry import _REGISTRY, ExperimentResult, Series, register
 from repro.study.repair import verify_and_repair
 from repro.study.resultstore import write_report
@@ -184,8 +184,7 @@ class TestChaosRecord:
             quarantined=1,
             converged=True,
         )
-        write_chaos_record(result, tmp_path / "chaos.json")
-        payload = json.loads((tmp_path / "chaos.json").read_text())
+        payload = json.loads(json.dumps(result.to_record()))
         assert payload["schema"] == 1
         assert payload["seed"] == 3
         assert payload["converged"] is True

@@ -9,7 +9,13 @@ import time
 import pytest
 
 from repro.core.config import SystemConfig
-from repro.core.explorer import SweepPoint, as_point, run_sweep
+from repro.core.explorer import (
+    SweepPoint,
+    as_point,
+    design_space,
+    run_sweep,
+    run_sweep_dir,
+)
 from repro.errors import (
     CheckpointError,
     ModelError,
@@ -25,6 +31,7 @@ from repro.runner import (
     execute_attempts,
     unit_key,
     unit_timeout,
+    verify_tree,
     write_text_atomic,
 )
 from repro.runner import faults
@@ -597,6 +604,43 @@ class TestWriteReportResilience:
         assert written == ids
         assert calls == {"unitA": 1, "unitB": 1, "unitC": 1}
         assert not (out / "FAILURES.json").exists()
+
+    @pytest.mark.parametrize("kind", ["write_report", "run_sweep_dir"])
+    def test_failures_manifest_lifecycle(self, tmp_path, request, kind):
+        """Both run-directory kinds share one ``FAILURES.json`` lifecycle.
+
+        A keep_going run with a failing unit writes the manifest and its
+        sidecar, a healing resume removes both, and the directory then
+        verifies clean.
+        """
+        out = tmp_path / kind
+        if kind == "write_report":
+            ids, _ = request.getfixturevalue("fake_experiments")
+            failing = "unitB"
+
+            def run(**kwargs):
+                write_report(out, ids=ids, **kwargs)
+
+        else:
+            template = SystemConfig(l1_bytes=kb(4))
+            failing = f"0006:{design_space(template)[6].label}"
+
+            def run(**kwargs):
+                run_sweep_dir(out, "gcc1", template, scale=0.01, **kwargs)
+
+        failures = out / "FAILURES.json"
+        sidecar = out / "FAILURES.json.sha256"
+        faults.install(faults.FaultPlan(fail_unit=failing, fail_times=99))
+        run(keep_going=True)
+        (entry,) = json.loads(failures.read_text())["failures"]
+        assert entry["unit"] == failing
+        assert sidecar.exists()
+
+        faults.clear()
+        run(resume=True)
+        assert not failures.exists()
+        assert not sidecar.exists()
+        assert verify_tree(out).clean
 
     def test_failure_without_keep_going_raises_but_journals(
         self, tmp_path, fake_experiments

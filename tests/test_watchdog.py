@@ -10,8 +10,10 @@ likewise degrades to serial instead of aborting the run.
 
 import functools
 import multiprocessing
+import time
 
 import pytest
+from test_pool import normalized_journal
 
 from repro.errors import ResourceError, RunnerError
 from repro.runner import (
@@ -54,6 +56,38 @@ def make_units(ids):
 
 def dict_record(value):
     return {"value": value}
+
+
+#: How long a probe unit takes inside a pool worker.  Long enough that
+#: the first reply sheds the queue (TINY_RSS) before the later units
+#: leave it, so those finish on the serial fallback.
+WORKER_DELAY_S = 0.25
+
+#: Probe units executed in this process (a serial Runner, or the pool's
+#: serial fallback); forked workers append to their own copies.
+_parent_runs = []
+
+
+def _probe(uid, failing):
+    if multiprocessing.parent_process() is None:
+        _parent_runs.append(uid)
+    else:
+        time.sleep(WORKER_DELAY_S)
+    if uid == failing:
+        raise RuntimeError(f"unit {uid} failed")
+    return f"value:{uid}"
+
+
+def probe_units(ids, failing=None):
+    return [
+        RunUnit(
+            unit_id=uid,
+            payload={"id": uid},
+            run=functools.partial(_probe, uid, failing),
+            to_record=dict_record,
+        )
+        for uid in ids
+    ]
 
 
 class TestPolicy:
@@ -191,3 +225,74 @@ class TestWorkerDeath:
         result = resumed.run(make_units(["a", "b", "c"]))
         assert resumed.degraded_reason is None
         assert [o.status for o in result.outcomes] == ["skipped"] * 3
+
+
+@fork_only
+@pytest.mark.parametrize(
+    "ladder, target",
+    [("rss", "u14"), ("worker-death", "u02")],
+)
+class TestSerialFallback:
+    """The degraded rung is the serial Runner: same journal, same stop.
+
+    ``target`` is a unit that always lands on the fallback: under RSS
+    shedding it sits far down a queue of slow-in-worker units, and under
+    worker death it is the unit whose worker is killed.
+    """
+
+    IDS = [f"u{i:02d}" for i in range(16)]
+
+    def setup_method(self):
+        faults.clear()
+        _parent_runs.clear()
+
+    def teardown_method(self):
+        faults.clear()
+
+    def run_both(self, tmp_path, monkeypatch, ladder, target, **kwargs):
+        units = probe_units(self.IDS, **kwargs)
+        serial = Runner(journal=RunJournal.open(tmp_path / "serial.jsonl")).run(units)
+        _parent_runs.clear()
+        if ladder == "rss":
+            watchdog = ResourceWatchdog(TINY_RSS)
+        else:
+            monkeypatch.setenv(faults.ENV_VAR, f"killworker={target}")
+            watchdog = ResourceWatchdog()
+        pool = PoolRunner(
+            journal=RunJournal.open(tmp_path / "pool.jsonl"),
+            workers=2,
+            mp_context=multiprocessing.get_context("fork"),
+            watchdog=watchdog,
+        )
+        result = pool.run(units)
+        assert pool.degraded_reason is not None
+        assert target in _parent_runs  # it really ran on the fallback
+        return serial, result
+
+    def test_degraded_run_journals_like_serial(
+        self, tmp_path, monkeypatch, ladder, target
+    ):
+        serial, result = self.run_both(tmp_path, monkeypatch, ladder, target)
+        assert [o.status for o in result.outcomes] == ["ok"] * len(self.IDS)
+        assert result.values() == serial.values()
+        assert normalized_journal(tmp_path / "pool.jsonl") == normalized_journal(
+            tmp_path / "serial.jsonl"
+        )
+
+    def test_fallback_failure_stops_like_serial(
+        self, tmp_path, monkeypatch, ladder, target
+    ):
+        serial, result = self.run_both(
+            tmp_path, monkeypatch, ladder, target, failing=target
+        )
+        statuses = [(o.unit_id, o.status) for o in result.outcomes]
+        assert statuses == [(o.unit_id, o.status) for o in serial.outcomes]
+        assert statuses[-1] == (target, "failed")
+        later = self.IDS[self.IDS.index(target) + 1 :]
+        assert not set(later) & set(_parent_runs)
+        if ladder == "rss":
+            # Shed units never started in the pool, so nothing past the
+            # failure ran anywhere: the journals match entry for entry.
+            assert normalized_journal(tmp_path / "pool.jsonl") == normalized_journal(
+                tmp_path / "serial.jsonl"
+            )
