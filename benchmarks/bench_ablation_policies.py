@@ -16,8 +16,9 @@ from repro.units import kb
 
 
 def test_ablation_inclusion_policies(benchmark, bench_scale, output_dir):
-    # Strict inclusion needs the slow whole-trace simulator; cap the
-    # scale so this ablation stays quick.
+    # Strict inclusion replays only the L1 miss streams, but the table
+    # stays at the scale its shape is gated at in tier-1
+    # (tests/test_ext_inclusion.py::TestPolicySpectrum).
     scale = min(bench_scale, 0.2)
 
     def run():
@@ -57,13 +58,3 @@ def test_ablation_inclusion_policies(benchmark, bench_scale, output_dir):
     )
     write_text_atomic(output_dir / "ablation_policies.txt", text + "\n")
     print("\n" + text)
-    for _, strict_l1, base_l1, strict_off, base_off, excl_off in rows:
-        # Back-invalidation can only add L1 misses; exclusion can only
-        # remove off-chip traffic.  (Strict vs baseline *off-chip*
-        # traffic may dither either way through replacement noise.)
-        assert strict_l1 >= base_l1 - 1e-9
-        assert excl_off <= base_off + 1e-9
-    # The exclusion advantage is biggest at the smallest L2:L1 ratio.
-    first_gap = rows[0][4] - rows[0][5]
-    last_gap = rows[-1][4] - rows[-1][5]
-    assert first_gap >= last_gap - 1e-9

@@ -46,7 +46,7 @@ __all__ = [
 
 #: Bumped whenever extraction output changes; cached summaries with a
 #: different schema are discarded, never reinterpreted.
-SUMMARY_SCHEMA = 1
+SUMMARY_SCHEMA = 2
 
 _PACKAGE_MARKER = "src/repro/"
 
@@ -65,9 +65,10 @@ _BLOCKING_CALLS = frozenset(
 _BLOCKING_PREFIXES = ("subprocess.",)
 
 #: Attribute calls that block regardless of receiver type: pool/future
-#: joins and pathlib's synchronous file I/O.
+#: joins and pathlib's synchronous file I/O and metadata calls.
 _BLOCKING_ATTRS = frozenset(
     {"result", "read_text", "read_bytes", "write_text", "write_bytes"}
+    | {"exists", "stat", "is_file", "is_dir", "iterdir", "glob"}
 )
 
 #: Call targets that hand their function-valued arguments to a thread

@@ -8,18 +8,29 @@ evicts — simplifies multiprocessor snooping (the paper cites Baer &
 Wang [1] and notes §8 that inclusion can still be kept against an
 *off-chip* third level).
 
-Strict inclusion breaks the decomposition the fast simulator relies on
-(L2 evictions now change L1 contents), so this module carries its own
-straightforward whole-trace simulator.  It is intentionally slow and
-meant for ablation studies at modest trace scales.
+Strict inclusion breaks the decomposition of :mod:`repro.cache.hierarchy`
+(L2 evictions now change L1 contents), so the L2 feeds back into the L1
+miss streams instead.  A back-invalidated DM set only ever *empties*:
+each inclusive L1 set holds what the plain DM set holds, or nothing.
+Its misses are therefore the plain cache's misses plus one *re-miss*
+per back-invalidation whose set is next referenced, in that cache, at
+the invalidated line.  The simulator replays the plain miss streams of
+:mod:`repro.cache.directmap` in program order through the L2 and
+finds each re-miss by binary search in the set-sorted run heads, so its
+Python loop runs once per L1 miss event, not once per reference.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from bisect import bisect_left
+from heapq import heappop, heappush
+from typing import List, Tuple, Union
 
+import numpy as np
+
+from ..cache.directmap import _set_sorted_runs
 from ..cache.geometry import DEFAULT_LINE_SIZE, CacheGeometry
-from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION
+from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, counted_data_refs, merge, program_order
 from ..cache.l2 import SetAssociativeCache
 from ..cache.results import HierarchyStats
 from ..errors import ConfigurationError
@@ -29,25 +40,40 @@ from ..traces.store import get_trace
 __all__ = ["simulate_strict_inclusion"]
 
 
-class _InclusiveL1:
-    """Direct-mapped L1 supporting back-invalidation."""
+class _BackInvalidatedL1:
+    """One DM L1's reference stream, indexed by set for back-invalidation.
 
-    def __init__(self, n_sets: int) -> None:
-        self.n_sets = n_sets
-        self.contents: dict = {}
+    ``misses`` are the plain (non-inclusive) cache's miss positions; the
+    run heads sorted by (set, position) answer :meth:`remiss`.
+    """
 
-    def access(self, line: int) -> bool:
-        """Reference ``line``; returns True on miss (and fills)."""
-        set_index = line % self.n_sets
-        if self.contents.get(set_index) == line:
-            return False
-        self.contents[set_index] = line
-        return True
+    def __init__(self, lines: np.ndarray, n_sets: int) -> None:
+        heads, order, head_lines, _, misses = _set_sorted_runs(lines, n_sets)
+        by_set = heads[order]
+        self.misses = np.sort(by_set[misses])
+        self._n_sets = n_sets
+        self._lines = memoryview(lines)
+        self._heads = memoryview(by_set)
+        self._head_lines = memoryview(head_lines)
+        self._bounds = memoryview(np.searchsorted(head_lines % n_sets, np.arange(n_sets + 1)))
 
-    def back_invalidate(self, line: int) -> None:
-        set_index = line % self.n_sets
-        if self.contents.get(set_index) == line:
-            del self.contents[set_index]
+    def remiss(self, line: int, position: int) -> int:
+        """Where ``line``, back-invalidated just before ``position``, re-misses.
+
+        Returns -1 when the set does not hold ``line`` (the plain cache's
+        last reference to it before ``position`` is another line, or there
+        is none) or is next referenced at another line, which misses anyway.
+        """
+        set_index = line % self._n_sets
+        lo, hi = self._bounds[set_index], self._bounds[set_index + 1]
+        k = bisect_left(self._heads, position, lo, hi)
+        if k == lo or self._head_lines[k - 1] != line:
+            return -1
+        if position < len(self._lines) and self._lines[position] == line:
+            return position  # the resident run continues at ``position``
+        if k < hi and self._head_lines[k] == line:
+            return self._heads[k]
+        return -1
 
 
 def simulate_strict_inclusion(
@@ -65,6 +91,12 @@ def simulate_strict_inclusion(
     nothing — random replacement keeps no recency); when the L2 evicts
     a line, both L1s drop it, so the next reference re-misses — the
     inclusion overhead this ablation quantifies.
+
+    Events are keyed by their program-order index: instruction ``c``
+    (cycle ``c``) follows every data reference issued before cycle ``c``,
+    and data reference ``j`` follows instruction ``d_times[j]``.  After
+    the event with key ``key`` at cycle ``time``, the next instruction is
+    ``time + 1`` and the next data reference is ``key - time``.
     """
     if not l2_bytes:
         raise ConfigurationError("strict inclusion requires a second level")
@@ -72,54 +104,68 @@ def simulate_strict_inclusion(
         raise ConfigurationError("warmup_fraction must be in [0, 1)")
     trace = get_trace(workload, scale) if isinstance(workload, str) else workload
 
-    l1_geometry = CacheGeometry(l1_bytes, line_size=line_size, associativity=1)
-    icache = _InclusiveL1(l1_geometry.n_sets)
-    dcache = _InclusiveL1(l1_geometry.n_sets)
+    n_sets = CacheGeometry(l1_bytes, line_size=line_size, associativity=1).n_sets
+    i_lines, d_lines = trace.i_lines(line_size), trace.d_lines(line_size)
+    icache, dcache = _BackInvalidatedL1(i_lines, n_sets), _BackInvalidatedL1(d_lines, n_sets)
     l2 = SetAssociativeCache(
         CacheGeometry(l2_bytes, line_size=line_size, associativity=l2_associativity)
     )
-
     warmup_time = int(trace.n_instructions * warmup_fraction)
-    l1i = l1d = l2_hits = l2_misses = 0
-    counted_data = 0
 
-    i_lines = trace.i_lines(line_size).tolist()
-    d_lines = trace.d_lines(line_size).tolist()
-    d_times = trace.d_times.tolist()
-    d_cursor = 0
-    n_data = len(d_lines)
+    d_times = trace.d_times
+    i_pos, d_pos = icache.misses, dcache.misses
+    is_instruction = program_order(i_pos, d_times[d_pos])
+    times = merge(is_instruction, i_pos, d_times[d_pos])
+    keys = merge(is_instruction, np.searchsorted(d_times, i_pos), d_pos + 1) + times
+    lines = merge(is_instruction, i_lines[i_pos], d_lines[d_pos])
+    first = int(np.searchsorted(times, warmup_time, side="left"))
+    l1i = int(np.count_nonzero(is_instruction[first:]))
+    l1d = len(times) - first - l1i
 
-    def reference(line: int, is_instruction: bool, counted: bool) -> None:
-        nonlocal l1i, l1d, l2_hits, l2_misses
-        cache = icache if is_instruction else dcache
-        if not cache.access(line):
-            return
-        if counted:
-            if is_instruction:
-                l1i += 1
-            else:
-                l1d += 1
+    d_time = memoryview(d_times)
+    remisses: List[Tuple[int, int, int, bool]] = []  # heap of (key, time, line, in I-cache)
+    l2_hits = l2_misses = 0
+
+    def miss(key: int, time: int, line: int) -> None:
+        nonlocal l2_hits, l2_misses
+        counted = time >= warmup_time
         if l2.lookup(line):
             l2_hits += counted
-        else:
-            l2_misses += counted
-            evicted = l2.fill(line)
-            if evicted is not None:
-                # Enforce inclusion: the line leaves the whole chip.
-                icache.back_invalidate(evicted)
-                dcache.back_invalidate(evicted)
+            return
+        l2_misses += counted
+        evicted = l2.fill(line)
+        if evicted is None:
+            return
+        # Enforce inclusion: the line leaves the whole chip.
+        q = icache.remiss(evicted, time + 1)
+        if q >= 0:
+            heappush(remisses, (q + bisect_left(d_time, q), q, evicted, True))
+        q = dcache.remiss(evicted, key - time)
+        if q >= 0:
+            heappush(remisses, (q + d_time[q] + 1, d_time[q], evicted, False))
 
-    for cycle, i_line in enumerate(i_lines):
-        counted = cycle >= warmup_time
-        reference(i_line, True, counted)
-        while d_cursor < n_data and d_times[d_cursor] == cycle:
-            reference(d_lines[d_cursor], False, counted)
-            counted_data += counted
-            d_cursor += 1
+    def replay_remisses(before: int) -> None:
+        nonlocal l1i, l1d
+        done = -1
+        while remisses and remisses[0][0] < before:
+            key, time, line, instruction = heappop(remisses)
+            if key == done:
+                continue  # a set emptied twice before its next reference re-misses once
+            done = key
+            if time >= warmup_time:
+                l1i += instruction
+                l1d += not instruction
+            miss(key, time, line)
+
+    for key, time, line in zip(memoryview(keys), memoryview(times), memoryview(lines)):
+        if remisses and remisses[0][0] < key:
+            replay_remisses(key)
+        miss(key, time, line)
+    replay_remisses(trace.n_refs)
 
     return HierarchyStats(
         n_instructions=trace.n_instructions - warmup_time,
-        n_data_refs=counted_data,
+        n_data_refs=counted_data_refs(trace, warmup_time),
         l1i_misses=l1i,
         l1d_misses=l1d,
         l2_hits=l2_hits,

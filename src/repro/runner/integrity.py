@@ -130,10 +130,10 @@ def read_sidecar(path: Union[str, Path]) -> Optional[str]:
     """
     path = Path(path)
     sidecar = _sidecar_path(path)
-    if not sidecar.exists():
-        return None
     try:
         raw = sidecar.read_text()
+    except FileNotFoundError:
+        return None
     except UnicodeDecodeError:
         raise IntegrityError(
             f"{sidecar}: corrupt sha256 sidecar (not valid text)"

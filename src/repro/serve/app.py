@@ -537,10 +537,9 @@ class ServeApp:
         configs, workload, scale = normalize_sweep(payload)
 
         async def resolve() -> List[Tuple[str, dict, str]]:
-            warm = all(
-                self.memo.path(point_key(c, workload, scale)).exists()
-                for c in configs
-            )
+            keys = [point_key(c, workload, scale) for c in configs]
+            loop = asyncio.get_running_loop()
+            warm = await loop.run_in_executor(self._io_executor, self.memo.has_all, keys)
             if warm:
                 # Likely all memoized — resolve without a ticket; any
                 # entry that fails verification still computes cold

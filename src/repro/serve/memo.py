@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from ..errors import IntegrityError
 from ..runner import faults
@@ -47,6 +47,10 @@ class MemoStore:
     def path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
+    def has_all(self, keys: Iterable[str]) -> bool:
+        """Whether every key has an entry on disk (unverified: a hint)."""
+        return all(self.path(key).exists() for key in keys)
+
     def __len__(self) -> int:
         entries = (p for p in self.root.glob("*.json") if p.name != "MANIFEST.json")
         return sum(1 for _ in entries)
@@ -68,13 +72,19 @@ class MemoStore:
             return None
         try:
             recorded = read_sidecar(path)
+            digest = None if recorded is None else hash_file(path)
         except IntegrityError:
             # The sidecar itself is rotten; repair rewrites or
             # quarantines, and the entry is not trusted either way.
             self._demote_corrupt(key)
             self.misses += 1
             return None
-        if recorded is None or hash_file(path) != recorded:
+        except FileNotFoundError:
+            # Quarantined or removed mid-read (say, by a concurrent
+            # ``repro verify --repair``): the point computes cold.
+            self.misses += 1
+            return None
+        if recorded is None or digest != recorded:
             # No sidecar = unvouched entry (someone wrote around the
             # store); mismatch = post-write damage.  Both are cold.
             if recorded is not None:

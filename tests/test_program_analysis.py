@@ -63,6 +63,17 @@ class TestProgramRuleFixtures:
             assert finding.suppression_reason
 
 
+class TestBlockingSinks:
+    def test_pathlib_metadata_calls_block(self):
+        report = lint_paths(
+            [FIXTURES / "rep007" / "bad"], select=["REP007"], program=True
+        )
+        messages = [f.message for f in report.findings if f.path.endswith("serve/store.py")]
+        assert len(messages) == 2
+        assert any(m.startswith("blocking .exists() inside async is_memoized") for m in messages)
+        assert any("entry_size() called from async size" in m and ".stat()" in m for m in messages)
+
+
 class TestProgramSuppressionAudit:
     def test_unused_program_suppression_reported(self, tmp_path):
         tree = tmp_path / "src" / "repro" / "serve"

@@ -157,6 +157,22 @@ class TestMemoStore:
         assert store.load("k1") is None
         assert not path.exists()
 
+    def test_entry_vanishing_mid_read_is_a_miss(self, tmp_path, monkeypatch):
+        import repro.serve.memo as memo_module
+
+        store = MemoStore(tmp_path / "memo")
+        store.store("k1", self.RECORD)
+        read_sidecar = memo_module.read_sidecar
+
+        def read_then_quarantine(path):
+            digest = read_sidecar(path)
+            path.unlink()  # a concurrent repair moves the entry away
+            return digest
+
+        monkeypatch.setattr(memo_module, "read_sidecar", read_then_quarantine)
+        assert store.load("k1") is None
+        assert (store.hits, store.misses, store.quarantined) == (0, 1, 0)
+
     def test_poisonmemo_fault_fires_after_sidecar(self, tmp_path, monkeypatch):
         monkeypatch.setenv(faults.ENV_VAR, "poisonmemo=k1:1")
         store = MemoStore(tmp_path / "memo")

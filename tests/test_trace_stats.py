@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.traces.address import Trace
 from repro.traces.stats import compute_stats
@@ -37,3 +39,18 @@ def test_line_size_changes_footprint():
     assert compute_stats(trace, line_size=64).instruction_footprint_bytes == 64
     # One 64-byte line vs four 16-byte lines:
     assert compute_stats(trace, line_size=64).instruction_footprint_bytes // 64 == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    i_lines=st.lists(st.integers(0, 1 << 40), min_size=1, max_size=300),
+    d_lines=st.lists(st.integers(0, 40), max_size=300),
+)
+def test_footprints_match_np_unique(i_lines, d_lines):
+    """Sorted change counting equals ``np.unique``, an empty D stream included."""
+    i_addrs = np.array(i_lines, dtype=np.int64) * 16
+    d_addrs = np.array(d_lines, dtype=np.int64) * 16
+    d_times = np.sort(np.arange(len(d_lines)) % len(i_lines))
+    stats = compute_stats(Trace("t", i_addrs, d_addrs, d_times))
+    assert stats.instruction_footprint_bytes == len(np.unique(i_addrs // 16)) * 16
+    assert stats.data_footprint_bytes == len(np.unique(d_addrs // 16)) * 16
