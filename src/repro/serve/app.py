@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
+from ..core.config import SystemConfig
 from ..errors import ReproError, RunnerError, ServeError, UnitTimeoutError
 from ..obs import Telemetry
 from ..runner import (
@@ -74,7 +75,7 @@ from .errors import (
     OversizeError,
     UpstreamError,
 )
-from .memo import MEMO_DIR, MemoStore
+from .memo import MEMO_DIR, MemoEntry, MemoStore
 from .singleflight import SingleFlight
 
 __all__ = ["SERVE_JOURNAL_NAME", "ServePolicy", "ServeApp", "run_serve"]
@@ -82,6 +83,9 @@ __all__ = ["SERVE_JOURNAL_NAME", "ServePolicy", "ServeApp", "run_serve"]
 #: The serve store's request journal (volatile artefact, like every
 #: other ``*.journal.jsonl``).
 SERVE_JOURNAL_NAME = "serve.journal.jsonl"
+
+#: A normalized point request: config, workload, scale and its key.
+NormalizedPoint = Tuple[SystemConfig, str, Optional[float], str]
 
 _REASONS = {
     200: "OK",
@@ -92,6 +96,43 @@ _REASONS = {
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+
+
+class _Deadline:
+    """One timer that cancels a request's task when its deadline passes.
+
+    The whole request — reading it and resolving it — shares one budget.
+    A timer on the task itself costs no extra task per phase, as
+    ``asyncio.wait_for`` would, and needs no ``asyncio.timeout``
+    (Python 3.11+).
+    """
+
+    __slots__ = ("expired", "_task", "_timer")
+
+    def __init__(self, delay_s: float):
+        self.expired = False
+        self._task = asyncio.current_task()
+        self._timer = asyncio.get_running_loop().call_later(delay_s, self._expire)
+
+    def _expire(self) -> None:
+        self.expired = True
+        if self._task is not None:
+            self._task.cancel()
+
+    def caused(self) -> bool:
+        """Whether the cancellation being handled is this deadline's alone.
+
+        If so, it is taken back and the task goes on to answer.  Python
+        3.11+ counts cancellations, so one from elsewhere (a shutdown)
+        that arrived as well is still pending and must propagate.
+        """
+        if not self.expired:
+            return False
+        uncancel = getattr(self._task, "uncancel", None)
+        return uncancel is None or uncancel() == 0
+
+    def cancel(self) -> None:
+        self._timer.cancel()
 
 
 @dataclass(frozen=True)
@@ -133,6 +174,12 @@ class ServePolicy:
 class ServeApp:
     """The service: HTTP front end, three-tier resolution, fault walls."""
 
+    #: Bound on the raw point body -> normalized request memo (oldest
+    #: dropped first), and the largest body it keeps: a point body is
+    #: ~100 bytes, and the bound must hold in bytes, not just entries.
+    POINT_MEMO_ENTRIES = 512
+    POINT_MEMO_MAX_BODY = 1024
+
     def __init__(
         self,
         store: Union[str, Path],
@@ -148,6 +195,10 @@ class ServeApp:
         self.watchdog.preflight_disk(self.store_dir)
         self.n_workers = resolve_workers(workers)
         self.memo = MemoStore(self.store_dir / MEMO_DIR)
+        # Normalization is a pure function of the body and SystemConfig
+        # is frozen, so a repeated point body reuses its first result;
+        # a body that fails normalization raises and is never kept.
+        self._points: Dict[bytes, NormalizedPoint] = {}
         self.flight = SingleFlight()
         # Always-on in-memory telemetry: the service renders it live on
         # /metrics and /v1/stats; nothing is flushed to disk, and the
@@ -200,6 +251,15 @@ class ServeApp:
         # Pool-backed compute futures still outstanding; what a pool
         # discard would abandon (counted in stats["abandoned"]).
         self._pool_futures: Set["asyncio.Future[Any]"] = set()
+        self._routes = {
+            ("GET", "/healthz"): self._handle_health,
+            ("GET", "/metrics"): self._handle_metrics,
+            ("GET", "/v1/stats"): self._handle_stats,
+            ("POST", "/v1/evaluate"): self._handle_evaluate,
+            ("POST", "/v1/tpi"): self._handle_tpi,
+            ("POST", "/v1/sweep"): self._handle_sweep,
+            ("POST", "/v1/envelope"): self._handle_envelope,
+        }
 
     # ------------------------------------------------------------------
     # Telemetry: live projection + event counters.
@@ -355,10 +415,16 @@ class ServeApp:
     # request path goes through these executor bridges so a slow disk
     # stalls one request, not the whole event loop.
 
-    async def _memo_load(self, key: str) -> Optional[dict]:
+    async def _memo_read(self, key: str) -> Optional[MemoEntry]:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
-            self._io_executor, self.memo.load, key
+            self._io_executor, self.memo.read, key
+        )
+
+    async def _memo_read_many(self, keys: List[str]) -> List[Optional[MemoEntry]]:
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(
+            self._io_executor, self.memo.read_many, keys
         )
 
     async def _memo_store(self, key: str, record: dict) -> None:
@@ -467,13 +533,18 @@ class ServeApp:
                 retry_after_s=self.policy.retry_after_s,
             )
 
-    async def _resolve_point(self, config: Any, workload: str, scale: Any) -> Tuple[str, dict, str]:
-        """Three-tier resolution of one point (caller already admitted)."""
-        key = point_key(config, workload, scale)
-        record = await self._memo_load(key)
-        if record is not None:
+    async def _resolve_cold(
+        self, config: SystemConfig, workload: str, scale: Optional[float], key: str
+    ) -> Tuple[MemoEntry, str]:
+        """Resolve a point that missed the memo (caller already admitted).
+
+        The memo is probed once more first: the entry may have landed
+        while this request queued for its slot.
+        """
+        entry = await self._memo_read(key)
+        if entry is not None:
             self.stats["memo"] += 1
-            return key, record, "memo"
+            return entry, "memo"
         request = {
             "key": key,
             "config": config.to_dict(),
@@ -490,84 +561,82 @@ class ServeApp:
         )
         if not leader:
             self.stats["coalesced"] += 1
-        return key, record, "cold" if leader else "coalesced"
-
-    async def _with_deadline(self, awaitable: Any) -> Any:
-        try:
-            return await asyncio.wait_for(awaitable, timeout=self.policy.deadline_s)
-        except asyncio.TimeoutError:
-            self.stats["timeouts"] += 1
-            raise DeadlineError(
-                f"request exceeded its {self.policy.deadline_s:g}s deadline "
-                f"(the worker-side budget cancels the computation and "
-                f"frees its pool slot)",
-                retry_after_s=self.policy.retry_after_s,
-            ) from None
+        body = canonical_json(record).encode("utf-8")
+        return (record, body), "cold" if leader else "coalesced"
 
     # ------------------------------------------------------------------
     # Handlers.
 
-    async def _handle_point(self, payload: Any, project_tpi: bool) -> Tuple[int, bytes, Dict[str, str]]:
-        config, workload, scale = normalize_point(payload)
+    @staticmethod
+    def _payload(body: bytes) -> Any:
+        try:
+            return json.loads(body) if body else {}
+        except ValueError:  # undecodable text or JSON
+            raise BadRequestError("request body is not valid JSON") from None
 
-        async def resolve() -> Tuple[str, dict, str]:
-            key = point_key(config, workload, scale)
-            record = await self._memo_load(key)
-            if record is not None:
-                self.stats["memo"] += 1
-                return key, record, "memo"
+    def _normalized_point(self, body: bytes) -> NormalizedPoint:
+        """The normalized point of a raw request body (memoized)."""
+        point = self._points.get(body)
+        if point is None:
+            config, workload, scale = normalize_point(self._payload(body))
+            point = (config, workload, scale, point_key(config, workload, scale))
+            if len(body) <= self.POINT_MEMO_MAX_BODY:
+                if len(self._points) >= self.POINT_MEMO_ENTRIES:
+                    del self._points[next(iter(self._points))]
+                self._points[body] = point
+        return point
+
+    async def _handle_point(self, body: bytes, project_tpi: bool) -> Tuple[int, bytes, Dict[str, str]]:
+        config, workload, scale, key = self._normalized_point(body)
+        entry = await self._memo_read(key)
+        if entry is not None:
+            self.stats["memo"] += 1
+            source = "memo"
+        else:
             self.breaker.check()
             async with self.admission.slot():
-                return await self._resolve_point(config, workload, scale)
-
-        key, record, source = await self._with_deadline(resolve())
-        body = canonical_json(tpi_record(record) if project_tpi else record)
-        return 200, body.encode("utf-8"), {
+                entry, source = await self._resolve_cold(config, workload, scale, key)
+        record, reply = entry
+        if project_tpi:
+            reply = canonical_json(tpi_record(record)).encode("utf-8")
+        return 200, reply, {
             "X-Repro-Source": source,
             "X-Repro-Key": key,
         }
 
-    async def _handle_evaluate(self, payload: Any) -> Tuple[int, bytes, Dict[str, str]]:
-        return await self._handle_point(payload, project_tpi=False)
+    async def _handle_evaluate(self, body: bytes) -> Tuple[int, bytes, Dict[str, str]]:
+        return await self._handle_point(body, project_tpi=False)
 
-    async def _handle_tpi(self, payload: Any) -> Tuple[int, bytes, Dict[str, str]]:
-        return await self._handle_point(payload, project_tpi=True)
+    async def _handle_tpi(self, body: bytes) -> Tuple[int, bytes, Dict[str, str]]:
+        return await self._handle_point(body, project_tpi=True)
 
-    async def _resolve_many(self, payload: Any) -> Tuple[List[dict], str, Dict[str, int]]:
-        configs, workload, scale = normalize_sweep(payload)
-
-        async def resolve() -> List[Tuple[str, dict, str]]:
-            keys = [point_key(c, workload, scale) for c in configs]
-            loop = asyncio.get_running_loop()
-            warm = await loop.run_in_executor(self._io_executor, self.memo.has_all, keys)
-            if warm:
-                # Likely all memoized — resolve without a ticket; any
-                # entry that fails verification still computes cold
-                # (unadmitted, but rare by construction).
-                return list(
-                    await asyncio.gather(
-                        *(self._resolve_point(c, workload, scale) for c in configs)
-                    )
-                )
-            # One admission ticket per *request*: the fan-out below is
-            # bounded by the pool, not the request queue.
+    async def _resolve_many(self, body: bytes) -> Tuple[List[dict], str, Dict[str, int]]:
+        configs, workload, scale = normalize_sweep(self._payload(body))
+        keys = [point_key(c, workload, scale) for c in configs]
+        # One verified read of every point in one executor hop; only the
+        # points that missed go on, together, through the breaker and
+        # one admission ticket per *request* (their fan-out is bounded
+        # by the pool, not the request queue).
+        entries = await self._memo_read_many(keys)
+        resolved: List[Any] = [None if entry is None else (entry, "memo") for entry in entries]
+        misses = [i for i, entry in enumerate(entries) if entry is None]
+        self.stats["memo"] += len(keys) - len(misses)
+        if misses:
             self.breaker.check()
             async with self.admission.slot():
-                return list(
-                    await asyncio.gather(
-                        *(self._resolve_point(c, workload, scale) for c in configs)
-                    )
+                cold = await asyncio.gather(
+                    *(self._resolve_cold(configs[i], workload, scale, keys[i]) for i in misses)
                 )
-
-        resolved = await self._with_deadline(resolve())
+            for i, outcome in zip(misses, cold):
+                resolved[i] = outcome
         sources: Dict[str, int] = {}
-        for _, _, source in resolved:
+        for _, source in resolved:
             sources[source] = sources.get(source, 0) + 1
-        return [record for _, record, _ in resolved], workload, sources
+        return [record for (record, _), _ in resolved], workload, sources
 
-    async def _handle_sweep(self, payload: Any) -> Tuple[int, bytes, Dict[str, str]]:
-        records, workload, sources = await self._resolve_many(payload)
-        body = canonical_json(
+    async def _handle_sweep(self, body: bytes) -> Tuple[int, bytes, Dict[str, str]]:
+        records, workload, sources = await self._resolve_many(body)
+        reply = canonical_json(
             {
                 "schema": 1,
                 "kind": "sweep",
@@ -576,11 +645,11 @@ class ServeApp:
             }
         )
         headers = {"X-Repro-Sources": json.dumps(sources, sort_keys=True)}
-        return 200, body.encode("utf-8"), headers
+        return 200, reply.encode("utf-8"), headers
 
-    async def _handle_envelope(self, payload: Any) -> Tuple[int, bytes, Dict[str, str]]:
-        records, workload, sources = await self._resolve_many(payload)
-        body = canonical_json(
+    async def _handle_envelope(self, body: bytes) -> Tuple[int, bytes, Dict[str, str]]:
+        records, workload, sources = await self._resolve_many(body)
+        reply = canonical_json(
             {
                 "schema": 1,
                 "kind": "envelope",
@@ -589,7 +658,7 @@ class ServeApp:
             }
         )
         headers = {"X-Repro-Sources": json.dumps(sources, sort_keys=True)}
-        return 200, body.encode("utf-8"), headers
+        return 200, reply.encode("utf-8"), headers
 
     def health(self) -> dict:
         """The /healthz document (also used directly by tests)."""
@@ -625,20 +694,20 @@ class ServeApp:
             "requests": dict(self.stats),
         }
 
-    async def _handle_health(self, payload: Any) -> Tuple[int, bytes, Dict[str, str]]:
+    async def _handle_health(self, body: bytes) -> Tuple[int, bytes, Dict[str, str]]:
         loop = asyncio.get_running_loop()
         document = await loop.run_in_executor(self._io_executor, self.health)
         return 200, canonical_json(document).encode("utf-8"), {}
 
-    async def _handle_metrics(self, payload: Any) -> Tuple[int, bytes, Dict[str, str]]:
+    async def _handle_metrics(self, body: bytes) -> Tuple[int, bytes, Dict[str, str]]:
         """GET /metrics — Prometheus text exposition of the live registry."""
         loop = asyncio.get_running_loop()
-        body = await loop.run_in_executor(self._io_executor, self._metrics_text)
-        return 200, body.encode("utf-8"), {
+        text = await loop.run_in_executor(self._io_executor, self._metrics_text)
+        return 200, text.encode("utf-8"), {
             "Content-Type": "text/plain; version=0.0.4; charset=utf-8",
         }
 
-    async def _handle_stats(self, payload: Any) -> Tuple[int, bytes, Dict[str, str]]:
+    async def _handle_stats(self, body: bytes) -> Tuple[int, bytes, Dict[str, str]]:
         """GET /v1/stats — the same registry as JSON, plus derived rates."""
         loop = asyncio.get_running_loop()
         document = await loop.run_in_executor(self._io_executor, self._stats_document)
@@ -688,19 +757,10 @@ class ServeApp:
         return method, target, body
 
     async def _dispatch(
-        self, method: str, target: str, body: bytes
+        self, method: str, target: str, body: bytes, deadline: _Deadline
     ) -> Tuple[int, bytes, Dict[str, str]]:
         path = target.partition("?")[0]
-        routes = {
-            ("GET", "/healthz"): self._handle_health,
-            ("GET", "/metrics"): self._handle_metrics,
-            ("GET", "/v1/stats"): self._handle_stats,
-            ("POST", "/v1/evaluate"): self._handle_evaluate,
-            ("POST", "/v1/tpi"): self._handle_tpi,
-            ("POST", "/v1/sweep"): self._handle_sweep,
-            ("POST", "/v1/envelope"): self._handle_envelope,
-        }
-        handler = routes.get((method, path))
+        handler = self._routes.get((method, path))
         if handler is None:
             raise NotFoundError(f"no handler for {method} {path}")
         if method == "POST" and self.draining:
@@ -711,14 +771,18 @@ class ServeApp:
                 f"retry against a live instance",
                 retry_after_s=self.policy.retry_after_s,
             )
-        if method == "POST":
-            try:
-                payload = json.loads(body) if body else {}
-            except json.JSONDecodeError:
-                raise BadRequestError("request body is not valid JSON") from None
-        else:
-            payload = None
-        return await handler(payload)
+        try:
+            return await handler(body)
+        except asyncio.CancelledError:
+            if not deadline.caused():
+                raise
+            self.stats["timeouts"] += 1
+            raise DeadlineError(
+                f"request exceeded its {self.policy.deadline_s:g}s deadline "
+                f"(the worker-side budget cancels the computation and "
+                f"frees its pool slot)",
+                retry_after_s=self.policy.retry_after_s,
+            ) from None
 
     @staticmethod
     def _error_body(error: BaseException, status: int) -> Tuple[bytes, Dict[str, str]]:
@@ -763,6 +827,7 @@ class ServeApp:
         self._request_seq += 1
         request_id = f"req-{self._request_seq:08d}"
         self._in_flight += 1
+        deadline = _Deadline(self.policy.deadline_s)
         try:
             # A root span (no nesting stack): request handlers await
             # mid-span, so concurrent requests interleave and strictly
@@ -771,14 +836,19 @@ class ServeApp:
                 "request", root=True, request=request_id
             ) as req_span:
                 try:
-                    method, target, body = await asyncio.wait_for(
-                        self._read_request(reader), timeout=self.policy.deadline_s
-                    )
-                except (ConnectionError, asyncio.IncompleteReadError, asyncio.TimeoutError):
+                    method, target, body = await self._read_request(reader)
+                except (ConnectionError, asyncio.IncompleteReadError):
+                    req_span.set(outcome="unreadable")
+                    return
+                except asyncio.CancelledError:
+                    if not deadline.caused():
+                        raise
                     req_span.set(outcome="unreadable")
                     return
                 try:
-                    status, payload, headers = await self._dispatch(method, target, body)
+                    status, payload, headers = await self._dispatch(
+                        method, target, body, deadline
+                    )
                 except ServeError as error:
                     self.stats["errors"] += 1
                     status = error.status
@@ -793,6 +863,7 @@ class ServeApp:
                     self.stats["errors"] += 1
                     status = 500
                     payload, headers = self._error_body(error, status)
+                deadline.cancel()
                 req_span.set(
                     method=method, path=target.partition("?")[0], status=status
                 )
@@ -808,6 +879,7 @@ class ServeApp:
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
+            deadline.cancel()
             self._in_flight -= 1
             try:
                 writer.close()

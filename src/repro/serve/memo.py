@@ -14,28 +14,45 @@ existing :func:`repro.runner.integrity.verify_tree` repair machinery,
 which quarantines the damaged artefact.  A poisoned entry is therefore
 *detected, quarantined, and recomputed* — never served, which is the
 property the ``poisonmemo`` chaos fault exists to prove.
+
+A warm read costs one sidecar read, one read of the entry's bytes and
+one sha256 over those bytes in memory — on every request, so damage
+that lands after a hit is still caught on the next one.  What a read
+may skip is the decode: a bounded map from *verified digest* to the
+parsed record and its canonical body.  The digest is the sha256 of the
+exact bytes just read, so a reused entry equals what ``json.loads``
+plus :func:`~repro.serve.compute.canonical_json` would give for them.
+Serving a cached body without re-reading the file would skip the check
+that catches bit rot, so the map is never consulted before the hash.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import IntegrityError
 from ..runner import faults
 from ..runner.atomic import write_text_atomic
-from ..runner.integrity import hash_file, read_sidecar, untrack, verify_tree, write_manifest
+from ..runner.integrity import read_sidecar, untrack, verify_tree, write_manifest
 from .compute import canonical_json
 
-__all__ = ["MEMO_DIR", "MemoStore"]
+__all__ = ["MEMO_DIR", "MemoEntry", "MemoStore"]
 
 #: Sub-directory of the serve store holding memo entries.
 MEMO_DIR = "memo"
 
+#: A verified entry: the parsed record and its canonical body bytes.
+MemoEntry = Tuple[dict, bytes]
+
 
 class MemoStore:
     """Persistent memoization of evaluate records, keyed by config hash."""
+
+    #: Bound on the digest -> decoded entry map (oldest dropped first).
+    VERIFIED_ENTRIES = 512
 
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
@@ -43,13 +60,10 @@ class MemoStore:
         self.hits = 0
         self.misses = 0
         self.quarantined = 0
+        self._verified: Dict[str, MemoEntry] = {}
 
     def path(self, key: str) -> Path:
         return self.root / f"{key}.json"
-
-    def has_all(self, keys: Iterable[str]) -> bool:
-        """Whether every key has an entry on disk (unverified: a hint)."""
-        return all(self.path(key).exists() for key in keys)
 
     def __len__(self) -> int:
         entries = (p for p in self.root.glob("*.json") if p.name != "MANIFEST.json")
@@ -60,23 +74,23 @@ class MemoStore:
         verify_tree(self.root, repair=True)
         self.quarantined += 1
 
-    def load(self, key: str) -> Optional[dict]:
-        """The verified record for ``key``, or None (treat as cold).
+    def read(self, key: str) -> Optional[MemoEntry]:
+        """The verified ``(record, canonical body)`` for ``key``, or None.
 
         Never raises for a damaged entry and never returns one: every
         corruption shape ends in quarantine (or removal) plus a miss.
+        The sidecar is read before the bytes, so an entry quarantined
+        between the two reads is a plain miss.
         """
         path = self.path(key)
-        if not path.exists():
-            self.misses += 1
-            return None
         try:
             recorded = read_sidecar(path)
-            digest = None if recorded is None else hash_file(path)
+            data = None if recorded is None else path.read_bytes()
         except IntegrityError:
             # The sidecar itself is rotten; repair rewrites or
             # quarantines, and the entry is not trusted either way.
-            self._demote_corrupt(key)
+            if path.exists():
+                self._demote_corrupt(key)
             self.misses += 1
             return None
         except FileNotFoundError:
@@ -84,26 +98,48 @@ class MemoStore:
             # ``repro verify --repair``): the point computes cold.
             self.misses += 1
             return None
-        if recorded is None or digest != recorded:
+        if data is None or hashlib.sha256(data).hexdigest() != recorded:
             # No sidecar = unvouched entry (someone wrote around the
             # store); mismatch = post-write damage.  Both are cold.
-            if recorded is not None:
+            if data is not None:
                 self._demote_corrupt(key)
             self.misses += 1
             return None
-        try:
-            record = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            record = None
-        if not isinstance(record, dict) or "kind" not in record:
-            # Hash-consistent but semantically unusable: a bad store()
-            # blessed garbage.  Drop it so the rewrite replaces it.
-            path.unlink(missing_ok=True)
-            untrack(path)
-            self.misses += 1
-            return None
+        entry = self._verified.get(recorded)
+        if entry is None:
+            entry = self._decode(data)
+            if entry is None:
+                # Hash-consistent but semantically unusable: a bad
+                # store() blessed garbage.  Drop it so the rewrite
+                # replaces it.
+                path.unlink(missing_ok=True)
+                untrack(path)
+                self.misses += 1
+                return None
+            if len(self._verified) >= self.VERIFIED_ENTRIES:
+                del self._verified[next(iter(self._verified))]
+            self._verified[recorded] = entry
         self.hits += 1
-        return record
+        return entry
+
+    @staticmethod
+    def _decode(data: bytes) -> Optional[MemoEntry]:
+        try:
+            record = json.loads(data.decode("utf-8"))
+        except ValueError:  # undecodable text or JSON
+            return None
+        if not isinstance(record, dict) or "kind" not in record:
+            return None
+        return record, canonical_json(record).encode("utf-8")
+
+    def read_many(self, keys: Sequence[str]) -> List[Optional[MemoEntry]]:
+        """:meth:`read` for each key, in order (one executor hop)."""
+        return [self.read(key) for key in keys]
+
+    def load(self, key: str) -> Optional[dict]:
+        """The verified record for ``key``, or None (treat as cold)."""
+        entry = self.read(key)
+        return None if entry is None else entry[0]
 
     def store(self, key: str, record: dict) -> None:
         """Persist ``record`` under ``key`` with full integrity tracking.
