@@ -1,15 +1,15 @@
-"""Shared infrastructure for the figure/table benchmarks.
+"""Shared infrastructure for the gate benchmarks.
 
-Every benchmark regenerates one paper exhibit end-to-end (traces →
-simulation → timing/area models → TPI series), measures the wall time
-of that regeneration with pytest-benchmark (a single cold round — the
-library memoises aggressively, so repeated rounds would measure cache
-hits), and writes the rendered series to ``benchmarks/output/<id>.txt``
-so the rows the paper reports can be inspected after a run.
+Each ``bench_*.py`` here measures one operational property (telemetry
+overhead, serve load, lint cache, integrity, parallel sweep) and gates
+it; :func:`bench_record` writes its ``BENCH_<name>.json`` under
+``benchmarks/output/`` with the :func:`bench_context` provenance block,
+which ``benchmarks/suite/run.py`` also attaches to its results.
 
-The trace scale is taken from ``REPRO_BENCH_SCALE`` (default 0.5, i.e.
-500k instructions per workload).  Results at different scales differ in
-noise, not shape.
+The paper's exhibits are not benchmarked here: their shapes are checked
+by ``tests/test_exhibit_shapes.py``, their series are written by
+``repro report``, and their wall time is traced by
+``repro report --telemetry`` and read back with ``repro spans``.
 """
 
 from __future__ import annotations
@@ -23,19 +23,8 @@ from pathlib import Path
 import pytest
 
 from repro.runner import write_text_atomic
-from repro.study import run_experiment
-from repro.study.registry import ExperimentResult
-
-#: Default trace scale for benches; override with REPRO_BENCH_SCALE.
-DEFAULT_BENCH_SCALE = 0.5
 
 _OUTPUT_DIR = Path(__file__).parent / "output"
-
-
-@pytest.fixture(scope="session")
-def bench_scale() -> float:
-    raw = os.environ.get("REPRO_BENCH_SCALE", "")
-    return float(raw) if raw else DEFAULT_BENCH_SCALE
 
 
 @pytest.fixture(scope="session")
@@ -48,7 +37,7 @@ def bench_context() -> dict:
     """Shared provenance block attached to every ``BENCH_*.json``.
 
     Machine and toolchain identity (python, platform, CPU count), the
-    trace-scale environment knobs, and the git commit — so a bench
+    trace-scale environment knob, and the git commit — so a bench
     trajectory is comparable across machines and commits instead of a
     bare number with no provenance.
     """
@@ -68,7 +57,6 @@ def bench_context() -> dict:
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "trace_scale_env": os.environ.get("REPRO_TRACE_SCALE"),
-        "bench_scale_env": os.environ.get("REPRO_BENCH_SCALE"),
         "git_sha": git_sha,
     }
 
@@ -89,24 +77,3 @@ def bench_record(output_dir):
 
     return write
 
-
-@pytest.fixture
-def run_exhibit(benchmark, bench_scale, output_dir):
-    """Benchmark one experiment id and persist its rendered series."""
-
-    def run(experiment_id: str, uses_traces: bool = True) -> ExperimentResult:
-        scale = bench_scale if uses_traces else None
-        result = benchmark.pedantic(
-            run_experiment,
-            args=(experiment_id,),
-            kwargs={"scale": scale},
-            rounds=1,
-            iterations=1,
-        )
-        text = result.render()
-        write_text_atomic(output_dir / f"{experiment_id}.txt", text + "\n")
-        print()
-        print(text)
-        return result
-
-    return run

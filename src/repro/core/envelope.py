@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Callable, Iterable, List, Sequence, Tuple, TypeVar
 
 from .evaluate import SystemPerformance
 
-__all__ = ["EnvelopePoint", "best_envelope", "envelope_tpi_at"]
+__all__ = ["EnvelopePoint", "best_envelope", "envelope_tpi_at", "staircase"]
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -30,28 +32,30 @@ class EnvelopePoint:
         return self.performance.label
 
 
-def best_envelope(points: Iterable[SystemPerformance]) -> List[EnvelopePoint]:
-    """The Pareto staircase: configs not dominated in (area, TPI).
+def staircase(items: Iterable[T], area_tpi: Callable[[T], Tuple[float, float]]) -> List[T]:
+    """The items on the Pareto staircase of their ``(area, tpi)`` pairs.
 
-    A configuration is on the envelope iff no other configuration has
-    both no more area and strictly lower TPI (ties in TPI keep the
-    smaller-area config only).
-
-    Returns the corners sorted by increasing area (hence strictly
+    An item is kept iff no other item has both no more area and
+    strictly lower TPI (ties in TPI keep the smaller-area item only).
+    Returns the kept items sorted by increasing area (hence strictly
     decreasing TPI).
     """
-    ordered = sorted(points, key=lambda p: (p.area_rbe, p.tpi_ns))
-    envelope: List[EnvelopePoint] = []
+    kept: List[T] = []
     best_tpi = math.inf
-    for perf in ordered:
-        if perf.tpi_ns < best_tpi - 1e-12:
-            envelope.append(
-                EnvelopePoint(
-                    area_rbe=perf.area_rbe, tpi_ns=perf.tpi_ns, performance=perf
-                )
-            )
-            best_tpi = perf.tpi_ns
-    return envelope
+    for item in sorted(items, key=area_tpi):
+        tpi = area_tpi(item)[1]
+        if tpi < best_tpi - 1e-12:
+            kept.append(item)
+            best_tpi = tpi
+    return kept
+
+
+def best_envelope(points: Iterable[SystemPerformance]) -> List[EnvelopePoint]:
+    """The best-performance envelope: the :func:`staircase` of ``points``."""
+    return [
+        EnvelopePoint(area_rbe=perf.area_rbe, tpi_ns=perf.tpi_ns, performance=perf)
+        for perf in staircase(points, lambda p: (p.area_rbe, p.tpi_ns))
+    ]
 
 
 def envelope_tpi_at(

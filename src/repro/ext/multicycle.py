@@ -20,7 +20,7 @@ Model
   quantised to the datapath clock.
 
 The conjecture is validated in ``tests/test_ext_multicycle.py`` and the
-ablation benchmark ``benchmarks/bench_ablation_multicycle.py``.
+``future-work-multicycle`` row of ``tests/test_exhibit_shapes.py``.
 """
 
 from __future__ import annotations

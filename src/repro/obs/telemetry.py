@@ -19,12 +19,12 @@ Two usage shapes:
   ``if telemetry`` branches *and* of clocks (REP002/REP012: time is
   only ever read inside the tracer, through the injected clock).
 
-Flushing batches: every :meth:`unit_done` marks the bundle dirty and
-rewrites both files once ``flush_every`` units accumulated (plus a
-final :meth:`flush` with the canonical unit order).  Each rewrite is a
-whole-file atomic replace, so a crashed run leaves valid telemetry that
-is at most ``flush_every`` units stale — the same crash-safety contract
-as the journal at a fraction of the fsync traffic.
+Telemetry is written once per run: the runner's final :meth:`flush`
+(with the canonical unit order), made by every run that completes or
+drains, writes both files through tracked atomic writes.  A crashed
+run leaves no ``METRICS.jsonl`` / ``SPANS.jsonl``; its per-unit record
+is the journal, from which ``repro metrics`` synthesises the same
+counters and duration histogram.
 """
 
 from __future__ import annotations
@@ -53,15 +53,12 @@ class Telemetry:
         enabled: bool = True,
         clock: Optional[Clock] = None,
         max_spans: Optional[int] = None,
-        flush_every: int = 16,
     ):
         self.enabled = enabled
         self.clock = clock if clock is not None else SYSTEM_CLOCK
         self.registry = MetricsRegistry()
         self.tracer = Tracer(clock=self.clock, max_spans=max_spans)
-        self.flush_every = max(1, int(flush_every))
         self.out_dir: Optional[Path] = None
-        self._dirty = 0
 
     # -- instrumentation surface ------------------------------------
 
@@ -123,20 +120,12 @@ class Telemetry:
         self.out_dir = Path(out_dir)
         return self
 
-    def unit_done(self) -> None:
-        """Mark one unit's telemetry recorded; flush every ``flush_every``."""
-        if not self.enabled or self.out_dir is None:
-            return
-        self._dirty += 1
-        if self._dirty >= self.flush_every:
-            self.flush()
-
     def flush(self, unit_order: Optional[Sequence[str]] = None) -> None:
-        """Atomically rewrite ``METRICS.jsonl`` and ``SPANS.jsonl``.
+        """Atomically write ``METRICS.jsonl`` and ``SPANS.jsonl``.
 
-        With ``unit_order`` (the final flush of a run) the span log is
-        canonically reordered so its structure is independent of
-        worker scheduling.
+        With ``unit_order`` (the runner's end-of-run flush) the span
+        log is canonically reordered so its structure is independent
+        of worker scheduling.
         """
         if not self.enabled or self.out_dir is None:
             return
@@ -153,7 +142,6 @@ class Telemetry:
         write_text_atomic(
             self.out_dir / SPANS_NAME, spans_jsonl(records), track=True
         )
-        self._dirty = 0
 
 
 class _NullSpanType(Span):

@@ -14,8 +14,8 @@ parameters the timing model uses: the switched capacitance of the
 decoder, word line, bit lines, sense amplifiers, comparator and output
 drivers of the active subarray gives a per-access energy, and combining
 per-level access energies with the simulated access counts gives energy
-per instruction.  ``repro.power.study`` reproduces the claim as an
-experiment (see ``benchmarks/bench_power_claim.py``).
+per instruction.  Experiment ``ext1`` reproduces the claim, and
+``tests/test_exhibit_shapes.py`` checks its shape.
 """
 
 from .energy import EnergyBreakdown, cache_access_energy, optimal_access_energy

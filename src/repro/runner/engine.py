@@ -448,5 +448,4 @@ class Runner:
         if self.journal is not None and outcome.ok and unit.to_record is not None:
             stored = unit.to_record(outcome.value)
         record_outcome(self.journal, unit, outcome, stored)
-        self.telemetry.unit_done()
         return outcome

@@ -534,7 +534,6 @@ class PoolRunner(Runner):
                                 other.cancel()
                     outcomes[unit.unit_id] = outcome
                     record_outcome(self.journal, unit, outcome, stored)
-                    self.telemetry.unit_done()
                     if outcome.status == "failed" and not self.keep_going and not stopping:
                         stopping = True
                         for other in not_done:

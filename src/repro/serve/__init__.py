@@ -15,7 +15,6 @@ from .compute import (
     RECORD_SCHEMA,
     canonical_json,
     compute_point,
-    envelope_records,
     normalize_point,
     normalize_sweep,
     point_key,
@@ -48,7 +47,6 @@ __all__ = [
     "RECORD_SCHEMA",
     "canonical_json",
     "compute_point",
-    "envelope_records",
     "normalize_point",
     "normalize_sweep",
     "point_key",

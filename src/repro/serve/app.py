@@ -43,10 +43,12 @@ import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from ..core.config import SystemConfig
+from ..core.envelope import staircase
 from ..errors import ReproError, RunnerError, ServeError, UnitTimeoutError
 from ..obs import Telemetry
 from ..runner import (
@@ -61,7 +63,6 @@ from .breaker import CircuitBreaker
 from .compute import (
     canonical_json,
     compute_point,
-    envelope_records,
     normalize_point,
     normalize_sweep,
     point_key,
@@ -287,14 +288,34 @@ class ServeApp:
         CircuitBreaker.OPEN: 2,
     }
 
-    def _sync_live_metrics(self) -> None:
+    def _live_blocks(self) -> Tuple[dict, dict]:
+        """The ``memo`` and ``admission`` blocks of /healthz and /v1/stats.
+
+        Counts the memo entries once: ``len(self.memo)`` walks the
+        store, so async callers must run this through the I/O executor.
+        """
+        hit_rate = self.memo_hit_rate()
+        memo = {
+            "hits": self.memo.hits,
+            "misses": self.memo.misses,
+            "quarantined": self.memo.quarantined,
+            "entries": len(self.memo),
+            "hit_rate": None if hit_rate is None else round(hit_rate, 4),
+        }
+        admission = {
+            "active": self.admission.active,
+            "waiting": self.admission.waiting,
+            "shed": self.admission.shed,
+        }
+        return memo, admission
+
+    def _sync_live_metrics(self, memo_entries: int) -> None:
         """Project live object state into the registry before rendering.
 
         Counters use ``set_to`` (projection, not increment) so repeat
         scrapes never double-count; the sources of truth stay the live
-        objects (``stats``, memo, admission, breaker).  Blocking bits
-        (``len(self.memo)`` walks the store) mean async callers must
-        run this through the I/O executor.
+        objects (``stats``, memo, admission, breaker).  The caller
+        counts ``memo_entries`` (a store walk) once per request.
         """
         registry = self.telemetry.registry
         for name, value in self.stats.items():
@@ -316,32 +337,22 @@ class ServeApp:
             0.0 if self.degraded_reason is None else 1.0
         )
         registry.gauge("repro_serve_uptime_seconds").set(round(self.uptime_s(), 3))
-        registry.gauge("repro_serve_memo_entries").set(float(len(self.memo)))
+        registry.gauge("repro_serve_memo_entries").set(float(memo_entries))
 
     def _metrics_text(self) -> str:
-        self._sync_live_metrics()
+        self._sync_live_metrics(len(self.memo))
         return self.telemetry.registry.render_prometheus()
 
     def _stats_document(self) -> dict:
-        self._sync_live_metrics()
-        hit_rate = self.memo_hit_rate()
+        memo, admission = self._live_blocks()
+        self._sync_live_metrics(memo["entries"])
         return {
             "schema": 1,
             "uptime_s": round(self.uptime_s(), 3),
             "in_flight": self._in_flight,
             "requests": dict(self.stats),
-            "memo": {
-                "hits": self.memo.hits,
-                "misses": self.memo.misses,
-                "quarantined": self.memo.quarantined,
-                "entries": len(self.memo),
-                "hit_rate": None if hit_rate is None else round(hit_rate, 4),
-            },
-            "admission": {
-                "active": self.admission.active,
-                "waiting": self.admission.waiting,
-                "shed": self.admission.shed,
-            },
+            "memo": memo,
+            "admission": admission,
             "breaker": self.breaker.state,
             "degraded_reason": self.degraded_reason,
             "spans_recorded": self.telemetry.tracer.recorded,
@@ -654,7 +665,7 @@ class ServeApp:
                 "schema": 1,
                 "kind": "envelope",
                 "workload": workload,
-                "points": envelope_records(records),
+                "points": staircase(records, itemgetter("area_rbe", "tpi_ns")),
             }
         )
         headers = {"X-Repro-Sources": json.dumps(sources, sort_keys=True)}
@@ -662,7 +673,7 @@ class ServeApp:
 
     def health(self) -> dict:
         """The /healthz document (also used directly by tests)."""
-        hit_rate = self.memo_hit_rate()
+        memo, admission = self._live_blocks()
         if self.draining:
             status = "draining"
         elif self.degraded_reason:
@@ -679,18 +690,8 @@ class ServeApp:
             "pool_deaths": self.pool_deaths,
             "uptime_s": round(self.uptime_s(), 3),
             "in_flight": self._in_flight,
-            "memo": {
-                "hits": self.memo.hits,
-                "misses": self.memo.misses,
-                "quarantined": self.memo.quarantined,
-                "entries": len(self.memo),
-                "hit_rate": None if hit_rate is None else round(hit_rate, 4),
-            },
-            "admission": {
-                "active": self.admission.active,
-                "waiting": self.admission.waiting,
-                "shed": self.admission.shed,
-            },
+            "memo": memo,
+            "admission": admission,
             "requests": dict(self.stats),
         }
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.config import SystemConfig
 from ..core.evaluate import SystemPerformance, evaluate
@@ -43,7 +43,6 @@ __all__ = [
     "point_key",
     "point_record",
     "tpi_record",
-    "envelope_records",
     "canonical_json",
     "compute_point",
 ]
@@ -221,23 +220,6 @@ def tpi_record(record: dict) -> dict:
         "tpi_ns": record["tpi_ns"],
         "area_rbe": record["area_rbe"],
     }
-
-
-def envelope_records(records: Sequence[dict]) -> List[dict]:
-    """The lower-left Pareto staircase over evaluate records.
-
-    Mirrors :func:`repro.core.envelope.best_envelope` (sorted by area,
-    keep strict TPI improvements) over JSON records instead of
-    performance objects.
-    """
-    ordered = sorted(records, key=lambda r: (r["area_rbe"], r["tpi_ns"]))
-    staircase: List[dict] = []
-    best = math.inf
-    for record in ordered:
-        if record["tpi_ns"] < best - 1e-12:
-            staircase.append(record)
-            best = record["tpi_ns"]
-    return staircase
 
 
 def canonical_json(document: dict) -> str:

@@ -25,7 +25,7 @@ from repro.obs import (
     render_spans,
     spans_jsonl,
 )
-from repro.runner import RunJournal
+from repro.runner import RunJournal, Runner, RunUnit
 
 TEMPLATE = SystemConfig(l1_bytes=2048, l2_bytes=16384)
 
@@ -288,6 +288,28 @@ class TestTelemetryBundle:
             assert (tmp_path / name).exists()
             assert (tmp_path / f"{name}.sha256").exists()
         assert load_run_spans(tmp_path)[0]["unit"] == "u1"
+
+    def test_serial_run_writes_telemetry_once(self, tmp_path, monkeypatch):
+        """A run writes its span log once, at the end, not per batch of units."""
+        import repro.runner.atomic as atomic
+
+        written = []
+        real_write = atomic.write_text_atomic
+
+        def counting_write(path, text, **kwargs):
+            written.append(path.name)
+            return real_write(path, text, **kwargs)
+
+        monkeypatch.setattr(atomic, "write_text_atomic", counting_write)
+        bundle = Telemetry(clock=ManualClock()).bind(tmp_path)
+        units = [
+            RunUnit(f"u{i:02d}", {"i": i}, run=lambda i=i: i) for i in range(48)
+        ]
+        result = Runner(telemetry=bundle).run(units)
+        assert len(result.outcomes) == 48
+        assert written.count("SPANS.jsonl") == 1
+        assert written.count("METRICS.jsonl") == 1
+        assert len(load_run_spans(tmp_path)) >= 48
 
 
 class TestJournalSchemaCompat:

@@ -9,11 +9,13 @@ import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.config import SystemConfig
-from repro.core.evaluate import evaluate
+from repro.core.envelope import best_envelope
+from repro.core.evaluate import evaluate, system_area_rbe
 from repro.errors import ServeError
 from repro.runner import ResourceWatchdog, WatchdogPolicy, faults, write_text_atomic
 from repro.runner.integrity import write_sidecar
@@ -383,6 +385,30 @@ class TestServeHTTP:
         assert tpis == sorted(tpis, reverse=True)
         assert json.loads(h1["x-repro-sources"]) == {"cold": 4}
 
+    def test_envelope_is_best_envelope_through_a_tpi_tie(self, tmp_path, monkeypatch):
+        """/v1/envelope keeps the corners best_envelope keeps, ties included."""
+        import repro.serve.compute as compute
+
+        request = {"workload": "gcc1", "scale": 0.02, "l1_sizes_kb": [1, 2], "l2_sizes_kb": [0, 8]}
+        configs, _, _ = normalize_sweep(request)
+        by_area = sorted(configs, key=system_area_rbe)
+        # The second- and third-smallest points tie: only the smaller stays.
+        tpis = dict(zip((c.label for c in by_area), (5.0, 4.0, 4.0, 3.0)))
+        real_record = compute.point_record
+
+        def tied_record(perf):
+            return dict(real_record(perf), tpi_ns=tpis[perf.label])
+
+        monkeypatch.setattr(compute, "point_record", tied_record)
+        with BackgroundServer(tmp_path / "store") as server:
+            _, _, swept = server.request("POST", "/v1/sweep", request)
+            status, _, body = server.request("POST", "/v1/envelope", request)
+        assert status == 200
+        points = [SimpleNamespace(**record) for record in json.loads(swept)["points"]]
+        expected = [corner.label for corner in best_envelope(points)]
+        assert [p["label"] for p in json.loads(body)["points"]] == expected
+        assert expected == [by_area[0].label, by_area[1].label, by_area[3].label]
+
     def test_error_model(self, tmp_path):
         with BackgroundServer(tmp_path / "store") as server:
             bad_json = server.request("POST", "/v1/evaluate", None)
@@ -557,6 +583,23 @@ class TestObservabilityEndpoints:
         assert health["uptime_s"] > 0
         assert health["in_flight"] >= 1  # the health request itself
         assert health["memo"]["hit_rate"] == 0.3333
+
+    def test_one_memo_walk_per_scrape(self, tmp_path, monkeypatch):
+        """Counting the memo entries walks the store: once per request."""
+        walks = []
+        real_len = MemoStore.__len__
+
+        def counted_len(store):
+            walks.append(1)
+            return real_len(store)
+
+        monkeypatch.setattr(MemoStore, "__len__", counted_len)
+        with BackgroundServer(tmp_path / "store") as server:
+            server.request("POST", "/v1/evaluate", PAYLOAD)
+            for path in ("/v1/stats", "/metrics", "/healthz"):
+                walks.clear()
+                assert server.request("GET", path)[0] == 200
+                assert len(walks) == 1, path
 
     def test_every_request_is_tagged_with_a_fresh_id(self, tmp_path):
         with BackgroundServer(tmp_path / "store") as server:
