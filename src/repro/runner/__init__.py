@@ -22,6 +22,7 @@ from .engine import (
     RunResult,
     RunUnit,
     UnitOutcome,
+    crashed_outcome,
     error_record,
     execute_attempts,
     record_outcome,
@@ -56,7 +57,7 @@ from .lifecycle import (
     Supervisor,
     read_heartbeats,
 )
-from .pool import PoolRunner, resolve_workers, run_units
+from .pool import PoolRunner, WorkerTask, execute_task, resolve_workers, run_units
 from .watchdog import ResourceWatchdog, WatchdogPolicy, peak_rss_bytes
 
 __all__ = [
@@ -69,6 +70,7 @@ __all__ = [
     "RunResult",
     "RunUnit",
     "UnitOutcome",
+    "crashed_outcome",
     "error_record",
     "execute_attempts",
     "record_outcome",
@@ -98,6 +100,8 @@ __all__ = [
     "Supervisor",
     "read_heartbeats",
     "PoolRunner",
+    "WorkerTask",
+    "execute_task",
     "resolve_workers",
     "run_units",
     "ResourceWatchdog",

@@ -50,6 +50,7 @@ __all__ = [
     "UnitOutcome",
     "RunResult",
     "Runner",
+    "crashed_outcome",
     "error_record",
     "execute_attempts",
     "record_outcome",
@@ -233,6 +234,30 @@ def error_record(unit: RunUnit, error: BaseException, attempts: int, elapsed_s: 
         "attempts": attempts,
         "elapsed_s": round(elapsed_s, 6),
     }
+
+
+def crashed_outcome(
+    unit: RunUnit, error: BaseException, attempts: int, started_at: float
+) -> UnitOutcome:
+    """The ``failed`` outcome of a unit whose worker never replied.
+
+    ``started_at`` is the wall-clock time the unit was handed to the
+    worker.  A lost worker hides the attempt boundaries, so
+    ``duration_s`` spans every attempt, like ``elapsed_s``.
+    """
+    ended_at = time.time()
+    elapsed = max(0.0, ended_at - started_at)
+    return UnitOutcome(
+        unit.unit_id,
+        "failed",
+        attempts=attempts,
+        elapsed_s=elapsed,
+        duration_s=elapsed,
+        started_at=started_at,
+        ended_at=ended_at,
+        error=error_record(unit, error, attempts, elapsed),
+        exception=error,
+    )
 
 
 def execute_attempts(

@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
@@ -85,6 +86,9 @@ FAILURES_NAME = "FAILURES.json"
 
 _CHUNK = 1 << 20
 
+#: The digest field a canonical sidecar opens with.
+_DIGEST = re.compile(rb"[0-9a-f]{64}")
+
 
 def hash_file(path: Union[str, Path]) -> str:
     """The sha256 hex digest of ``path``'s current contents."""
@@ -128,24 +132,26 @@ def read_sidecar(path: Union[str, Path]) -> Optional[str]:
         diverge the byte-level tree fingerprint — so any deviation is
         corruption, and repair rewrites the canonical form.
     """
-    path = Path(path)
-    sidecar = _sidecar_path(path)
+    name = os.path.basename(path)
+    sidecar = f"{os.fspath(path)}{SIDECAR_SUFFIX}"
     try:
-        raw = sidecar.read_text()
+        with open(sidecar, "rb") as handle:
+            data = handle.read()
     except FileNotFoundError:
         return None
+    if _DIGEST.match(data) and data[64:] == b"  " + os.fsencode(name) + b"\n":
+        return data[:64].decode("ascii")
+    # Not canonical: decode only to say how the sidecar is corrupt.
+    try:
+        raw = data.decode("utf-8")
     except UnicodeDecodeError:
         raise IntegrityError(
             f"{sidecar}: corrupt sha256 sidecar (not valid text)"
         ) from None
     digest = raw.split()[0] if raw.strip() else ""
-    if len(digest) != 64 or any(c not in "0123456789abcdef" for c in digest):
+    if not _DIGEST.fullmatch(digest.encode("utf-8")):
         raise IntegrityError(f"{sidecar}: corrupt sha256 sidecar: {raw.strip()[:40]!r}")
-    if raw != f"{digest}  {path.name}\n":
-        raise IntegrityError(
-            f"{sidecar}: sidecar deviates from canonical sha256sum form"
-        )
-    return digest
+    raise IntegrityError(f"{sidecar}: sidecar deviates from canonical sha256sum form")
 
 
 def matches_sidecar(path: Union[str, Path]) -> bool:

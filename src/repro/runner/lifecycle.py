@@ -27,9 +27,9 @@ cooperative-cancellation story:
   a stuck unit off the main thread;
 * **budgets** — :func:`unit_timeout` (relocated here from the engine,
   which re-exports it) enforces a per-unit wall-clock budget and is
-  how serve's per-request deadline travels into the pool: the request
-  dict carries ``budget_s`` and the worker's pre-emptive ``SIGALRM``
-  frees the slot the moment the budget blows.
+  how serve's per-request deadline travels into the pool: a served
+  point is a unit whose ``timeout_s`` is the deadline, and the worker's
+  pre-emptive ``SIGALRM`` frees the slot the moment the budget blows.
 
 This is the only module in the package sanctioned to install signal
 handlers or hard-exit (lint rule REP013); everything else expresses

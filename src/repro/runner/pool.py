@@ -50,6 +50,7 @@ import os
 import pickle
 import shutil
 import tempfile
+import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -65,7 +66,7 @@ from .engine import (
     RunResult,
     RunUnit,
     UnitOutcome,
-    error_record,
+    crashed_outcome,
     execute_attempts,
     record_outcome,
     resume_outcome,
@@ -74,7 +75,7 @@ from .journal import RunJournal
 from .lifecycle import CancelToken, Heartbeat, HeartbeatRecord, read_heartbeats
 from .watchdog import ResourceWatchdog, peak_rss_bytes
 
-__all__ = ["PoolRunner", "resolve_workers", "run_units"]
+__all__ = ["PoolRunner", "WorkerTask", "execute_task", "resolve_workers", "run_units"]
 
 
 def resolve_workers(spec: Union[None, int, str]) -> Optional[int]:
@@ -107,11 +108,13 @@ def resolve_workers(spec: Union[None, int, str]) -> Optional[int]:
 
 
 @dataclass(frozen=True)
-class _WorkerTask:
+class WorkerTask:
     """What a worker process needs to run one unit.
 
     ``unit`` is stripped of its parent-side ``check_skip`` and
     ``from_record`` callables, which may be unpicklable closures.
+    ``repro serve`` submits these to its own long-lived executor, so a
+    served point runs the same attempt loop as a pooled batch unit.
     """
 
     unit: RunUnit
@@ -122,7 +125,7 @@ class _WorkerTask:
     heartbeat_dir: Optional[str] = None
 
 
-def _execute_task(task: _WorkerTask) -> dict:
+def execute_task(task: WorkerTask) -> dict:
     """Worker entry point: run the attempt loop, return a picklable reply.
 
     With ``telemetry_on`` the worker records this unit's metrics and
@@ -428,11 +431,12 @@ class PoolRunner(Runner):
         stopping = False
         rebuild = False
         drained = False
+        handed_at = time.time()
         try:
             futures = {
                 executor.submit(
-                    _execute_task,
-                    _WorkerTask(
+                    execute_task,
+                    WorkerTask(
                         unit=replace(unit, check_skip=None, from_record=None),
                         retry=self.retry,
                         timeout_s=self.timeout_s,
@@ -499,13 +503,7 @@ class PoolRunner(Runner):
                             raise crash
                         # Infrastructure failure around one unit (e.g.
                         # an unpicklable reply): a structured failure.
-                        outcome = UnitOutcome(
-                            unit.unit_id,
-                            "failed",
-                            attempts=1,
-                            error=error_record(unit, crash, 1, 0.0),
-                            exception=crash,
-                        )
+                        outcome = crashed_outcome(unit, crash, 1, handed_at)
                         stored = None
                     else:
                         reply = future.result()

@@ -13,14 +13,16 @@ queries through a three-tier resolution path, cheapest first:
 3. **cold** — the computation is admitted through a bounded queue
    (:class:`~repro.serve.admission.AdmissionController`, shedding with
    503 + Retry-After when full), gated by a
-   :class:`~repro.serve.breaker.CircuitBreaker`, fanned to a reusable
-   process pool with deterministic exponential-backoff retries, and
-   bounded by a per-request deadline (504 + Retry-After).
+   :class:`~repro.serve.breaker.CircuitBreaker`, and run on a reusable
+   process pool as one :class:`~repro.runner.RunUnit` by the runner's
+   attempt loop, whose deterministic-backoff retries and per-request
+   deadline (504 + Retry-After) act inside the worker.
 
 The fault-tolerance ladder for the backend: a broken pool is rebuilt
-and the attempt retried; repeated pool deaths (or a worker breaching
-the :class:`~repro.runner.watchdog.ResourceWatchdog` RSS ceiling)
-degrade the service to serial in-process execution — slower but
+and the unit resubmitted within its attempt budget; repeated pool
+deaths (or a worker breaching the
+:class:`~repro.runner.watchdog.ResourceWatchdog` RSS ceiling) degrade
+the service to serial in-process execution — slower but
 available — with ``degraded_reason`` surfaced on ``/healthz`` and in
 the journal; persistent failures open the breaker, converting every
 doomed request into an immediate honest 503.
@@ -42,7 +44,7 @@ import signal
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
@@ -56,6 +58,11 @@ from ..runner import (
     ResourceWatchdog,
     RetryPolicy,
     RunJournal,
+    RunUnit,
+    WorkerTask,
+    crashed_outcome,
+    execute_task,
+    record_outcome,
     resolve_workers,
 )
 from .admission import AdmissionController
@@ -66,6 +73,7 @@ from .compute import (
     normalize_point,
     normalize_sweep,
     point_key,
+    point_payload,
     tpi_record,
 )
 from .errors import (
@@ -142,10 +150,12 @@ class ServePolicy:
 
     ``max_active``/``max_waiting`` bound the cold-compute request queue
     (beyond which requests are shed); ``deadline_s`` is the per-request
-    compute budget; ``retries`` the extra attempts a cold compute gets
-    (backoff jitter derives from the seeded LFSR and the canonical
-    key — REP002-clean); ``pool_death_limit`` the pool rebuilds
-    tolerated before degrading to serial execution.
+    compute budget, per attempt in the worker; ``retries`` the extra
+    attempts a cold compute gets after a transient failure in the
+    worker, or resubmissions after a pool death (backoff jitter derives
+    from the seeded LFSR and the canonical key — REP002-clean);
+    ``pool_death_limit`` the pool rebuilds tolerated before degrading
+    to serial execution.
     """
 
     max_active: int = 4
@@ -406,17 +416,17 @@ class ServeApp:
         self._pool_futures.discard(future)
         if not future.cancelled():
             # A 504'd request abandons its await; retrieve the outcome
-            # so the worker's UnitTimeoutError never warns at GC.
+            # so a pool death nobody awaits never warns at GC.
             future.exception()
 
-    async def _submit(self, request: dict) -> dict:
+    async def _submit(self, task: WorkerTask) -> dict:
         loop = asyncio.get_running_loop()
         backend = self._backend()
         if backend is None:
             # Degraded/serial: the default thread executor keeps the
             # event loop (health checks, shedding) responsive.
-            return await loop.run_in_executor(None, compute_point, request)
-        future = loop.run_in_executor(backend, compute_point, request)
+            return await loop.run_in_executor(None, execute_task, task)
+        future = loop.run_in_executor(backend, execute_task, task)
         self._pool_futures.add(future)
         future.add_done_callback(self._pool_future_done)
         return await future
@@ -444,42 +454,20 @@ class ServeApp:
             self._io_executor, self.memo.store, key, record
         )
 
-    async def _journal_record(
-        self, unit: str, key: str, status: str, **fields: Any
-    ) -> None:
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(
-            self._io_executor,
-            functools.partial(self.journal.record, unit, key, status, **fields),
-        )
+    async def _compute_cold(self, unit: RunUnit) -> dict:
+        """One admitted cold computation: pool healing, then the journal.
 
-    async def _journal_failure(
-        self, key: str, attempts: int, started: float, error: BaseException
-    ) -> None:
-        await self._journal_record(
-            key,
-            key,
-            "failed",
-            attempts=attempts,
-            elapsed_s=time.monotonic() - started,
-            error={
-                "unit": key,
-                "type": type(error).__name__,
-                "message": str(error),
-                "degraded_reason": self.degraded_reason,
-            },
-        )
-
-    async def _compute_cold(self, key: str, request: dict) -> dict:
-        """One admitted cold computation: retries, pool healing, journal."""
-        started = time.monotonic()
-        attempts = 0
+        Fault hooks, retries and the deadline act in the worker's attempt
+        loop; this loop only resubmits after a pool death, without backoff.
+        """
+        task = WorkerTask(unit, retry=self.retry, timeout_s=self.policy.deadline_s)
+        handed_at = time.time()
+        submissions = 0
         while True:
-            attempts += 1
+            submissions += 1
             try:
-                reply = await self._submit(request)
+                reply = await self._submit(task)
             except BrokenProcessPool as error:
-                failure: BaseException = error
                 self.pool_deaths += 1
                 self.breaker.record_failure()
                 self._discard_pool()
@@ -488,61 +476,56 @@ class ServeApp:
                         f"worker pool died {self.pool_deaths} times; "
                         f"degraded to serial execution"
                     )
-            except asyncio.CancelledError:
-                raise
-            except UnitTimeoutError as error:
-                # The request's deadline, propagated into the worker as
-                # ``budget_s``, fired: the client is already getting its
-                # 504 from the front-end race, so retrying would burn
-                # another pool slot computing an answer nobody awaits.
-                # Not a breaker failure — the backend is healthy, the
-                # request was just too expensive for its budget.
-                await self._journal_failure(key, attempts, started, error)
-                raise DeadlineError(
-                    f"compute for {key} exceeded its "
-                    f"{self.policy.deadline_s:g}s budget in the worker",
-                    retry_after_s=self.policy.retry_after_s,
-                ) from None
-            except Exception as error:  # transient compute failure
-                failure = error
-                self.breaker.record_failure()
+                if submissions < self.retry.max_attempts:
+                    continue
+                outcome = crashed_outcome(unit, error, submissions, handed_at)
             else:
-                self.breaker.record_success()
-                rss = reply.get("rss_bytes")
+                outcome = reply["outcome"]
+                rss = reply["rss_bytes"]
                 if self.watchdog.over_rss(rss):
                     self._degrade(
                         f"worker peak RSS {rss} bytes exceeded the "
                         f"{self.watchdog.policy.max_worker_rss_bytes}-byte "
                         f"watchdog ceiling; degraded to serial execution"
                     )
-                record = reply["record"]
-                await self._memo_store(key, record)
-                self.stats["cold"] += 1
-                await self._journal_record(
-                    key,
-                    key,
-                    "ok",
-                    attempts=attempts,
-                    elapsed_s=time.monotonic() - started,
-                    result={
-                        "source": "cold",
-                        "label": record.get("label"),
-                        "workload": record.get("workload"),
-                        "degraded_reason": self.degraded_reason,
-                    },
-                )
-                return record
-            if attempts < self.retry.max_attempts:
-                # Deterministic backoff: jitter derives from the seeded
-                # LFSR and the canonical key, never the global RNG.
-                await asyncio.sleep(self.retry.delay(attempts, key))
-                continue
-            await self._journal_failure(key, attempts, started, failure)
-            raise UpstreamError(
-                f"compute for {key} failed after {attempts} attempt(s): "
-                f"{failure}",
-                retry_after_s=self.policy.retry_after_s,
+            break
+        stored = None
+        if outcome.ok:
+            record = outcome.value["record"]
+            await self._memo_store(unit.key, record)
+            stored = {
+                "source": "cold",
+                "label": record["label"],
+                "workload": record["workload"],
+                "degraded_reason": self.degraded_reason,
+            }
+        else:
+            outcome = replace(
+                outcome, error=dict(outcome.error, degraded_reason=self.degraded_reason)
             )
+        await asyncio.get_running_loop().run_in_executor(
+            self._io_executor, record_outcome, self.journal, unit, outcome, stored
+        )
+        if outcome.ok:
+            self.breaker.record_success()
+            self.stats["cold"] += 1
+            return record
+        if isinstance(outcome.exception, UnitTimeoutError):
+            # The request's deadline, enforced in the worker, fired: the
+            # client is already getting its 504 from the front-end race.
+            # Not a breaker failure — the backend is healthy, the
+            # request was just too expensive for its budget.
+            raise DeadlineError(
+                f"compute for {unit.unit_id} exceeded its "
+                f"{self.policy.deadline_s:g}s budget in the worker",
+                retry_after_s=self.policy.retry_after_s,
+            ) from None
+        self.breaker.record_failure()
+        raise UpstreamError(
+            f"compute for {unit.unit_id} failed after {outcome.attempts} "
+            f"attempt(s): {outcome.error['message']}",
+            retry_after_s=self.policy.retry_after_s,
+        )
 
     async def _resolve_cold(
         self, config: SystemConfig, workload: str, scale: Optional[float], key: str
@@ -556,20 +539,9 @@ class ServeApp:
         if entry is not None:
             self.stats["memo"] += 1
             return entry, "memo"
-        request = {
-            "key": key,
-            "config": config.to_dict(),
-            "workload": workload,
-            "scale": scale,
-            # Deadline propagation: the worker enforces the request's
-            # budget itself (pre-emptive SIGALRM on its main thread), so
-            # a 504'd request frees its pool slot instead of leaking the
-            # computation.
-            "budget_s": self.policy.deadline_s,
-        }
-        record, leader = await self.flight.run(
-            key, lambda: self._compute_cold(key, request)
-        )
+        payload = point_payload(config, workload, scale)
+        unit = RunUnit(key, payload, run=functools.partial(compute_point, payload))
+        record, leader = await self.flight.run(key, lambda: self._compute_cold(unit))
         if not leader:
             self.stats["coalesced"] += 1
         body = canonical_json(record).encode("utf-8")

@@ -14,10 +14,13 @@ record, which is a pure function of the normalized request — so a memo
 hit, a coalesced wait, and a cold compute all produce the same bytes
 as a fresh serial :func:`repro.core.evaluate.evaluate` of that config.
 
-:func:`compute_point` is the function shipped to pool workers; it is
-module-level (picklable) and consults the fault hooks exactly like the
-batch engine's unit bodies, so ``REPRO_FAULTS`` serve-side kinds fire
-inside workers.
+A cold point is one :class:`~repro.runner.RunUnit`: its id and journal
+key are the canonical key, its payload is :func:`point_payload`, and
+its body is the module-level (picklable) :func:`compute_point`.  The
+service runs it through the runner's attempt loop
+(:func:`repro.runner.execute_task`), which owns the fault hooks, the
+retries and the deadline, so ``REPRO_FAULTS`` serve-side kinds fire
+inside workers exactly as for a batch unit.
 """
 
 from __future__ import annotations
@@ -30,9 +33,7 @@ from ..core.config import SystemConfig
 from ..core.evaluate import SystemPerformance, evaluate
 from ..core.explorer import design_space
 from ..errors import ConfigurationError
-from ..runner import faults, unit_key
-from ..runner.lifecycle import unit_timeout
-from ..runner.watchdog import peak_rss_bytes
+from ..runner import unit_key
 from ..traces.workloads import WORKLOADS
 from .errors import BadRequestError
 
@@ -40,6 +41,7 @@ __all__ = [
     "RECORD_SCHEMA",
     "normalize_point",
     "normalize_sweep",
+    "point_payload",
     "point_key",
     "point_record",
     "tpi_record",
@@ -173,16 +175,20 @@ def normalize_sweep(
     return configs, _workload_from(payload), _scale_from(payload)
 
 
+def point_payload(config: SystemConfig, workload: str, scale: Optional[float]) -> dict:
+    """The plain-JSON description of a point: its key's preimage and the
+    request :func:`compute_point` evaluates."""
+    return {
+        "kind": "evaluate",
+        "workload": workload,
+        "scale": scale,
+        "config": config.to_dict(),
+    }
+
+
 def point_key(config: SystemConfig, workload: str, scale: Optional[float]) -> str:
     """The canonical content hash a point request is served under."""
-    return unit_key(
-        {
-            "kind": "evaluate",
-            "workload": workload,
-            "scale": scale,
-            "config": config.to_dict(),
-        }
-    )
+    return unit_key(point_payload(config, workload, scale))
 
 
 def point_record(perf: SystemPerformance) -> dict:
@@ -228,26 +234,13 @@ def canonical_json(document: dict) -> str:
 
 
 def compute_point(request: dict) -> dict:
-    """Evaluate one normalized point — the pool-worker entry point.
+    """Evaluate one normalized point: the body of a served unit.
 
-    ``request`` is the plain-JSON shape the service submits:
-    ``{"key", "config", "workload", "scale"}``.  Runs the same fault
-    hooks as a batch unit (under the canonical key as unit id), so the
-    serve-side ``REPRO_FAULTS`` kinds fire here, inside the worker.
-    Returns the record plus the worker's peak RSS for the watchdog.
-
-    ``budget_s``, when present, is the request's deadline propagated
-    into the worker as a wall-clock budget: on the worker's main thread
-    the pre-emptive ``SIGALRM`` cancels the computation the moment the
-    budget blows — the pool slot is freed at the same instant the
-    service answers 504, instead of the abandoned compute occupying a
-    worker.  (On the degraded in-thread path the budget is enforced
-    post-hoc; the slot frees when the unit completes.)
+    ``request`` is plain JSON holding ``config``, ``workload`` and
+    ``scale`` (a :func:`point_payload`; other fields are ignored).
+    Fault hooks, retries and the deadline belong to the attempt loop
+    that runs this body, not to the body itself.
     """
-    key = request["key"]
     config = SystemConfig.from_dict(request["config"])
-    with unit_timeout(request.get("budget_s")):
-        with faults.unit_scope(key):
-            faults.before_unit(key)
-            perf = evaluate(config, request["workload"], scale=request["scale"])
-    return {"record": point_record(perf), "rss_bytes": peak_rss_bytes()}
+    perf = evaluate(config, request["workload"], scale=request["scale"])
+    return {"record": point_record(perf)}

@@ -79,7 +79,7 @@ class DeadlineError(ServeError):
     """The request exceeded its per-request deadline (504).
 
     The deadline travels into the worker as the unit's wall-clock
-    budget (``budget_s``), so the underlying computation is cancelled
+    budget (``timeout_s``), so the underlying computation is cancelled
     at the same moment the client gets its 504 — a blown request frees
     its pool slot instead of occupying a worker to compute an answer
     nobody is waiting for.

@@ -29,9 +29,10 @@ from __future__ import annotations
 import json
 import os
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 from ..errors import AbortError, ReproError
 from ..obs.telemetry import DISABLED as _DISABLED_TELEMETRY, Telemetry
@@ -48,7 +49,7 @@ from .registry import experiment_ids
 from .repair import verify_and_repair
 from .resultstore import write_report
 
-__all__ = ["ChaosResult", "run_chaos"]
+__all__ = ["ChaosResult", "fault_schedule", "run_chaos"]
 
 #: Fault kinds a soak round may draw.  ``delay`` is excluded (it only
 #: slows the soak down); ``killworker`` and ``hang`` are drawn only
@@ -182,6 +183,30 @@ def _rot(path: Path, rng: random.Random) -> None:
         path.write_bytes(bytes(data))
 
 
+@contextmanager
+def fault_schedule(schedule: str) -> Iterator[None]:
+    """Run the block under ``REPRO_FAULTS=schedule`` (empty: no faults).
+
+    Fire counters start and end at zero, and the caller's
+    ``REPRO_FAULTS`` comes back on exit, so one soak round's plan never
+    leaks into the next round or the caller.
+    """
+    previous = os.environ.get(faults.ENV_VAR)
+    if schedule:
+        os.environ[faults.ENV_VAR] = schedule
+    else:
+        os.environ.pop(faults.ENV_VAR, None)
+    faults.clear()
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop(faults.ENV_VAR, None)
+        else:
+            os.environ[faults.ENV_VAR] = previous
+        faults.clear()
+
+
 def _soak_round(
     soak: Path,
     schedule: str,
@@ -198,9 +223,6 @@ def _soak_round(
     dying mid-write.  Pool rounds also run with a hang-capable watchdog
     so an injected ``hang`` wedge is rescued, not waited out.
     """
-    previous = os.environ.get(faults.ENV_VAR)
-    if schedule:
-        os.environ[faults.ENV_VAR] = schedule
     pooled = resolve_workers(workers) is not None
     guard = (
         ResourceWatchdog(WatchdogPolicy(hang_timeout_s=_SOAK_HANG_TIMEOUT_S))
@@ -208,7 +230,7 @@ def _soak_round(
         else None
     )
     try:
-        with Supervisor() as supervisor:
+        with fault_schedule(schedule), Supervisor() as supervisor:
             write_report(
                 soak,
                 ids=ids,
@@ -226,12 +248,6 @@ def _soak_round(
         pass  # drain overrun aborted hard; journalled units survive
     except ReproError:
         pass  # e.g. an injected failure surfacing through strict paths
-    finally:
-        if previous is None:
-            os.environ.pop(faults.ENV_VAR, None)
-        else:
-            os.environ[faults.ENV_VAR] = previous
-        faults.clear()
 
 
 def _fault_evidence(soak: Path) -> int:

@@ -25,7 +25,6 @@ recorded, so a failing seed replays exactly.
 
 from __future__ import annotations
 
-import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -34,7 +33,6 @@ from typing import Dict, List, Tuple, Union
 
 from ..core.config import SystemConfig
 from ..core.evaluate import evaluate
-from ..runner import faults
 from ..serve import (
     BackgroundServer,
     ServePolicy,
@@ -43,6 +41,7 @@ from ..serve import (
     point_record,
 )
 from ..units import kb
+from .chaos import fault_schedule
 
 __all__ = ["ServeChaosResult", "run_serve_chaos"]
 
@@ -265,19 +264,13 @@ def run_serve_chaos(
         breaker_cooldown_s=0.2,
         retry_after_s=0.5,
     )
-    previous = os.environ.get(faults.ENV_VAR)
-    try:
-        with BackgroundServer(store, workers=workers, policy=policy) as server:
-            for _ in range(rounds):
-                schedule, doomed = _draw_schedule(rng, keys)
-                result.schedules.append(schedule)
-                if schedule:
-                    os.environ[faults.ENV_VAR] = schedule
-                else:
-                    os.environ.pop(faults.ENV_VAR, None)
-                # Reset counters and rebuild the backend so freshly
-                # forked workers inherit this round's plan.
-                faults.clear()
+    with BackgroundServer(store, workers=workers, policy=policy) as server:
+        for _ in range(rounds):
+            schedule, doomed = _draw_schedule(rng, keys)
+            result.schedules.append(schedule)
+            with fault_schedule(schedule):
+                # Rebuild the backend so freshly forked workers inherit
+                # this round's plan.
                 server.call(server.app.reset_backend)
                 picks = [rng.choice(keys) for _ in range(requests_per_round)]
                 if doomed is not None:
@@ -297,16 +290,15 @@ def run_serve_chaos(
                     for key, future in futures:
                         status, headers, body = future.result()
                         _check(result, key, status, headers, body, references[key])
-                if server.app.degraded_reason is not None:
-                    result.degraded_rounds += 1
-                rotted = _rot_memo_entry(store, rng)
-                if rotted is not None:
-                    result.rotted.append(rotted)
+            if server.app.degraded_reason is not None:
+                result.degraded_rounds += 1
+            rotted = _rot_memo_entry(store, rng)
+            if rotted is not None:
+                result.rotted.append(rotted)
 
-            # Availability pass: faults off, backend fresh — every
-            # query must be served, whatever the rounds did.
-            os.environ.pop(faults.ENV_VAR, None)
-            faults.clear()
+        # Availability pass: faults off, backend fresh — every query
+        # must be served, whatever the rounds did.
+        with fault_schedule(""):
             server.call(server.app.reset_backend)
             final_ok = True
             for key in keys:
@@ -316,12 +308,6 @@ def run_serve_chaos(
                 _check(result, key, status, headers, body, references[key])
                 if status != 200 or body != references[key]:
                     final_ok = False
-            result.availability_ok = final_ok
-            result.quarantined = server.app.memo.quarantined
-    finally:
-        if previous is None:
-            os.environ.pop(faults.ENV_VAR, None)
-        else:
-            os.environ[faults.ENV_VAR] = previous
-        faults.clear()
+        result.availability_ok = final_ok
+        result.quarantined = server.app.memo.quarantined
     return result

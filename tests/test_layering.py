@@ -6,16 +6,25 @@ serve, chaos, runner and telemetry layers it never calls.  These checks
 pin the layering down deterministically: each runs in a fresh
 interpreter and inspects ``sys.modules`` afterwards, so a stray
 top-level import fails here instead of showing up as a slower
-benchmark (DESIGN.md §7).
+benchmark (DESIGN.md §7).  Two static checks read the source instead:
+no program module imports the ``repro.cache.reference`` test oracle,
+and ``repro.serve`` keeps no attempt loop or journal writer of its own.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import ast
+from pathlib import Path
+from typing import List, Sequence, Set
 
 import pytest
 
-from conftest import fresh_json
+from conftest import REPO_ROOT, fresh_json
+
+SRC = REPO_ROOT / "src"
+
+#: A test oracle kept in the package for the tests; the program never runs it.
+TEST_ORACLE = "repro.cache.reference"
 
 #: Layers no command needs merely to parse its arguments.
 NOT_ON_IMPORT = (
@@ -26,6 +35,7 @@ NOT_ON_IMPORT = (
     "repro.study.experiments",
     "repro.study.chaos",
     "asyncio",
+    TEST_ORACLE,
 )
 
 #: Layers a single-point evaluation never calls.
@@ -35,6 +45,7 @@ NOT_ON_EVAL = (
     "repro.serve",
     "repro.analysis",
     "repro.study.experiments",
+    TEST_ORACLE,
 )
 
 #: (code run in a fresh interpreter, modules it must load, layers it must not).
@@ -74,3 +85,59 @@ def test_loads_only_its_own_layers(case, tmp_path):
     assert [name for name in needed if name not in modules] == []
     # ...and nothing else.
     assert offenders(modules, forbidden) == []
+
+
+def _module_name(path: Path) -> str:
+    parts = list(path.relative_to(SRC).with_suffix("").parts)
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def imported_modules(path: Path) -> Set[str]:
+    """Absolute names of every module (or module attribute) ``path`` imports."""
+    package = _module_name(path).split(".")
+    if path.name != "__init__.py":
+        package = package[:-1]
+    names: Set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_no_program_module_imports_the_test_oracle():
+    importers = [
+        _module_name(path)
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        if _module_name(path) != TEST_ORACLE
+        and offenders(sorted(imported_modules(path)), (TEST_ORACLE,))
+    ]
+    assert importers == []
+
+
+#: Runner machinery a served point reaches only through ``execute_task``
+#: and ``record_outcome``: serve keeps no attempt loop or journal writer.
+RUNNER_ONLY = {"before_unit", "unit_scope", "unit_timeout"}
+
+
+def test_serve_keeps_no_attempt_loop_or_journal_writer():
+    found = []
+    for path in sorted((SRC / "repro" / "serve").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = None
+            if isinstance(node, ast.Name) and node.id in RUNNER_ONLY:
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                if node.attr in RUNNER_ONLY:
+                    name = node.attr
+                elif node.attr == "record" and ast.unparse(node.value).endswith(
+                    "journal"
+                ):
+                    name = "journal.record"
+            if name is not None:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []

@@ -28,7 +28,9 @@ from repro.runner import (
     Runner,
     RunUnit,
     atomic_open,
+    crashed_outcome,
     execute_attempts,
+    record_outcome,
     unit_key,
     unit_timeout,
     verify_tree,
@@ -220,6 +222,24 @@ class TestIsolation:
         assert record["message"] == "degenerate configuration"
         assert record["config"] == {"id": "b"}
         assert record["elapsed_s"] >= 0
+
+    def test_crashed_outcome_journals_its_true_times(self, tmp_path):
+        # A worker that dies without replying still leaves a journal
+        # entry timed from when the unit was handed over, not from 0.
+        unit = make_unit("lost")
+        handed_at = time.time() - 2.0
+        outcome = crashed_outcome(unit, RunnerError("worker died"), 2, handed_at)
+        assert outcome.status == "failed" and outcome.attempts == 2
+        assert outcome.started_at == handed_at
+        assert outcome.ended_at >= handed_at + 2.0
+        assert outcome.elapsed_s == pytest.approx(outcome.ended_at - handed_at)
+        assert outcome.error["elapsed_s"] >= 2.0
+        assert outcome.error["type"] == "RunnerError"
+        journal = RunJournal.open(tmp_path / "j.jsonl")
+        record_outcome(journal, unit, outcome, None)
+        entry = journal.entry("lost")
+        assert entry["started_at"] == round(handed_at, 6)
+        assert entry["duration_s"] >= 2.0
 
     def test_without_keep_going_stops_at_failure(self):
         ran = []

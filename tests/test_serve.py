@@ -453,6 +453,44 @@ class TestServeHTTP:
         assert health["memo"]["quarantined"] == 1
 
 
+class TestServedUnitJournal:
+    """A cold point is a runner unit: retried in the worker, journalled once."""
+
+    def test_transient_failure_is_retried_in_the_worker(self, tmp_path, monkeypatch):
+        key = point_key(*normalize_point(PAYLOAD))
+        monkeypatch.setenv(faults.ENV_VAR, f"fail={key}:1")
+        with BackgroundServer(
+            tmp_path / "store", workers=2, policy=ServePolicy(retries=1)
+        ) as server:
+            status, _, body = server.request("POST", "/v1/evaluate", PAYLOAD)
+            health = json.loads(server.request("GET", "/healthz")[2])
+        assert status == 200 and body == reference_bytes()
+        journal = (tmp_path / "store" / "serve.journal.jsonl").read_text()
+        entries = [json.loads(line) for line in journal.splitlines()[1:]]
+        mine = [entry for entry in entries if entry["unit"] == key]
+        assert len(mine) == 1
+        assert mine[0]["status"] == "ok" and mine[0]["attempts"] == 2
+        assert {"duration_s", "started_at", "ended_at"} <= set(mine[0])
+        assert health["breaker"] == "closed"
+
+    def test_pool_death_journals_a_timed_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(faults.ENV_VAR, "pooldeath=*:1")
+        with BackgroundServer(
+            tmp_path / "store", workers=2, policy=ServePolicy(retries=0)
+        ) as server:
+            status, _, _ = server.request("POST", "/v1/evaluate", PAYLOAD)
+        assert status == 503
+        journal = (tmp_path / "store" / "serve.journal.jsonl").read_text()
+        (entry,) = [json.loads(line) for line in journal.splitlines()[1:]]
+        assert entry["status"] == "failed" and entry["attempts"] == 1
+        assert entry["error"]["type"] == "BrokenProcessPool"
+        assert "degraded_reason" in entry["error"]
+        # Timed from when the unit was handed to the pool, not from 0.
+        assert entry["started_at"] > 0
+        assert entry["ended_at"] >= entry["started_at"]
+        assert entry["elapsed_s"] == entry["error"]["elapsed_s"] > 0
+
+
 class TestWatchdogDegradation:
     """Driving the pool past the RSS ceiling must degrade, not die."""
 
@@ -690,7 +728,7 @@ class TestLifecycleDrain:
 
     def test_deadline_frees_the_pool_slot(self, tmp_path, monkeypatch):
         # Wedge only the first request's compute (2.0s against a 0.4s
-        # budget); the budget travels into the worker as budget_s, so
+        # budget); the budget travels into the worker as timeout_s, so
         # the 504 frees the single slot for the second request.
         key = point_key(*normalize_point(PAYLOAD))
         monkeypatch.setenv(faults.ENV_VAR, f"slowworker={key}:2.0")
