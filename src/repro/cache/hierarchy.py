@@ -7,6 +7,13 @@ L1 pass therefore runs once per (trace, L1 size) through the vectorised
 filter and is memoised; each L2 configuration replays only the merged
 miss stream.
 
+Stages
+------
+Every level below the L1s is a *stage*: it replays a miss stream and
+returns the positions that missed.  :func:`replay_stages` feeds each
+stage the misses of the one above and counts its hits and misses
+(docs/models.md §1.3).
+
 Warmup
 ------
 The paper's traces run to billions of references, so compulsory (cold)
@@ -34,8 +41,9 @@ Policies
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,6 +61,10 @@ __all__ = [
     "l1_miss_stream",
     "program_order",
     "merge",
+    "cache_stage",
+    "replay_stages",
+    "simulate_stages",
+    "warmup_end",
     "counted_split",
     "counted_data_refs",
     "simulate_hierarchy",
@@ -161,28 +173,77 @@ _REPLACEMENTS = {
     "lru": lambda geometry: LruReplacement(geometry.associativity, geometry.n_sets),
 }
 
+#: A level below the L1s: replays a miss stream, returns the positions that missed.
+Stage = Callable[[MissStream], np.ndarray]
 
-def _simulate_l2(
-    stream: MissStream,
+
+def cache_stage(
     geometry: CacheGeometry,
-    policy: Policy,
-    warmup_time: int,
+    policy: Policy = Policy.CONVENTIONAL,
     replacement: str = "lfsr",
-) -> "tuple[int, int]":
-    """Replay a miss stream through the L2; returns counted (hits, misses).
-
-    The full stream updates the cache state; only events issued at or
-    after ``warmup_time`` are counted.
-    """
+) -> Stage:
+    """A set-associative level (an L2, or a board-level L3), empty at each call."""
     if policy is Policy.CONVENTIONAL and geometry.is_direct_mapped:
-        # A conventional DM L2 is itself a pure filter (replacement is
-        # irrelevant with one way per set).
-        missed, _ = direct_mapped_misses(stream.lines, geometry.n_sets)
-    else:
+        # A conventional DM level is a pure filter: one way per set leaves no choice.
+        return lambda stream: direct_mapped_misses(stream.lines, geometry.n_sets)[0]
+    exclusive = policy is Policy.EXCLUSIVE
+
+    def stage(stream: MissStream) -> np.ndarray:
         cache = SetAssociativeCache(geometry, _REPLACEMENTS[replacement](geometry))
-        exclusive = policy is Policy.EXCLUSIVE
-        missed = cache.replay(stream.lines, stream.victims if exclusive else None)
-    return counted_split(stream.times, missed, warmup_time)
+        return cache.replay(stream.lines, stream.victims if exclusive else None)
+
+    return stage
+
+
+def replay_stages(
+    stream: MissStream, stages: Sequence[Stage], warmup_time: int
+) -> "list[tuple[int, int]]":
+    """Counted (hits, misses) of each stage, top down (:func:`counted_split`).
+
+    Each stage below the first sees the events the one above missed.
+    """
+    counts: "list[tuple[int, int]]" = []
+    for stage in stages:
+        if counts:  # built here, so the last stage's residual never is
+            stream = replace(
+                stream,
+                times=stream.times[missed],
+                lines=stream.lines[missed],
+                victims=stream.victims[missed],
+                is_instruction=stream.is_instruction[missed],
+            )
+        missed = stage(stream)
+        counts.append(counted_split(stream.times, missed, warmup_time))
+    return counts
+
+
+def simulate_stages(
+    trace: Trace,
+    l1_bytes: int,
+    stages: Sequence[Stage],
+    line_size: int = DEFAULT_LINE_SIZE,
+    warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
+) -> "tuple[HierarchyStats, list[tuple[int, int]]]":
+    """Split DM L1s over ``stages``: the counted L1-only stats and each
+    stage's counted (hits, misses)."""
+    warmup_time = warmup_end(trace, warmup_fraction)
+    stream = l1_miss_stream(trace, l1_bytes, line_size)
+    first = int(np.searchsorted(stream.times, warmup_time, side="left"))
+    l1i_misses = int(np.count_nonzero(stream.is_instruction[first:]))
+    l1 = HierarchyStats(
+        n_instructions=trace.n_instructions - warmup_time,
+        n_data_refs=counted_data_refs(trace, warmup_time),
+        l1i_misses=l1i_misses,
+        l1d_misses=len(stream) - first - l1i_misses,
+    )
+    return l1, replay_stages(stream, stages, warmup_time)
+
+
+def warmup_end(trace: Trace, warmup_fraction: float) -> int:
+    """Issue time at which counting starts (see the module docstring)."""
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ConfigurationError("warmup_fraction must be in [0, 1)")
+    return int(trace.n_instructions * warmup_fraction)
 
 
 def counted_split(
@@ -244,41 +305,16 @@ def simulate_hierarchy(
         Miss counts for the counted (post-warmup) window, feeding the
         TPI model.
     """
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigurationError("warmup_fraction must be in [0, 1)")
     if l2_replacement not in _REPLACEMENTS:
         raise ConfigurationError(f"unknown replacement policy {l2_replacement!r}")
     if l2_bytes < 0:
         raise ConfigurationError("l2_bytes must be >= 0")
-    warmup_time = int(trace.n_instructions * warmup_fraction)
-    stream = l1_miss_stream(trace, l1_bytes, line_size)
-
-    first = int(np.searchsorted(stream.times, warmup_time, side="left"))
-    l1i_misses = int(np.count_nonzero(stream.is_instruction[first:]))
-    l1d_misses = len(stream) - first - l1i_misses
-    n_instructions = trace.n_instructions - warmup_time
-    n_data_refs = counted_data_refs(trace, warmup_time)
-
-    if l2_bytes == 0:
-        return HierarchyStats(
-            n_instructions=n_instructions,
-            n_data_refs=n_data_refs,
-            l1i_misses=l1i_misses,
-            l1d_misses=l1d_misses,
-            l2_hits=0,
-            l2_misses=0,
-            has_l2=False,
-        )
-    geometry = CacheGeometry(
-        l2_bytes, line_size=line_size, associativity=l2_associativity
-    )
-    hits, misses = _simulate_l2(stream, geometry, policy, warmup_time, l2_replacement)
-    return HierarchyStats(
-        n_instructions=n_instructions,
-        n_data_refs=n_data_refs,
-        l1i_misses=l1i_misses,
-        l1d_misses=l1d_misses,
-        l2_hits=hits,
-        l2_misses=misses,
-        has_l2=True,
-    )
+    stages: "list[Stage]" = []
+    if l2_bytes:
+        geometry = CacheGeometry(l2_bytes, line_size=line_size, associativity=l2_associativity)
+        stages.append(cache_stage(geometry, policy, l2_replacement))
+    l1, counts = simulate_stages(trace, l1_bytes, stages, line_size, warmup_fraction)
+    if not counts:
+        return l1
+    [(hits, misses)] = counts
+    return replace(l1, l2_hits=hits, l2_misses=misses, has_l2=True)

@@ -24,9 +24,9 @@ class HierarchyStats:
     n_data_refs: int
     l1i_misses: int
     l1d_misses: int
-    l2_hits: int
-    l2_misses: int
-    has_l2: bool
+    l2_hits: int = 0
+    l2_misses: int = 0
+    has_l2: bool = False
 
     def __post_init__(self) -> None:
         if self.has_l2:

@@ -30,8 +30,8 @@ These modules implement the directions the paper itself points at:
 * :mod:`repro.ext.unified_l1` — unified vs split L1s, quantifying the
   introduction's dynamic-allocation argument (advantage #1).
 
-Each module is self-contained and exercised by its own tests and an
-ablation benchmark under ``benchmarks/``.
+The victim buffer, stream buffers and board cache are stages below the
+L1s (:func:`repro.cache.hierarchy.replay_stages`).
 """
 
 from .associative_l1 import AssociativeL1Result, evaluate_associative_l1

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..cache.directmap import direct_mapped_misses
 from ..cache.geometry import DEFAULT_LINE_SIZE, CacheGeometry
-from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, counted_data_refs
+from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, counted_data_refs, warmup_end
 from ..cache.l2 import SetAssociativeCache
 from ..cache.replacement import LruReplacement
 from ..errors import ConfigurationError
@@ -73,12 +73,10 @@ def evaluate_associative_l1(
     """
     if associativity < 1:
         raise ConfigurationError("associativity must be >= 1")
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigurationError("warmup_fraction must be in [0, 1)")
     trace = get_trace(workload, scale) if isinstance(workload, str) else workload
 
     geometry = CacheGeometry(l1_bytes, line_size=line_size, associativity=associativity)
-    warmup_time = int(trace.n_instructions * warmup_fraction)
+    warmup_time = warmup_end(trace, warmup_fraction)
 
     def counted_misses(lines: np.ndarray, times: np.ndarray) -> int:
         # The I and D caches are independent, so each stream replays on

@@ -30,7 +30,13 @@ import numpy as np
 
 from ..cache.directmap import _set_sorted_runs
 from ..cache.geometry import DEFAULT_LINE_SIZE, CacheGeometry
-from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, counted_data_refs, merge, program_order
+from ..cache.hierarchy import (
+    DEFAULT_WARMUP_FRACTION,
+    counted_data_refs,
+    merge,
+    program_order,
+    warmup_end,
+)
 from ..cache.l2 import SetAssociativeCache
 from ..cache.results import HierarchyStats
 from ..errors import ConfigurationError
@@ -100,9 +106,8 @@ def simulate_strict_inclusion(
     """
     if not l2_bytes:
         raise ConfigurationError("strict inclusion requires a second level")
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigurationError("warmup_fraction must be in [0, 1)")
     trace = get_trace(workload, scale) if isinstance(workload, str) else workload
+    warmup_time = warmup_end(trace, warmup_fraction)
 
     n_sets = CacheGeometry(l1_bytes, line_size=line_size, associativity=1).n_sets
     i_lines, d_lines = trace.i_lines(line_size), trace.d_lines(line_size)
@@ -110,7 +115,6 @@ def simulate_strict_inclusion(
     l2 = SetAssociativeCache(
         CacheGeometry(l2_bytes, line_size=line_size, associativity=l2_associativity)
     )
-    warmup_time = int(trace.n_instructions * warmup_fraction)
 
     d_times = trace.d_times
     i_pos, d_pos = icache.misses, dcache.misses

@@ -10,8 +10,10 @@ latency, replacing the constant with a workload-dependent mixture.
 
 The L3 consumes the stream of off-chip fetches, which — for both
 on-chip policies — is exactly the sequence of L2-missing lines in
-program order, replayed here with the same replacement discipline as
-the core simulator.
+program order.  So the L2 and L3 are two stages below the L1s
+(:func:`repro.cache.hierarchy.replay_stages`), built by the core
+simulator's :func:`~repro.cache.hierarchy.cache_stage` with its
+replacement discipline; without an L2 the L3 is the only stage.
 """
 
 from __future__ import annotations
@@ -19,16 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-import numpy as np
-
-from ..cache.geometry import DEFAULT_LINE_SIZE, CacheGeometry
-from ..cache.hierarchy import (
-    DEFAULT_WARMUP_FRACTION,
-    Policy,
-    counted_split,
-    l1_miss_stream,
-)
-from ..cache.l2 import SetAssociativeCache
+from ..cache.geometry import CacheGeometry
+from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, cache_stage, simulate_stages
 from ..core.config import SystemConfig
 from ..core.tpi import system_timings
 from ..errors import ConfigurationError
@@ -93,27 +87,19 @@ def evaluate_with_board_cache(
         raise ConfigurationError("DRAM cannot be faster than the board cache")
     trace = get_trace(workload, scale) if isinstance(workload, str) else workload
 
-    # Replay the hierarchy; the off-chip fetches are the L2's residual
-    # stream (every L1 miss without an L2), which the L3 replays in turn.
-    stream = l1_miss_stream(trace, config.l1_bytes, config.line_size)
-    warmup_time = int(trace.n_instructions * warmup_fraction)
-    fetched = np.arange(len(stream))
-    l2_hits = 0
+    stages = [cache_stage(CacheGeometry(l3_bytes, config.line_size, l3_associativity))]
     if config.has_l2:
         l2 = CacheGeometry(config.l2_bytes, config.line_size, config.l2_associativity)
-        exclusive = config.policy is Policy.EXCLUSIVE
-        fetched = SetAssociativeCache(l2).replay(
-            stream.lines, stream.victims if exclusive else None
-        )
-        l2_hits, _ = counted_split(stream.times, fetched, warmup_time)
-    l3 = CacheGeometry(l3_bytes, config.line_size, l3_associativity)
-    l3_missed = SetAssociativeCache(l3).replay(stream.lines[fetched])
-    l3_hits, l3_misses = counted_split(stream.times[fetched], l3_missed, warmup_time)
+        stages.insert(0, cache_stage(l2, config.policy))
+    l1, [*l2_counts, (l3_hits, l3_misses)] = simulate_stages(
+        trace, config.l1_bytes, stages, config.line_size, warmup_fraction
+    )
+    l2_hits = l2_counts[0][0] if l2_counts else 0
 
     timings = system_timings(config)
     hit_ns = round_up_to_multiple(board_hit_ns, timings.l1_cycle_ns)
     miss_ns = round_up_to_multiple(dram_ns, timings.l1_cycle_ns)
-    n_instructions = trace.n_instructions - warmup_time
+    n_instructions = l1.n_instructions
 
     base = n_instructions * timings.l1_cycle_ns / config.issue_width
     # Without an L2, l2_cycle_ns is 0: no L2 hits, and a fetch pays one L1 cycle.

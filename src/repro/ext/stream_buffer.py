@@ -10,22 +10,28 @@ beneficiary — which is why this model attaches buffers to the I-cache
 miss stream and leaves data misses alone by default.
 
 Like the victim cache, a stream buffer never changes L1 contents, so
-the simulation replays the memoised miss stream.
+the buffers are one stage below the L1s that replays the memoised miss
+stream (:func:`repro.cache.hierarchy.replay_stages`).
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional, Union
+from functools import partial
+from itertools import count
+from typing import Optional, Union
 
-from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, counted_data_refs, l1_miss_stream
+import numpy as np
+
+from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, MissStream, simulate_stages
 from ..cache.geometry import DEFAULT_LINE_SIZE
 from ..errors import ConfigurationError
 from ..traces.address import Trace
 from ..traces.store import get_trace
 
-__all__ = ["StreamBufferStats", "simulate_stream_buffer"]
+__all__ = ["StreamBufferStats", "simulate_stream_buffer", "stream_buffer_misses"]
 
 
 @dataclass(frozen=True)
@@ -62,26 +68,34 @@ class StreamBufferStats:
         return self.misses_below / self.n_refs
 
 
-class _StreamBuffer:
-    """One FIFO of prefetched line addresses."""
+def stream_buffer_misses(stream: MissStream, n_buffers: int) -> np.ndarray:
+    """Stage: ``n_buffers`` sequential-prefetch FIFOs on the I-miss path.
 
-    def __init__(self, depth: int) -> None:
-        self.depth = depth
-        self.fifo: Deque[int] = deque()
-
-    def allocate(self, miss_line: int) -> None:
-        """Restart the buffer prefetching the lines after ``miss_line``."""
-        self.fifo.clear()
-        for offset in range(1, self.depth + 1):
-            self.fifo.append(miss_line + offset)
-
-    def head_matches(self, line: int) -> bool:
-        return bool(self.fifo) and self.fifo[0] == line
-
-    def consume_and_advance(self) -> None:
-        """Pop the head and prefetch one more line (steady streaming)."""
-        head = self.fifo.popleft()
-        self.fifo.append(head + self.depth)
+    A FIFO allocated at a miss on line ``m`` holds ``m + 1``, ``m + 2``,
+    ... and refills at its tail as its head is consumed, so it is a run of
+    consecutive lines and only its head, all that is probed, is kept.  An
+    I-miss that matches a head (lowest buffer first) consumes it; any other
+    reallocates the least recently allocated or consumed buffer.  Data
+    misses all go below.  Returns the positions that missed.
+    """
+    heads: "list[int | None]" = [None] * n_buffers
+    order = deque(range(n_buffers))  # least recently allocated or consumed first
+    missed = array("q")
+    for position, line, instruction in zip(
+        count(), stream.lines.tolist(), stream.is_instruction.tolist()
+    ):
+        if not instruction:
+            missed.append(position)
+            continue
+        if line in heads:
+            index = heads.index(line)
+            order.remove(index)
+        else:
+            missed.append(position)
+            index = order.popleft()
+        heads[index] = line + 1
+        order.append(index)
+    return np.frombuffer(missed, dtype=np.int64)
 
 
 def simulate_stream_buffer(
@@ -99,55 +113,23 @@ def simulate_stream_buffer(
     consumes the head (the rest of the FIFO shifts up and prefetch runs
     one line ahead); a miss reallocates the least-recently-allocated
     buffer to the new stream.  Data misses pass straight through.
+    Prefetch timing is not modelled, so ``buffer_depth`` changes no
+    count: only heads are probed, and every buffer refills to its depth.
     """
     if n_buffers < 1:
         raise ConfigurationError("n_buffers must be >= 1")
     if buffer_depth < 1:
         raise ConfigurationError("buffer_depth must be >= 1")
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigurationError("warmup_fraction must be in [0, 1)")
     trace = get_trace(workload, scale) if isinstance(workload, str) else workload
-    stream = l1_miss_stream(trace, l1_bytes, line_size)
-    warmup_time = int(trace.n_instructions * warmup_fraction)
-
-    buffers = [_StreamBuffer(buffer_depth) for _ in range(n_buffers)]
-    allocation_order: Deque[int] = deque(range(n_buffers))
-
-    buffer_hits = 0
-    misses_below = 0
-    counted_i = 0
-    counted_d = 0
-    for line, is_instruction, time in zip(
-        stream.lines.tolist(),
-        stream.is_instruction.tolist(),
-        stream.times.tolist(),
-    ):
-        counted = time >= warmup_time
-        if not is_instruction:
-            counted_d += counted
-            misses_below += counted
-            continue
-        counted_i += counted
-        for index, buffer in enumerate(buffers):
-            if buffer.head_matches(line):
-                buffer.consume_and_advance()
-                buffer_hits += counted
-                # A consumed buffer is the most recently useful one.
-                allocation_order.remove(index)
-                allocation_order.append(index)
-                break
-        else:
-            misses_below += counted
-            victim_index = allocation_order.popleft()
-            buffers[victim_index].allocate(line)
-            allocation_order.append(victim_index)
-
-    n_data = counted_data_refs(trace, warmup_time)
+    stage = partial(stream_buffer_misses, n_buffers=n_buffers)
+    l1, [(buffer_hits, misses_below)] = simulate_stages(
+        trace, l1_bytes, [stage], line_size, warmup_fraction
+    )
     return StreamBufferStats(
-        n_instructions=trace.n_instructions - warmup_time,
-        n_data_refs=n_data,
-        l1i_misses=counted_i,
-        l1d_misses=counted_d,
+        n_instructions=l1.n_instructions,
+        n_data_refs=l1.n_data_refs,
+        l1i_misses=l1.l1i_misses,
+        l1d_misses=l1.l1d_misses,
         buffer_hits=buffer_hits,
         misses_below=misses_below,
         n_buffers=n_buffers,

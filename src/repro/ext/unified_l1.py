@@ -28,10 +28,10 @@ from ..cache.hierarchy import (
     l1_miss_stream,
     merge,
     program_order,
+    warmup_end,
 )
 from ..cache.l2 import SetAssociativeCache
 from ..cache.replacement import LruReplacement
-from ..errors import ConfigurationError
 from ..traces.address import Trace
 from ..traces.store import get_trace
 
@@ -83,10 +83,8 @@ def compare_split_vs_unified(
     dynamic allocation pays off — the other half:
     put the mixed capacity in the set-associative L2.
     """
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigurationError("warmup_fraction must be in [0, 1)")
     trace = get_trace(workload, scale) if isinstance(workload, str) else workload
-    warmup_time = int(trace.n_instructions * warmup_fraction)
+    warmup_time = warmup_end(trace, warmup_fraction)
 
     # Split: reuse the memoised per-cache streams.
     stream = l1_miss_stream(trace, per_cache_bytes, line_size)

@@ -8,24 +8,30 @@ shared direct-mapped victim cache" — this module provides the genuine
 fully-associative article for comparison.
 
 The L1's contents are unaffected by the victim buffer (it always fills
-on miss), so the simulation replays the memoised L1 miss stream, just
-like the L2 simulators.
+on miss), so the buffer is a stage below the L1s
+(:func:`repro.cache.hierarchy.replay_stages`), like the L2: it replays
+the memoised L1 miss stream and passes its misses on.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
+from itertools import count
 from typing import Union
 
+import numpy as np
+
 from ..cache.directmap import NO_VICTIM
-from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, counted_data_refs, l1_miss_stream
+from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, MissStream, simulate_stages
 from ..cache.geometry import DEFAULT_LINE_SIZE
 from ..errors import ConfigurationError
 from ..traces.address import Trace
 from ..traces.store import get_trace
 
-__all__ = ["VictimCacheStats", "simulate_victim_cache"]
+__all__ = ["VictimCacheStats", "simulate_victim_cache", "victim_buffer_misses"]
 
 
 @dataclass(frozen=True)
@@ -60,27 +66,28 @@ class VictimCacheStats:
         return self.misses_below / self.n_refs
 
 
-class _FullyAssociativeLru:
-    """Tiny fully-associative LRU buffer of line addresses."""
+def victim_buffer_misses(stream: MissStream, victim_lines: int) -> np.ndarray:
+    """Stage: a shared fully associative LRU buffer of L1 victims.
 
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._lines: "OrderedDict[int, None]" = OrderedDict()
-
-    def probe_and_remove(self, line: int) -> bool:
-        """True (and remove) if ``line`` is resident."""
-        if line in self._lines:
-            del self._lines[line]
-            return True
-        return False
-
-    def insert(self, line: int) -> None:
-        if line in self._lines:
-            self._lines.move_to_end(line)
-            return
-        if len(self._lines) >= self.capacity:
-            self._lines.popitem(last=False)
-        self._lines[line] = None
+    Each miss probes the buffer: a hit removes the line (it returns to
+    the L1), a miss goes below.  Either way the L1 victim, if any, then
+    enters the buffer as its most recent line, evicting the least
+    recent when full.  Returns the positions that missed.
+    """
+    buffer: "OrderedDict[int, None]" = OrderedDict()
+    missed = array("q")
+    for position, line, victim in zip(count(), stream.lines.tolist(), stream.victims.tolist()):
+        if line in buffer:
+            del buffer[line]
+        else:
+            missed.append(position)
+        if victim in buffer:
+            buffer.move_to_end(victim)
+        elif victim != NO_VICTIM:
+            if len(buffer) == victim_lines:
+                buffer.popitem(last=False)
+            buffer[victim] = None
+    return np.frombuffer(missed, dtype=np.int64)
 
 
 def simulate_victim_cache(
@@ -100,33 +107,15 @@ def simulate_victim_cache(
     """
     if victim_lines < 1:
         raise ConfigurationError("victim_lines must be >= 1")
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigurationError("warmup_fraction must be in [0, 1)")
     trace = get_trace(workload, scale) if isinstance(workload, str) else workload
-    stream = l1_miss_stream(trace, l1_bytes, line_size)
-    warmup_time = int(trace.n_instructions * warmup_fraction)
-
-    buffer = _FullyAssociativeLru(victim_lines)
-    victim_hits = 0
-    misses_below = 0
-    counted_misses = 0
-    for line, victim, time in zip(
-        stream.lines.tolist(), stream.victims.tolist(), stream.times.tolist()
-    ):
-        counted = time >= warmup_time
-        counted_misses += counted
-        if buffer.probe_and_remove(line):
-            victim_hits += counted
-        else:
-            misses_below += counted
-        if victim != NO_VICTIM:
-            buffer.insert(victim)
-
-    n_data = counted_data_refs(trace, warmup_time)
+    stage = partial(victim_buffer_misses, victim_lines=victim_lines)
+    l1, [(victim_hits, misses_below)] = simulate_stages(
+        trace, l1_bytes, [stage], line_size, warmup_fraction
+    )
     return VictimCacheStats(
-        n_instructions=trace.n_instructions - warmup_time,
-        n_data_refs=n_data,
-        l1_misses=counted_misses,
+        n_instructions=l1.n_instructions,
+        n_data_refs=l1.n_data_refs,
+        l1_misses=l1.l1_misses,
         victim_hits=victim_hits,
         misses_below=misses_below,
         victim_lines=victim_lines,

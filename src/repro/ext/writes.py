@@ -28,7 +28,13 @@ import numpy as np
 
 from ..cache.directmap import NO_VICTIM, direct_mapped_misses, dirty_victim_mask
 from ..cache.geometry import CacheGeometry
-from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, Policy, counted_data_refs, l1_miss_stream
+from ..cache.hierarchy import (
+    DEFAULT_WARMUP_FRACTION,
+    Policy,
+    counted_data_refs,
+    l1_miss_stream,
+    warmup_end,
+)
 from ..cache.l2 import SetAssociativeCache
 from ..core.config import SystemConfig
 from ..core.evaluate import _cached_stats, system_area_rbe
@@ -105,12 +111,10 @@ def count_write_traffic(
       dirty bit; a line promoted to the L1 by a swap carries its dirty
       state back up (it returns dirty even without further stores).
     """
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigurationError("warmup_fraction must be in [0, 1)")
     trace = get_trace(workload, scale) if isinstance(workload, str) else workload
+    warmup_time = warmup_end(trace, warmup_fraction)
     stream = l1_miss_stream(trace, l1_bytes, line_size)
     dirty_flags = _l1_dirty_flags(trace, l1_bytes, line_size)
-    warmup_time = int(trace.n_instructions * warmup_fraction)
     counted_mask = stream.times >= warmup_time
 
     n_data = counted_data_refs(trace, warmup_time)

@@ -174,6 +174,11 @@ class TestLint:
         "def save(path, text):\n    write_text_atomic(path, text, track=True)\n"
     )
 
+    @pytest.fixture(autouse=True)
+    def _cache_in_tmp(self, tmp_path, monkeypatch):
+        # The lint cache is written to the working directory: keep it out of the checkout.
+        monkeypatch.chdir(tmp_path)
+
     def _package_file(self, tmp_path, name, source):
         target = tmp_path / "src" / "repro" / "study"
         target.mkdir(parents=True, exist_ok=True)
@@ -267,9 +272,8 @@ class TestLint:
         assert main(argv) == 1
         assert "REP007" in capsys.readouterr().out
 
-    def test_no_cache_writes_nothing(self, capsys, tmp_path, monkeypatch):
+    def test_no_cache_writes_nothing(self, capsys, tmp_path):
         self._package_file(tmp_path, "clean.py", self.GOOD)
-        monkeypatch.chdir(tmp_path)
         assert main(["lint", "src", "--no-cache"]) == 0
         capsys.readouterr()
         assert not (tmp_path / ".repro-lint-cache.json").exists()

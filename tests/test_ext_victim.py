@@ -1,13 +1,99 @@
 """Victim-cache extension (Jouppi 1990 / the paper's y < x remark)."""
 
+from collections import OrderedDict
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.cache.hierarchy import Policy, simulate_hierarchy
+from conftest import make_miss_stream, make_random_trace, miss_streams
+from repro.cache.directmap import NO_VICTIM
+from repro.cache.hierarchy import Policy, l1_miss_stream, replay_stages, simulate_hierarchy
 from repro.errors import ConfigurationError
-from repro.ext.victim import simulate_victim_cache
+from repro.ext.victim import simulate_victim_cache, victim_buffer_misses
 from repro.traces.address import Trace
 from repro.units import kb
+
+
+class _FullyAssociativeLru:
+    """Tiny fully-associative LRU buffer of line addresses."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._lines: "OrderedDict[int, None]" = OrderedDict()
+
+    def probe_and_remove(self, line: int) -> bool:
+        """True (and remove) if ``line`` is resident."""
+        if line in self._lines:
+            del self._lines[line]
+            return True
+        return False
+
+    def insert(self, line: int) -> None:
+        if line in self._lines:
+            self._lines.move_to_end(line)
+            return
+        if len(self._lines) >= self.capacity:
+            self._lines.popitem(last=False)
+        self._lines[line] = None
+
+
+def reference_victim_counts(stream, warmup_time, victim_lines):
+    """The per-event loop the victim-buffer stage replaced, kept as its oracle.
+
+    Returns counted (L1 misses, victim hits, misses below).
+    """
+    buffer = _FullyAssociativeLru(victim_lines)
+    victim_hits = 0
+    misses_below = 0
+    counted_misses = 0
+    for line, victim, time in zip(
+        stream.lines.tolist(), stream.victims.tolist(), stream.times.tolist()
+    ):
+        counted = time >= warmup_time
+        counted_misses += counted
+        if buffer.probe_and_remove(line):
+            victim_hits += counted
+        else:
+            misses_below += counted
+        if victim != NO_VICTIM:
+            buffer.insert(victim)
+    return counted_misses, victim_hits, misses_below
+
+
+class TestAgainstReferenceLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stream=miss_streams(),
+        victim_lines=st.integers(1, 6),
+        warmup_time=st.one_of(st.just(0), st.integers(1, 160)),
+    )
+    # Victim 1 re-enters the buffer as its most recent line, so 3 evicts 2, not 1.
+    @example(
+        stream=make_miss_stream([*range(1, 10), 1], [NO_VICTIM] * 4 + [1, 2, 0, 1, 3, NO_VICTIM]),
+        victim_lines=3,
+        warmup_time=0,
+    )
+    def test_stage_matches_loop_on_random_miss_streams(self, stream, victim_lines, warmup_time):
+        stage = partial(victim_buffer_misses, victim_lines=victim_lines)
+        [(hits, misses)] = replay_stages(stream, [stage], warmup_time)
+        expected = reference_victim_counts(stream, warmup_time, victim_lines)
+        assert (hits + misses, hits, misses) == expected
+
+    @pytest.mark.parametrize("warmup_fraction", [0.0, 0.25, 0.6])
+    @pytest.mark.parametrize("victim_lines", [1, 4, 16])
+    def test_simulator_matches_loop_on_traces(self, warmup_fraction, victim_lines, gcc1_tiny):
+        for trace, l1_bytes in ((make_random_trace(3, n_lines=48), 128), (gcc1_tiny, kb(4))):
+            stats = simulate_victim_cache(
+                trace, l1_bytes, victim_lines, warmup_fraction=warmup_fraction
+            )
+            warmup_time = int(trace.n_instructions * warmup_fraction)
+            expected = reference_victim_counts(
+                l1_miss_stream(trace, l1_bytes), warmup_time, victim_lines
+            )
+            assert (stats.l1_misses, stats.victim_hits, stats.misses_below) == expected
 
 
 def conflict_trace(n_cycles: int = 64) -> Trace:

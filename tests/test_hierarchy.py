@@ -14,9 +14,33 @@ from repro.cache.hierarchy import (
     simulate_hierarchy,
 )
 from repro.cache.reference import ReferenceDirectMapped, reference_simulate_hierarchy
+from repro.core.config import SystemConfig
 from repro.errors import ConfigurationError
+from repro.ext import (
+    compare_split_vs_unified,
+    count_write_traffic,
+    evaluate_associative_l1,
+    evaluate_with_board_cache,
+    simulate_stream_buffer,
+    simulate_strict_inclusion,
+    simulate_victim_cache,
+)
 from repro.traces.address import Trace
 from repro.units import kb
+
+#: Every simulator that takes ``warmup_fraction``, called on (trace, fraction).
+WARMUP_SIMULATORS = {
+    "hierarchy": lambda t, f: simulate_hierarchy(t, kb(1), kb(4), warmup_fraction=f),
+    "victim": lambda t, f: simulate_victim_cache(t, kb(1), warmup_fraction=f),
+    "stream_buffer": lambda t, f: simulate_stream_buffer(t, kb(1), warmup_fraction=f),
+    "writes": lambda t, f: count_write_traffic(t, kb(1), kb(4), warmup_fraction=f),
+    "inclusion": lambda t, f: simulate_strict_inclusion(t, kb(1), kb(4), warmup_fraction=f),
+    "associative_l1": lambda t, f: evaluate_associative_l1(t, kb(1), 2, warmup_fraction=f),
+    "unified_l1": lambda t, f: compare_split_vs_unified(t, kb(1), warmup_fraction=f),
+    "l3": lambda t, f: evaluate_with_board_cache(
+        SystemConfig(l1_bytes=kb(1), l2_bytes=kb(4)), t, warmup_fraction=f
+    ),
+}
 
 
 class TestMissStream:
@@ -172,6 +196,13 @@ class TestWarmup:
             simulate_hierarchy(gcc1_tiny, kb(4), warmup_fraction=1.0)
         with pytest.raises(ConfigurationError):
             simulate_hierarchy(gcc1_tiny, kb(4), warmup_fraction=-0.1)
+
+
+@pytest.mark.parametrize("fraction", [-0.5, 1.0, 1.5, float("nan")])
+@pytest.mark.parametrize("simulator", sorted(WARMUP_SIMULATORS))
+def test_every_simulator_rejects_invalid_warmup_fraction(simulator, fraction):
+    with pytest.raises(ConfigurationError, match="warmup_fraction"):
+        WARMUP_SIMULATORS[simulator](make_random_trace(0), fraction)
 
 
 class TestStatsShape:

@@ -23,8 +23,9 @@ from repro.cache.geometry import CacheGeometry
 from repro.cache.hierarchy import (
     DEFAULT_WARMUP_FRACTION,
     Policy,
-    _simulate_l2,
+    cache_stage,
     l1_miss_stream,
+    replay_stages,
     simulate_hierarchy,
 )
 from repro.cache.reference import reference_simulate_hierarchy
@@ -100,7 +101,7 @@ def stats_from_stream(
     geometry = CacheGeometry(
         l2_bytes, line_size=LINE_SIZE, associativity=l2_associativity
     )
-    hits, misses = _simulate_l2(stream, geometry, policy, warmup_time)
+    [(hits, misses)] = replay_stages(stream, [cache_stage(geometry, policy)], warmup_time)
     return HierarchyStats(
         n_instructions=n_instructions,
         n_data_refs=n_data_refs,
