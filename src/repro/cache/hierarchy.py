@@ -49,7 +49,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..traces.address import Trace
-from .directmap import direct_mapped_misses
+from .directmap import _misses, direct_mapped_misses
 from .geometry import DEFAULT_LINE_SIZE, CacheGeometry
 from .l2 import SetAssociativeCache
 from .replacement import LfsrReplacement, LruReplacement
@@ -149,15 +149,13 @@ def l1_miss_stream(
     identity, so repeated L2 sweeps pay for the L1 pass once.
     """
     n_sets = CacheGeometry(l1_bytes, line_size=line_size, associativity=1).n_sets
-    i_lines = trace.i_lines(line_size)
-    i_times, i_victims = direct_mapped_misses(i_lines, n_sets)
-    d_lines = trace.d_lines(line_size)
-    d_idx, d_victims = direct_mapped_misses(d_lines, n_sets)
+    i_times, i_lines, i_victims = _misses(trace.i_addrs, n_sets, line_size)
+    d_idx, d_lines, d_victims = _misses(trace.d_addrs, n_sets, line_size)
     d_times = trace.d_times[d_idx]
     is_instruction = program_order(i_times, d_times)
     return MissStream(
         times=merge(is_instruction, i_times, d_times),
-        lines=merge(is_instruction, i_lines[i_times], d_lines[d_idx]),
+        lines=merge(is_instruction, i_lines, d_lines),
         victims=merge(is_instruction, i_victims, d_victims),
         is_instruction=is_instruction,
         l1i_misses=len(i_times),

@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..cache.directmap import direct_mapped_misses
+from ..cache.directmap import _misses
 from ..cache.geometry import DEFAULT_LINE_SIZE, CacheGeometry
 from ..cache.hierarchy import DEFAULT_WARMUP_FRACTION, counted_data_refs, warmup_end
 from ..cache.l2 import SetAssociativeCache
@@ -78,20 +78,20 @@ def evaluate_associative_l1(
     geometry = CacheGeometry(l1_bytes, line_size=line_size, associativity=associativity)
     warmup_time = warmup_end(trace, warmup_fraction)
 
-    def counted_misses(lines: np.ndarray, times: np.ndarray) -> int:
+    def counted_misses(addrs: np.ndarray, times: np.ndarray) -> int:
         # The I and D caches are independent, so each stream replays on
         # its own, and only the references that miss a DM cache of the
         # same set count: any other re-touches its set's MRU way.
-        missed, _ = direct_mapped_misses(lines, geometry.n_sets)
+        missed, lines, _ = _misses(addrs, geometry.n_sets, line_size)
         cache = SetAssociativeCache(
             geometry, LruReplacement(associativity, geometry.n_sets)
         )
-        missed = missed[cache.replay(lines[missed])]
+        missed = missed[cache.replay(lines)]
         return int(np.count_nonzero(times[missed] >= warmup_time))
 
     misses = counted_misses(
-        trace.i_lines(line_size), np.arange(trace.n_instructions)
-    ) + counted_misses(trace.d_lines(line_size), trace.d_times)
+        trace.i_addrs, np.arange(trace.n_instructions)
+    ) + counted_misses(trace.d_addrs, trace.d_times)
     counted_data = counted_data_refs(trace, warmup_time)
 
     timing = optimal_timing(l1_bytes, associativity, line_size)

@@ -28,7 +28,7 @@ from typing import List, Tuple, Union
 
 import numpy as np
 
-from ..cache.directmap import _set_sorted_runs
+from ..cache.directmap import _in_program_order, _set_sorted_runs
 from ..cache.geometry import DEFAULT_LINE_SIZE, CacheGeometry
 from ..cache.hierarchy import (
     DEFAULT_WARMUP_FRACTION,
@@ -49,16 +49,18 @@ __all__ = ["simulate_strict_inclusion"]
 class _BackInvalidatedL1:
     """One DM L1's reference stream, indexed by set for back-invalidation.
 
-    ``misses`` are the plain (non-inclusive) cache's miss positions; the
-    run heads sorted by (set, position) answer :meth:`remiss`.
+    ``misses`` are the plain (non-inclusive) cache's miss positions and ``lines``
+    their lines ``addrs // line_size``; the run heads sorted by (set, position)
+    answer :meth:`remiss`.
     """
 
-    def __init__(self, lines: np.ndarray, n_sets: int) -> None:
-        heads, order, head_lines, _, misses = _set_sorted_runs(lines, n_sets)
+    def __init__(self, addrs: np.ndarray, n_sets: int, line_size: int) -> None:
+        heads, order, head_lines, _, misses = _set_sorted_runs(addrs, n_sets, line_size)
         by_set = heads[order]
-        self.misses = np.sort(by_set[misses])
-        self._n_sets = n_sets
-        self._lines = memoryview(lines)
+        self.misses, by_position = _in_program_order(heads, order, misses)
+        self.lines = head_lines[misses[by_position]]
+        self._n_sets, self._line_size = n_sets, line_size
+        self._addrs = memoryview(addrs)
         self._heads = memoryview(by_set)
         self._head_lines = memoryview(head_lines)
         self._bounds = memoryview(np.searchsorted(head_lines % n_sets, np.arange(n_sets + 1)))
@@ -75,7 +77,7 @@ class _BackInvalidatedL1:
         k = bisect_left(self._heads, position, lo, hi)
         if k == lo or self._head_lines[k - 1] != line:
             return -1
-        if position < len(self._lines) and self._lines[position] == line:
+        if position < len(self._addrs) and self._addrs[position] // self._line_size == line:
             return position  # the resident run continues at ``position``
         if k < hi and self._head_lines[k] == line:
             return self._heads[k]
@@ -110,8 +112,8 @@ def simulate_strict_inclusion(
     warmup_time = warmup_end(trace, warmup_fraction)
 
     n_sets = CacheGeometry(l1_bytes, line_size=line_size, associativity=1).n_sets
-    i_lines, d_lines = trace.i_lines(line_size), trace.d_lines(line_size)
-    icache, dcache = _BackInvalidatedL1(i_lines, n_sets), _BackInvalidatedL1(d_lines, n_sets)
+    icache = _BackInvalidatedL1(trace.i_addrs, n_sets, line_size)
+    dcache = _BackInvalidatedL1(trace.d_addrs, n_sets, line_size)
     l2 = SetAssociativeCache(
         CacheGeometry(l2_bytes, line_size=line_size, associativity=l2_associativity)
     )
@@ -121,7 +123,7 @@ def simulate_strict_inclusion(
     is_instruction = program_order(i_pos, d_times[d_pos])
     times = merge(is_instruction, i_pos, d_times[d_pos])
     keys = merge(is_instruction, np.searchsorted(d_times, i_pos), d_pos + 1) + times
-    lines = merge(is_instruction, i_lines[i_pos], d_lines[d_pos])
+    lines = merge(is_instruction, icache.lines, dcache.lines)
     first = int(np.searchsorted(times, warmup_time, side="left"))
     l1i = int(np.count_nonzero(is_instruction[first:]))
     l1d = len(times) - first - l1i

@@ -113,8 +113,8 @@ def simulate_stream_buffer(
     consumes the head (the rest of the FIFO shifts up and prefetch runs
     one line ahead); a miss reallocates the least-recently-allocated
     buffer to the new stream.  Data misses pass straight through.
-    Prefetch timing is not modelled, so ``buffer_depth`` changes no
-    count: only heads are probed, and every buffer refills to its depth.
+    ``buffer_depth`` is validated and reported but changes no count:
+    only each FIFO's head is probed, and prefetch timing is not modelled.
     """
     if n_buffers < 1:
         raise ConfigurationError("n_buffers must be >= 1")

@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..cache.directmap import direct_mapped_misses
+from ..cache.directmap import _misses
 from ..cache.geometry import DEFAULT_LINE_SIZE, CacheGeometry
 from ..cache.hierarchy import (
     DEFAULT_WARMUP_FRACTION,
@@ -98,13 +98,13 @@ def compare_split_vs_unified(
     )
     i_times = np.arange(trace.n_instructions)
     is_instruction = program_order(i_times, trace.d_times)
-    merged_lines = merge(is_instruction, trace.i_lines(line_size), trace.d_lines(line_size))
-    missed, _ = direct_mapped_misses(merged_lines, unified.n_sets)
+    merged_addrs = merge(is_instruction, trace.i_addrs, trace.d_addrs)
+    missed, lines, _ = _misses(merged_addrs, unified.n_sets, line_size)
     if not unified.is_direct_mapped:
         cache = SetAssociativeCache(
             unified, LruReplacement(unified.associativity, unified.n_sets)
         )
-        missed = missed[cache.replay(merged_lines[missed])]
+        missed = missed[cache.replay(lines)]
     merged_times = merge(is_instruction, i_times, trace.d_times)
     unified_misses = int(np.count_nonzero(merged_times[missed] >= warmup_time))
 

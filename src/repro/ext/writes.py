@@ -26,7 +26,7 @@ from typing import Optional, Set, Union
 
 import numpy as np
 
-from ..cache.directmap import NO_VICTIM, direct_mapped_misses, dirty_victim_mask
+from ..cache.directmap import NO_VICTIM, _misses
 from ..cache.geometry import CacheGeometry
 from ..cache.hierarchy import (
     DEFAULT_WARMUP_FRACTION,
@@ -78,14 +78,12 @@ def _l1_dirty_flags(trace: Trace, l1_bytes: int, line_size: int) -> np.ndarray:
     """Dirty flag per merged L1 miss event (instruction misses: False)."""
     stream = l1_miss_stream(trace, l1_bytes, line_size)
     n_sets = CacheGeometry(l1_bytes, line_size=line_size, associativity=1).n_sets
-    d_lines = trace.d_lines(line_size)
-    d_dirty = dirty_victim_mask(d_lines, trace.d_is_store, n_sets)
-    d_misses, _ = direct_mapped_misses(d_lines, n_sets)
+    *_, d_dirty = _misses(trace.d_addrs, n_sets, line_size, trace.d_is_store)
     # The D-cache's misses are exactly the data events of the merged
     # stream, in the same order.  Instruction victims are never dirty
     # (code is read-only on these machines).
     dirty = np.zeros(len(stream), dtype=bool)
-    dirty[~stream.is_instruction] = d_dirty[d_misses]
+    dirty[~stream.is_instruction] = d_dirty
     return dirty
 
 

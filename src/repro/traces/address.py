@@ -87,9 +87,9 @@ class Trace:
         if len(self.d_times):
             if self.d_times[0] < 0 or self.d_times[-1] >= len(self.i_addrs):
                 raise TraceError("d_times out of instruction-index range")
-            if np.any(np.diff(self.d_times) < 0):
+            if np.any(self.d_times[1:] < self.d_times[:-1]):
                 raise TraceError("d_times must be non-decreasing")
-        if np.any(self.i_addrs < 0) or (len(self.d_addrs) and np.any(self.d_addrs < 0)):
+        if self.i_addrs.min() < 0 or (len(self.d_addrs) and self.d_addrs.min() < 0):
             raise TraceError("addresses must be non-negative")
 
     @property

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,6 +41,9 @@ INSTRUCTION_BYTES = 4
 #: component can never alias each other.
 _REGION_SPACING = 1 << 34
 
+#: Uniform draws per chunk: ``Generator.random`` drawn in chunks equals one draw.
+_CHUNK = 1 << 16
+
 
 def _seed_from(name: str, salt: str) -> int:
     """Stable 64-bit seed derived from a workload name and a salt."""
@@ -57,10 +60,19 @@ def _zipf_cdf(n_items: int, exponent: float) -> np.ndarray:
     return cdf
 
 
+def _draw(rng: np.random.Generator, size: int, dtype: type, transform: Callable) -> np.ndarray:
+    """``transform(rng.random(size))`` as a ``dtype`` array, drawn a chunk at a time."""
+    out = np.empty(size, dtype=dtype)
+    for start in range(0, size, _CHUNK):
+        stop = min(start + _CHUNK, size)
+        out[start:stop] = transform(rng.random(stop - start))
+    return out
+
+
 def _sample_zipf(rng: np.random.Generator, cdf: np.ndarray, size: int) -> np.ndarray:
-    """Draw ``size`` ranks (0-based) from a precomputed Zipf CDF."""
-    u = rng.random(size)
-    return np.searchsorted(cdf, u, side="left").astype(np.int64)
+    """Draw ``size`` ranks (0-based, in the narrowest type) from a precomputed Zipf CDF."""
+    rank = np.min_scalar_type(len(cdf) - 1)
+    return _draw(rng, size, rank, lambda u: np.searchsorted(cdf, u, side="left"))
 
 
 @dataclass(frozen=True)
@@ -220,7 +232,7 @@ class SyntheticWorkload:
         rng = np.random.default_rng(_seed_from(self.name, "trace"))
         i_addrs = self._generate_instructions(rng, n_instructions)
         d_addrs, d_times = self._generate_data(rng, n_instructions)
-        d_is_store = rng.random(len(d_addrs)) < self.store_fraction
+        d_is_store = _draw(rng, len(d_addrs), bool, lambda u: u < self.store_fraction)
         return Trace(self.name, i_addrs, d_addrs, d_times, d_is_store)
 
     def _generate_instructions(
@@ -233,46 +245,37 @@ class SyntheticWorkload:
         ranks = _sample_zipf(rng, cdf, n_calls)
         # Spread popular functions across the address space so Zipf rank
         # adjacency does not translate into set adjacency.
-        placement = rng.permutation(model.n_functions).astype(np.int64)
-        bases = placement[ranks] * model.function_bytes
-        # Expand each call into a sequential fetch run.
-        total = n_calls * per_call
-        offsets = np.tile(
-            np.arange(per_call, dtype=np.int64) * INSTRUCTION_BYTES, n_calls
-        )
-        addrs = np.repeat(bases, per_call) + offsets
-        if total < n_instructions:  # pragma: no cover - guarded by ceil above
-            raise TraceError("internal error: instruction expansion too short")
-        return addrs[:n_instructions]
+        placement = rng.permutation(model.n_functions)
+        # Expand each call into a sequential fetch run, one row per call,
+        # broadcast into a single buffer; the last call is never reached.
+        n_rows = -(-n_instructions // per_call)
+        bases = placement[ranks[:n_rows]] * model.function_bytes
+        addrs = np.empty((n_rows, per_call), dtype=np.int64)
+        np.add.outer(bases, np.arange(per_call) * INSTRUCTION_BYTES, out=addrs)
+        return addrs.reshape(-1)[:n_instructions]
 
     def _generate_data(
         self, rng: np.random.Generator, n_instructions: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        issue = rng.random(n_instructions) < self.data_ratio
-        d_times = np.nonzero(issue)[0].astype(np.int64)
+        d_times = np.flatnonzero(_draw(rng, n_instructions, bool, lambda u: u < self.data_ratio))
         n_data = len(d_times)
-        d_addrs = np.zeros(n_data, dtype=np.int64)
-        if n_data == 0:
-            return d_addrs, d_times
-
         weights = np.array([c.weight for c in self.data_components], dtype=np.float64)
         weights /= weights.sum()
         choice = rng.choice(len(self.data_components), size=n_data, p=weights)
+        choice = choice.astype(np.min_scalar_type(len(self.data_components) - 1))
+        d_addrs = np.zeros(n_data, dtype=np.int64)
 
         for index, component in enumerate(self.data_components):
             mask = choice == index
             count = int(mask.sum())
             if count == 0:
                 continue
-            region_base = (index + 1) * _REGION_SPACING
             if isinstance(component, ZipfComponent):
-                d_addrs[mask] = region_base + self._zipf_addresses(
-                    rng, component, count
-                )
+                addrs = self._zipf_addresses(rng, component, count)
             else:
-                d_addrs[mask] = region_base + self._stream_addresses(
-                    component, count
-                )
+                addrs = self._stream_addresses(component, count)
+            addrs += (index + 1) * _REGION_SPACING
+            d_addrs[mask] = addrs
         return d_addrs, d_times
 
     def _zipf_addresses(
@@ -280,8 +283,9 @@ class SyntheticWorkload:
     ) -> np.ndarray:
         cdf = _zipf_cdf(component.n_granules, component.exponent)
         ranks = _sample_zipf(rng, cdf, count)
-        placement = rng.permutation(component.n_granules).astype(np.int64)
-        return placement[ranks] * component.granule_bytes
+        placement = rng.permutation(component.n_granules)
+        placement *= component.granule_bytes
+        return placement[ranks]
 
     def _stream_addresses(self, component: StreamComponent, count: int) -> np.ndarray:
         seq = np.arange(count, dtype=np.int64)

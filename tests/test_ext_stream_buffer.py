@@ -159,6 +159,17 @@ class TestSemantics:
         )
         assert two.buffer_hits > one.buffer_hits
 
+    def test_depth_changes_no_count(self, gcc1_tiny):
+        """Only FIFO heads are probed and prefetch timing is not modelled,
+        so the depth is reported but moves no count.  A timing model that
+        makes it matter has to change this test on purpose."""
+        counts = set()
+        for depth in range(1, 5):
+            stats = simulate_stream_buffer(gcc1_tiny, kb(2), buffer_depth=depth)
+            assert stats.buffer_depth == depth
+            counts.add((stats.l1i_misses, stats.buffer_hits, stats.misses_below))
+        assert len(counts) == 1
+
     def test_validation(self, gcc1_tiny):
         with pytest.raises(ConfigurationError):
             simulate_stream_buffer(gcc1_tiny, kb(4), n_buffers=0)
