@@ -17,15 +17,9 @@ per-unit telemetry cost land in ``benchmarks/output/BENCH_obs.json``.
 
 import time
 
-from repro.area.model import _optimal_cache_area_cached
-from repro.core.evaluate import _cached_stats
+from repro import memo
 from repro.core.explorer import as_point, design_space, run_sweep
-from repro.cache.hierarchy import l1_miss_stream
-from repro.cache.replacement import _way_table
 from repro.obs import Telemetry, load_metrics_file, load_spans_file
-from repro.power.energy import _optimal_access_energy_cached
-from repro.timing.optimal import _optimal_timing_cached
-from repro.traces.store import clear_trace_cache
 from repro.traces.workloads import WORKLOADS
 
 #: Small fixed scale: the gate is a ratio, so identical work matters
@@ -39,16 +33,8 @@ OVERHEAD_GATE = 0.05
 
 
 def _clear_caches():
-    # Every process-wide memo the sweep can hit: traces, L1 filter
-    # passes, the LFSR way tables, evaluation stats, and the
-    # timing/area/energy solvers.
-    clear_trace_cache()
-    l1_miss_stream.cache_clear()
-    _way_table.cache_clear()
-    _cached_stats.cache_clear()
-    _optimal_timing_cached.cache_clear()
-    _optimal_cache_area_cached.cache_clear()
-    _optimal_access_energy_cached.cache_clear()
+    # Every process-wide memo the sweep can hit (repro.memo's registry).
+    memo.clear_all()
 
 
 def _sweep_all(telemetry=None):

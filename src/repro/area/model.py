@@ -26,6 +26,7 @@ from functools import lru_cache
 
 from ..cache.geometry import DEFAULT_LINE_SIZE, CacheGeometry
 from ..errors import ModelError
+from ..memo import register
 from ..timing.optimal import optimal_timing
 from ..timing.organization import (
     ArrayOrganization,
@@ -146,6 +147,7 @@ def cache_area(
     )
 
 
+@register("area")
 @lru_cache(maxsize=4096)
 def _optimal_cache_area_cached(
     size_bytes: int,

@@ -42,12 +42,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..memo import per_trace
 from ..traces.address import Trace
 from .directmap import _misses, direct_mapped_misses
 from .geometry import DEFAULT_LINE_SIZE, CacheGeometry
@@ -138,15 +138,15 @@ def merge(is_instruction: np.ndarray, i_values: np.ndarray, d_values: np.ndarray
     return merged
 
 
-@lru_cache(maxsize=256)
+@per_trace("l1_stream")
 def l1_miss_stream(
     trace: Trace, l1_bytes: int, line_size: int = DEFAULT_LINE_SIZE
 ) -> MissStream:
     """Filter ``trace`` through split ``l1_bytes`` I and D caches.
 
     Both L1 caches are direct-mapped and of equal size, as the paper's
-    design space prescribes.  Results are memoised on the trace object's
-    identity, so repeated L2 sweeps pay for the L1 pass once.
+    design space prescribes.  Results are memoised while the trace lives,
+    so repeated L2 sweeps pay for the L1 pass once.
     """
     n_sets = CacheGeometry(l1_bytes, line_size=line_size, associativity=1).n_sets
     i_times, i_lines, i_victims = _misses(trace.i_addrs, n_sets, line_size)

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..errors import GeometryError
 from ..lfsr import Lfsr16
+from ..memo import register
 
 __all__ = ["ReplacementPolicy", "LfsrReplacement", "LruReplacement"]
 
@@ -32,6 +33,7 @@ class ReplacementPolicy(Protocol):
         """Record an access (hit or fill) to ``(set_index, way)``."""
 
 
+@register("way_table")
 @lru_cache(maxsize=None)
 def _way_table(associativity: int, seed: int) -> Sequence[int]:
     """One full LFSR period of ``next_way(associativity)`` from ``seed``.

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 from ..area.model import optimal_cache_area
 from ..cache.hierarchy import Policy, simulate_hierarchy
 from ..cache.results import HierarchyStats
+from ..memo import per_trace
 from ..traces.address import Trace
 from ..traces.store import get_trace
 from .config import SystemConfig
@@ -68,7 +68,7 @@ def system_area_rbe(config: SystemConfig) -> float:
     return total
 
 
-@lru_cache(maxsize=65536)
+@per_trace("stats")
 def _cached_stats(
     trace: Trace,
     l1_bytes: int,

@@ -24,10 +24,8 @@ from ..cache.directmap import _misses
 from ..cache.geometry import DEFAULT_LINE_SIZE, CacheGeometry
 from ..cache.hierarchy import (
     DEFAULT_WARMUP_FRACTION,
-    counted_data_refs,
     l1_miss_stream,
     merge,
-    program_order,
     warmup_end,
 )
 from ..cache.l2 import SetAssociativeCache
@@ -96,20 +94,22 @@ def compare_split_vs_unified(
     unified = CacheGeometry(
         2 * per_cache_bytes, line_size=line_size, associativity=unified_associativity
     )
-    i_times = np.arange(trace.n_instructions)
-    is_instruction = program_order(i_times, trace.d_times)
+    # Data reference j follows the fetch of d_times[j]: merged slot d_times[j] + j + 1.
+    is_instruction = np.ones(trace.n_refs, dtype=bool)
+    is_instruction[trace.d_times + np.arange(1, trace.n_data_refs + 1)] = False
     merged_addrs = merge(is_instruction, trace.i_addrs, trace.d_addrs)
+    del is_instruction
     missed, lines, _ = _misses(merged_addrs, unified.n_sets, line_size)
     if not unified.is_direct_mapped:
         cache = SetAssociativeCache(
             unified, LruReplacement(unified.associativity, unified.n_sets)
         )
         missed = missed[cache.replay(lines)]
-    merged_times = merge(is_instruction, i_times, trace.d_times)
-    unified_misses = int(np.count_nonzero(merged_times[missed] >= warmup_time))
+    # Counting starts past every fetch and data reference issued before the warm-up.
+    first = warmup_time + int(np.searchsorted(trace.d_times, warmup_time, side="left"))
+    unified_misses = len(missed) - int(np.searchsorted(missed, first, side="left"))
 
-    counted_data = counted_data_refs(trace, warmup_time)
-    n_refs = (trace.n_instructions - warmup_time) + counted_data
+    n_refs = trace.n_refs - first
     return SplitVsUnified(
         workload=trace.name,
         per_cache_bytes=per_cache_bytes,

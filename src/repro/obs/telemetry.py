@@ -21,10 +21,12 @@ Two usage shapes:
 
 Telemetry is written once per run: the runner's final :meth:`flush`
 (with the canonical unit order), made by every run that completes or
-drains, writes both files through tracked atomic writes.  A crashed
-run leaves no ``METRICS.jsonl`` / ``SPANS.jsonl``; its per-unit record
-is the journal, from which ``repro metrics`` synthesises the same
-counters and duration histogram.
+drains, writes both files through tracked atomic writes, after
+projecting this process's :func:`repro.memo.counts` into
+``repro_memo_{hits,misses}_total``.  A crashed run leaves no
+``METRICS.jsonl`` / ``SPANS.jsonl``; its per-unit record is the
+journal, from which ``repro metrics`` synthesises the same counters and
+duration histogram.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Union
 
+from .. import memo
 from .clock import SYSTEM_CLOCK, Clock
 from .metrics import METRICS_NAME, MetricsRegistry, metrics_jsonl
 from .spans import SPANS_NAME, Span, Tracer, canonical_spans, spans_jsonl
@@ -134,6 +137,9 @@ class Telemetry:
         records = self.tracer.records()
         if unit_order is not None:
             records = canonical_spans(records, unit_order)
+            for name, info in memo.counts().items():
+                for kind, value in (("hits", info.hits), ("misses", info.misses)):
+                    self.registry.counter(f"repro_memo_{kind}_total", {"memo": name}).set_to(value)
         write_text_atomic(
             self.out_dir / METRICS_NAME,
             metrics_jsonl(self.registry.snapshot()),

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from ..cache.geometry import DEFAULT_LINE_SIZE, CacheGeometry
 from ..errors import ModelError
+from ..memo import register
 from ..timing.model import OUTPUT_BITS
 from ..timing.optimal import optimal_timing
 from ..timing.organization import (
@@ -147,6 +148,7 @@ def cache_access_energy(
     )
 
 
+@register("energy")
 @lru_cache(maxsize=4096)
 def _optimal_access_energy_cached(
     size_bytes: int,

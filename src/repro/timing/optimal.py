@@ -21,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..cache.geometry import DEFAULT_LINE_SIZE, CacheGeometry
+from ..memo import register
 from .model import TimingResult, _combine, _data_side, _tag_side, access_and_cycle_time
 from .organization import ArrayOrganization, side_candidates
 from .technology import TECH_05UM, Technology
@@ -40,6 +41,7 @@ def lexicographic_argmin(*keys: np.ndarray) -> int:
     return int(np.flatnonzero(candidates)[0])
 
 
+@register("timing")
 @lru_cache(maxsize=4096)
 def _optimal_timing_cached(
     size_bytes: int, line_size: int, associativity: int, tech: Technology

@@ -30,8 +30,8 @@ class Trace:
 
     Equality/hash are by object identity (``eq=False``): traces are
     large arrays memoised by :mod:`repro.traces.store`, and identity
-    hashing lets downstream layers ``lru_cache`` simulation results
-    keyed on the trace object itself.
+    hashing lets the per-trace memos (:func:`repro.memo.per_trace`) key
+    simulation results weakly on the trace object itself.
 
     Attributes
     ----------

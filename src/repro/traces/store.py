@@ -2,7 +2,7 @@
 
 Trace generation is the most expensive part of a sweep after the cache
 simulation itself, and every experiment reuses the same traces, so
-generated traces are cached per ``(workload, scale)``.
+generated traces are cached per ``(workload, scale)`` for the process.
 
 The default scale comes from the ``REPRO_TRACE_SCALE`` environment
 variable (1.0 → :data:`~repro.traces.workloads.BASE_INSTRUCTIONS`
@@ -16,6 +16,7 @@ import os
 from typing import Dict, Optional, Tuple
 
 from ..errors import TraceError
+from ..memo import CacheInfo, register
 from .address import Trace
 from .workloads import BASE_INSTRUCTIONS, get_workload
 
@@ -24,6 +25,22 @@ __all__ = ["default_scale", "get_trace", "clear_trace_cache"]
 _ENV_VAR = "REPRO_TRACE_SCALE"
 
 _cache: Dict[Tuple[str, int], Trace] = {}
+
+
+@register("traces")
+class _Store:
+    """The store as the registered memo ``traces``: it never evicts, so its size is its misses."""
+
+    lookups = 0
+
+    @classmethod
+    def cache_info(cls) -> CacheInfo:
+        return CacheInfo(cls.lookups - len(_cache), len(_cache), None, len(_cache))
+
+    @classmethod
+    def cache_clear(cls) -> None:
+        _cache.clear()
+        cls.lookups = 0
 
 
 def default_scale() -> float:
@@ -55,6 +72,7 @@ def get_trace(name: str, scale: Optional[float] = None) -> Trace:
         scale = default_scale()
     n_instructions = max(1, int(round(BASE_INSTRUCTIONS * scale)))
     key = (name, n_instructions)
+    _Store.lookups += 1
     trace = _cache.get(key)
     if trace is None:
         spec = get_workload(name)
@@ -65,4 +83,4 @@ def get_trace(name: str, scale: Optional[float] = None) -> Trace:
 
 def clear_trace_cache() -> None:
     """Drop all memoised traces (mainly for tests managing memory)."""
-    _cache.clear()
+    _Store.cache_clear()

@@ -1,13 +1,23 @@
 """Associative-L1 (Hill, ref [3]) and split-vs-unified (intro adv. #1)."""
 
+import gc
+import tracemalloc
+
 import pytest
 
-from conftest import TINY
-from repro.cache.hierarchy import simulate_hierarchy
+from conftest import MEDIUM, TINY
+from repro.cache.geometry import DEFAULT_LINE_SIZE
+from repro.cache.hierarchy import l1_miss_stream, simulate_hierarchy
 from repro.errors import ConfigurationError
 from repro.ext.associative_l1 import evaluate_associative_l1
 from repro.ext.unified_l1 import compare_split_vs_unified
+from repro.traces.store import get_trace
 from repro.units import kb
+
+#: Ceiling on the unified comparison's traced peak over its trace's bytes:
+#: it reaches 2.24 (the merged addresses and the filter's run heads), and
+#: the ceiling leaves 0.06.
+UNIFIED_PEAK_OVER_TRACE = 2.30
 
 
 class TestAssociativeL1:
@@ -84,3 +94,26 @@ class TestSplitVsUnified:
     def test_validation(self, gcc1_tiny):
         with pytest.raises(ConfigurationError):
             compare_split_vs_unified(gcc1_tiny, kb(4), warmup_fraction=-0.1)
+
+    def test_peak_is_a_small_multiple_of_the_trace(self):
+        """Past the memoised split streams, comparing gcc1 at ``MEDIUM``
+        scale allocates at most ``UNIFIED_PEAK_OVER_TRACE`` times the
+        trace's bytes (tracemalloc counts numpy's buffers)."""
+        trace = get_trace("gcc1", MEDIUM)
+        l1_miss_stream(trace, kb(1), DEFAULT_LINE_SIZE)  # the memo key the comparison uses
+        compare_split_vs_unified("gcc1", kb(1), scale=TINY)  # lazy imports, not counted
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            compare_split_vs_unified(trace, kb(1))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        kept = sum(
+            array.nbytes for array in (trace.i_addrs, trace.d_addrs, trace.d_times, trace.d_is_store)
+        )
+        assert peak / kept <= UNIFIED_PEAK_OVER_TRACE

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import memo
 from repro.core.config import SystemConfig
 from repro.core.explorer import run_sweep_dir
 from repro.errors import ObsError
@@ -447,3 +448,18 @@ class TestSweepTelemetry:
             RunJournal.open(tmp_path / "run" / "sweep.journal.jsonl", resume=True)
         )
         assert ("repro_simulate_seconds", ()) in by_key
+
+    def test_memo_counts_are_projected_at_the_final_flush(self, tmp_path):
+        self.run(tmp_path / "run", telemetry=True)
+        counts = memo.counts()
+        samples, _ = load_run_metrics(tmp_path / "run")
+        exported = {
+            (s["name"], s["labels"]["memo"]): s["value"]
+            for s in samples
+            if s["name"].startswith("repro_memo_")
+        }
+        assert exported == {
+            **{("repro_memo_hits_total", name): info.hits for name, info in counts.items()},
+            **{("repro_memo_misses_total", name): info.misses for name, info in counts.items()},
+        }
+        assert counts["l1_stream"].hits + counts["l1_stream"].misses > 0
