@@ -9,6 +9,7 @@ the soaked tree converges byte-identical with an undisturbed run.
 
 import json
 import multiprocessing
+import random
 import shutil
 
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from repro.cli import main
 from repro.runner import tree_fingerprint, verify_tree
 from repro.runner.integrity import SIDECAR_SUFFIX, is_volatile
-from repro.study.chaos import ChaosResult, run_chaos
+from repro.study.chaos import ChaosResult, _random_schedule, run_chaos
 from repro.study.registry import _REGISTRY, ExperimentResult, Series, register
 from repro.study.repair import verify_and_repair
 from repro.study.resultstore import write_report
@@ -100,6 +101,24 @@ class TestSoakConvergence:
             workers=2,
         )
         assert result.converged, result.render()
+
+
+#: The schedules CI's batch soaks draw (``--rounds 4 --ids fig5,table1
+#: --workers 4``) for seeds 1-3.  Seeds 1 and 3 carry the ``sigterm=`` and
+#: ``hang=`` rounds CI's lifecycle coverage step greps for.
+CI_SCHEDULES = {
+    1: ["", "crash=table1", "killworker=table1", "sigterm=fig5,crash=table1"],
+    2: ["", "", "", "corrupt=table1"],
+    3: ["", "hang=fig5:30,enospc=table1:1", "fail=table1:2,hang=fig5:30", ""],
+}
+
+
+class TestScheduleDraws:
+    @pytest.mark.parametrize("seed", sorted(CI_SCHEDULES))
+    def test_ci_seeds_draw_pinned_schedules(self, seed):
+        rng = random.Random(seed)
+        drawn = [_random_schedule(rng, ["fig5", "table1"], True) for _ in range(4)]
+        assert drawn == CI_SCHEDULES[seed]
 
 
 class TestDetection:

@@ -589,6 +589,7 @@ class TestServeChaosSoak:
             workers=None, scale=0.02,
         )
         assert a.schedules == b.schedules
+        assert a.schedules == ["pooldeath=*:1", "pooldeath=*:1"]
 
 
 class TestObservabilityEndpoints:
