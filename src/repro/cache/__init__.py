@@ -12,8 +12,8 @@ the two together under the paper's two replacement disciplines:
   the line up to L1 and out of L2, and every L1 victim is written into
   the L2, so capacity is the *sum* of the levels.
 
-:mod:`repro.cache.reference` holds deliberately slow, obviously-correct
-simulators used by the test suite to validate the fast path.
+The deliberately slow, obviously-correct simulators that validate the
+fast path live with the tests (``tests/cache_reference.py``).
 """
 
 from .directmap import DirectMappedFilter, direct_mapped_filter

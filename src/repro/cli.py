@@ -369,29 +369,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from .study.chaos import run_chaos
-    from .study.serve_chaos import run_serve_chaos
 
-    if args.serve:
-        serve_result = run_serve_chaos(
-            args.out,
-            seed=args.seed,
-            rounds=args.rounds,
-            workers=args.workers if args.workers is not None else 2,
-            scale=args.scale,
-        )
-        if args.format == "json":
-            print(json.dumps(serve_result.to_record(), indent=2))
-        else:
-            print(serve_result.render())
-        return 0 if serve_result.passed else 1
-    ids = args.ids.split(",") if args.ids else None
     result = run_chaos(
         args.out,
         seed=args.seed,
         rounds=args.rounds,
-        ids=ids,
+        ids=args.ids.split(",") if args.ids else None,
         scale=args.scale,
-        workers=args.workers,
+        # A serve soak without --workers still exercises a pool.
+        workers=args.workers or (2 if args.serve else None),
+        serve=args.serve,
     )
     if args.format == "json":
         print(json.dumps(result.to_record(), indent=2))

@@ -19,6 +19,10 @@ Durability and failure semantics:
   (:mod:`repro.runner.integrity`): its sha256 is recorded in a
   ``.sha256`` sidecar immediately after the rename, from which the
   per-directory ``MANIFEST.json`` is later rebuilt.
+
+:func:`append_line` is the one non-replacing write: an append-only log
+(the run journal) grows by one fsynced line at a time, so a crash can
+tear only its final line, which the log's reader tolerates.
 """
 
 from __future__ import annotations
@@ -32,7 +36,13 @@ from typing import IO, Any, Iterator, Union
 from ..errors import CheckpointError
 from . import faults
 
-__all__ = ["atomic_open", "write_text_atomic", "write_bytes_atomic", "fsync_directory"]
+__all__ = [
+    "append_line",
+    "atomic_open",
+    "write_text_atomic",
+    "write_bytes_atomic",
+    "fsync_directory",
+]
 
 #: errno values reported when the filesystem runs out of room.
 _NO_SPACE = frozenset(
@@ -139,3 +149,34 @@ def write_bytes_atomic(
             raise CheckpointError(
                 f"{path}: short write ({written} of {len(data)} bytes)"
             )
+
+
+def append_line(path: Union[str, Path], line: str, hasher: Any) -> None:
+    """Durably append ``line`` (newline-terminated) to the existing ``path``.
+
+    The bytes are written, flushed and fsynced.  The fault hook runs
+    first, and a full disk raises the retryable
+    :class:`~repro.errors.CheckpointError`, as in :func:`atomic_open`.
+    ``hasher`` is a running ``hashlib.sha256`` of the file's bytes so
+    far: it takes the appended bytes and its digest is written to the
+    file's sidecar, so the sidecar stays current without re-reading
+    the file.
+    """
+    from .integrity import write_sidecar
+
+    path = Path(path)
+    data = line.encode("utf-8")
+    try:
+        faults.check_write(path)
+        with open(path, "ab") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+    except OSError as error:
+        if error.errno in _NO_SPACE:
+            raise CheckpointError(
+                f"{path}: disk full while appending ({error})"
+            ) from error
+        raise
+    hasher.update(data)
+    write_sidecar(path, hasher.hexdigest())

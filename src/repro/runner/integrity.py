@@ -106,15 +106,17 @@ def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + SIDECAR_SUFFIX)
 
 
-def write_sidecar(path: Union[str, Path]) -> str:
-    """Hash ``path`` and persist the digest to its ``.sha256`` sidecar.
+def write_sidecar(path: Union[str, Path], digest: Optional[str] = None) -> str:
+    """Persist ``path``'s sha256 to its ``.sha256`` sidecar.
 
     The sidecar uses ``sha256sum`` format (``<hex>  <name>``), so a
-    tree is independently checkable with coreutils.  Returns the
-    digest.
+    tree is independently checkable with coreutils.  ``digest`` is the
+    file's digest when the caller already knows it; otherwise the file
+    is hashed.  Returns the digest.
     """
     path = Path(path)
-    digest = hash_file(path)
+    if digest is None:
+        digest = hash_file(path)
     write_text_atomic(_sidecar_path(path), f"{digest}  {path.name}\n")
     return digest
 

@@ -8,11 +8,16 @@ unit whose recorded key still matches, so only unfinished (or changed)
 work is re-executed.
 
 Layout: the first line is a header ``{"journal": 2}``; each following
-line is one entry.  The file is rewritten through a tmp-sibling +
-``os.replace`` on every append, so readers never observe a torn entry.
-A truncated *final* line (possible if an older writer died mid-append)
-is tolerated on load; corruption anywhere else raises
-:class:`~repro.errors.CheckpointError`.
+line is one entry.  :meth:`RunJournal.record` appends one fsynced line
+(:func:`~repro.runner.atomic.append_line`), so its cost does not grow
+with the journal.  A crash mid-append can tear only the final line,
+which is tolerated on load; corruption anywhere else raises
+:class:`~repro.errors.CheckpointError`.  The file is instead rewritten
+whole, through a tmp-sibling + ``os.replace``, when it is created,
+reordered (:meth:`RunJournal.rewrite_ordered`), or when the journal
+cannot be appended to as it stands: after a resume that found a torn
+final line or an older header, or after a failed write.  So a torn
+line never ends up in the middle of the file.
 
 Schema history: version 2 added the per-entry ``duration_s`` (final
 attempt wall time) and ``started_at`` / ``ended_at`` (Unix timestamps)
@@ -25,10 +30,10 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..errors import CheckpointError
-from .atomic import write_text_atomic
+from .atomic import append_line, write_text_atomic
 
 __all__ = ["JOURNAL_SCHEMA", "SUPPORTED_JOURNAL_SCHEMAS", "unit_key", "RunJournal"]
 
@@ -60,6 +65,9 @@ class RunJournal:
         # past this index was recorded by the current run and may be
         # canonically reordered (see rewrite_ordered).
         self._n_loaded = 0
+        # Running sha256 of the file's bytes while the next entry can
+        # simply be appended; None makes the next write a full rewrite.
+        self._hasher: Optional[Any] = None
 
     @classmethod
     def open(cls, path: Union[str, Path], resume: bool = False) -> "RunJournal":
@@ -77,9 +85,11 @@ class RunJournal:
         return journal
 
     def _load(self) -> None:
-        lines = self.path.read_text().splitlines()
+        data = self.path.read_bytes()
+        lines = data.decode("utf-8").splitlines()
         if not lines:
             return
+        appendable = data.endswith(b"\n")
         try:
             header = json.loads(lines[0])
         except json.JSONDecodeError:
@@ -101,6 +111,7 @@ class RunJournal:
                 if number == len(lines):
                     # Torn final append from a crashed writer; the unit
                     # it described simply re-runs.
+                    appendable = False
                     break
                 raise CheckpointError(
                     f"{self.path}:{number}: corrupt journal entry"
@@ -110,14 +121,29 @@ class RunJournal:
             self._entries.append(entry)
             self._latest[entry["unit"]] = entry
         self._n_loaded = len(self._entries)
+        if appendable and header["journal"] == JOURNAL_SCHEMA:
+            self._hasher = hashlib.sha256(data)
 
     def _flush(self) -> None:
         lines = [json.dumps({"journal": JOURNAL_SCHEMA})]
         lines += [json.dumps(entry, sort_keys=True) for entry in self._entries]
+        text = "\n".join(lines) + "\n"
         # Tracked as a *volatile* artefact: the sidecar follows every
-        # flush, while the manifest lists the journal by name only (its
+        # write, while the manifest lists the journal by name only (its
         # bytes legitimately differ between equivalent runs).
-        write_text_atomic(self.path, "\n".join(lines) + "\n", track=True)
+        self._hasher = None
+        write_text_atomic(self.path, text, track=True)
+        self._hasher = hashlib.sha256(text.encode("utf-8"))
+
+    def _append(self, entry: dict) -> None:
+        if self._hasher is None:
+            self._flush()
+            return
+        # Taken while the line is written: a failed append leaves the
+        # journal to be rewritten whole by the next write.
+        hasher, self._hasher = self._hasher, None
+        append_line(self.path, json.dumps(entry, sort_keys=True) + "\n", hasher)
+        self._hasher = hasher
 
     def record(
         self,
@@ -133,7 +159,7 @@ class RunJournal:
         error: Optional[dict] = None,
         result: Optional[dict] = None,
     ) -> dict:
-        """Append one outcome entry and persist the journal atomically.
+        """Append one outcome entry and persist it durably.
 
         ``duration_s`` / ``started_at`` / ``ended_at`` are the schema-2
         telemetry fields (final-attempt wall time and attempt-loop Unix
@@ -159,7 +185,7 @@ class RunJournal:
             entry["result"] = result
         self._entries.append(entry)
         self._latest[unit_id] = entry
-        self._flush()
+        self._append(entry)
         return entry
 
     def rewrite_ordered(self, unit_order: Sequence[str]) -> None:

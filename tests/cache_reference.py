@@ -2,7 +2,8 @@
 
 These implementations favour clarity over speed and exist solely so the
 test suite can prove the vectorised/decomposed fast path equivalent on
-arbitrary streams.  They must not be used by experiments or benchmarks.
+arbitrary streams.  They live with the tests, outside the package, so no
+experiment or benchmark can run them.
 """
 
 from __future__ import annotations
@@ -12,14 +13,14 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError
-from ..lfsr import Lfsr16
-from ..traces.address import Trace
-from .directmap import NO_VICTIM
-from .geometry import DEFAULT_LINE_SIZE, CacheGeometry
-from .hierarchy import DEFAULT_WARMUP_FRACTION, Policy
-from .replacement import LruReplacement, ReplacementPolicy
-from .results import HierarchyStats
+from repro.cache.directmap import NO_VICTIM
+from repro.cache.geometry import DEFAULT_LINE_SIZE, CacheGeometry
+from repro.cache.hierarchy import DEFAULT_WARMUP_FRACTION, Policy
+from repro.cache.replacement import LruReplacement, ReplacementPolicy
+from repro.cache.results import HierarchyStats
+from repro.errors import ConfigurationError
+from repro.lfsr import Lfsr16
+from repro.traces.address import Trace
 
 __all__ = [
     "ReferenceDirectMapped",

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cache_reference import reference_direct_mapped_filter
 from repro.cache.directmap import (
     NO_VICTIM,
     direct_mapped_filter,
     direct_mapped_misses,
     dirty_victim_mask,
 )
-from repro.cache.reference import reference_direct_mapped_filter
 from repro.errors import GeometryError
 
 #: Set counts of both kinds: powers of two and not.

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cache_reference import ReferenceDirectMapped, reference_simulate_hierarchy
 from conftest import make_random_trace
 from repro.cache import hierarchy
 from repro.cache.hierarchy import (
@@ -13,7 +14,6 @@ from repro.cache.hierarchy import (
     l1_miss_stream,
     simulate_hierarchy,
 )
-from repro.cache.reference import ReferenceDirectMapped, reference_simulate_hierarchy
 from repro.core.config import SystemConfig
 from repro.errors import ConfigurationError
 from repro.ext import (

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cache_reference as reference
+from cache_reference import ReferenceDirectMapped, ReferenceSetAssociativeCache
 from conftest import make_random_trace
-from repro.cache import reference
 from repro.cache.directmap import NO_VICTIM
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hierarchy import Policy, l1_miss_stream
 from repro.cache.l2 import INVALID, SetAssociativeCache
-from repro.cache.reference import ReferenceDirectMapped, ReferenceSetAssociativeCache
 from repro.cache.replacement import LruReplacement
 from repro.ext.associative_l1 import evaluate_associative_l1
 from repro.ext.unified_l1 import compare_split_vs_unified

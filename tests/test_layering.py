@@ -6,25 +6,22 @@ serve, chaos, runner and telemetry layers it never calls.  These checks
 pin the layering down deterministically: each runs in a fresh
 interpreter and inspects ``sys.modules`` afterwards, so a stray
 top-level import fails here instead of showing up as a slower
-benchmark (DESIGN.md §7).  Two static checks read the source instead:
-no program module imports the ``repro.cache.reference`` test oracle,
-and ``repro.serve`` keeps no attempt loop or journal writer of its own.
+benchmark (DESIGN.md §7).  Two static checks read the source tree instead:
+the package holds no test oracle (they live in ``tests/``), and
+``repro.serve`` keeps no attempt loop or journal writer of its own.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import List, Sequence, Set
+from typing import List, Sequence
 
 import pytest
 
 from conftest import REPO_ROOT, fresh_json
 
 SRC = REPO_ROOT / "src"
-
-#: A test oracle kept in the package for the tests; the program never runs it.
-TEST_ORACLE = "repro.cache.reference"
 
 #: Layers no command needs merely to parse its arguments.
 NOT_ON_IMPORT = (
@@ -35,7 +32,6 @@ NOT_ON_IMPORT = (
     "repro.study.experiments",
     "repro.study.chaos",
     "asyncio",
-    TEST_ORACLE,
 )
 
 #: Layers a single-point evaluation never calls.
@@ -45,7 +41,6 @@ NOT_ON_EVAL = (
     "repro.serve",
     "repro.analysis",
     "repro.study.experiments",
-    TEST_ORACLE,
 )
 
 #: (code run in a fresh interpreter, modules it must load, layers it must not).
@@ -62,6 +57,14 @@ CASES = {
         "from repro.core import evaluate, SystemConfig",
         ("repro.core.evaluate", "repro.study.registry"),
         NOT_ON_EVAL,
+    ),
+    # The batch soak never loads the serve soak's server or event loop.
+    "chaos": (
+        "from repro.cli import main\n"
+        "assert main(['chaos', '--out', 'soak', '--ids', 'table1', '--rounds', '0',"
+        " '--scale', '0.02']) == 0",
+        ("repro.study.chaos", "repro.study.repair"),
+        ("repro.serve", "asyncio"),
     ),
 }
 
@@ -92,31 +95,14 @@ def _module_name(path: Path) -> str:
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
-def imported_modules(path: Path) -> Set[str]:
-    """Absolute names of every module (or module attribute) ``path`` imports."""
-    package = _module_name(path).split(".")
-    if path.name != "__init__.py":
-        package = package[:-1]
-    names: Set[str] = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Import):
-            names.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            base = package[: len(package) - node.level + 1] if node.level else []
-            module = ".".join(base + ([node.module] if node.module else []))
-            names.add(module)
-            names.update(f"{module}.{alias.name}" for alias in node.names)
-    return names
-
-
-def test_no_program_module_imports_the_test_oracle():
-    importers = [
+def test_the_package_holds_no_test_oracle():
+    # The slow reference simulators live in tests/cache_reference.py.
+    oracles = [
         _module_name(path)
         for path in sorted((SRC / "repro").rglob("*.py"))
-        if _module_name(path) != TEST_ORACLE
-        and offenders(sorted(imported_modules(path)), (TEST_ORACLE,))
+        if "reference" in path.stem
     ]
-    assert importers == []
+    assert oracles == []
 
 
 #: Runner machinery a served point reaches only through ``execute_task``

@@ -19,6 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from cache_reference import reference_simulate_hierarchy
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hierarchy import (
     DEFAULT_WARMUP_FRACTION,
@@ -28,7 +29,6 @@ from repro.cache.hierarchy import (
     replay_stages,
     simulate_hierarchy,
 )
-from repro.cache.reference import reference_simulate_hierarchy
 from repro.cache.results import HierarchyStats
 from repro.traces.address import Trace
 

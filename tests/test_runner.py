@@ -23,6 +23,7 @@ from repro.errors import (
     UnitTimeoutError,
 )
 from repro.runner import (
+    JOURNAL_SCHEMA,
     RetryPolicy,
     RunJournal,
     Runner,
@@ -127,6 +128,64 @@ class TestJournal:
         reloaded = RunJournal.open(path, resume=True)
         assert reloaded.completed("u1", key)
         assert reloaded.entry("u2") is None
+
+    def test_record_appends_without_rewriting(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = RunJournal.open(path)
+        for uid in ("u1", "u2"):
+            journal.record(uid, unit_key({"id": uid}), "ok")
+        before = path.read_bytes()
+        inode = path.stat().st_ino
+        journal.record("u3", unit_key({"id": "u3"}), "ok")
+        # The same file grew by one line: nothing before it was rewritten.
+        assert path.stat().st_ino == inode
+        after = path.read_bytes()
+        assert after.startswith(before)
+        assert after[len(before):].count(b"\n") == 1
+        # The sidecar follows every append.
+        assert verify_tree(tmp_path).clean
+
+    def test_record_after_torn_tail_rewrites_the_file(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = RunJournal.open(path)
+        journal.record("u1", unit_key({"id": "u1"}), "ok")
+        with open(path, "a") as handle:
+            handle.write('{"unit": "u2", "stat')  # torn append
+        resumed = RunJournal.open(path, resume=True)
+        resumed.record("u3", unit_key({"id": "u3"}), "ok")
+        resumed.record("u4", unit_key({"id": "u4"}), "ok")
+        # The torn line is gone, not buried mid-file where a resume
+        # would call it corruption.
+        again = RunJournal.open(path, resume=True)
+        assert [e["unit"] for e in again.entries] == ["u1", "u3", "u4"]
+        assert b"stat\n" not in path.read_bytes()
+        assert verify_tree(tmp_path).clean
+
+    def test_resumed_schema1_journal_is_upgraded_on_write(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        entry = {"unit": "u1", "key": unit_key({"id": "u1"}), "status": "ok"}
+        path.write_text(json.dumps({"journal": 1}) + "\n" + json.dumps(entry) + "\n")
+        journal = RunJournal.open(path, resume=True)
+        journal.record("u2", unit_key({"id": "u2"}), "ok")
+        lines = path.read_text().splitlines()
+        assert json.loads(lines[0]) == {"journal": JOURNAL_SCHEMA}
+        assert [json.loads(line)["unit"] for line in lines[1:]] == ["u1", "u2"]
+
+    def test_failed_append_is_healed_by_the_next_write(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = RunJournal.open(path)
+        journal.record("u1", unit_key({"id": "u1"}), "ok")
+        faults.install(faults.parse_plan("enospc=u2:1"))
+        try:
+            with faults.unit_scope("u2"):
+                with pytest.raises(CheckpointError, match="disk full"):
+                    journal.record("u2", unit_key({"id": "u2"}), "ok")
+        finally:
+            faults.clear()
+        journal.record("u3", unit_key({"id": "u3"}), "ok")
+        again = RunJournal.open(path, resume=True)
+        assert [e["unit"] for e in again.entries] == ["u1", "u2", "u3"]
+        assert verify_tree(tmp_path).clean
 
     def test_corrupt_header_raises(self, tmp_path):
         path = tmp_path / "j.jsonl"
