@@ -1,10 +1,11 @@
 """Static analysis: machine-checked correctness contracts (``repro lint``).
 
 The reproduction's headline guarantees — crash-safe artefacts,
-byte-identical parallel runs, a typed error contract, and the paper's
-cache-geometry discipline — rest on coding conventions that no runtime
-test can enforce exhaustively.  This package turns those conventions
-into AST-level lint rules:
+byte-identical parallel runs, a typed error contract, graceful
+shutdown — rest on coding conventions that no runtime test enforces
+exhaustively.  This package turns those conventions into AST-level
+lint rules (conventions a runtime check already guards are left to
+it; ``docs/static-analysis.md`` lists the retired rules):
 
 ========  ===================  ==============================================
 rule      name                 contract
@@ -18,12 +19,10 @@ REP002    determinism          model code never reads wall clocks or
 REP003    error-policy         library code raises :class:`~repro.errors.ReproError`
                                subclasses, never bare ``ValueError``/
                                ``RuntimeError``, and never ``except:``
-REP004    pool-picklability    unit bodies handed to the process pool are
-                               module-level callables
-REP005    geometry-literals    cache-shape literals satisfy the same
-                               predicate the runtime validator enforces
 REP006    manifest-tracking    artefact-producing code declares manifest
                                tracking
+REP013    process-control      only the lifecycle layer installs signal
+                               handlers or hard-exits
 ========  ===================  ==============================================
 
 The **whole-program phase** (``repro lint --program``) builds a project
@@ -35,14 +34,8 @@ rule      name                 contract
 ========  ===================  ==============================================
 REP007    async-safety         no blocking call transitively reachable
                                from an ``async def`` in ``serve/``
-REP008    picklable-flow       pool-shipped unit bodies stay picklable
-                               through the full reachable closure
 REP009    exception-flow       every raise reachable from a CLI entry
                                point resolves to a ReproError subclass
-REP010    determinism-flow     clock/RNG taint propagated through helpers
-                               never reaches model code
-REP011    atomic-flow          persisting code never reaches a raw write
-                               that bypasses :mod:`repro.runner.atomic`
 ========  ===================  ==============================================
 
 Unknown callees (dynamic ``getattr``, untyped attributes) stay explicit

@@ -150,14 +150,6 @@ class LintCache:
 
     # -- persistence --------------------------------------------------
 
-    def prune(self, known_files: Iterable[str]) -> None:
-        """Drop entries for files no longer part of the lint run."""
-        known = set(known_files)
-        stale = [file for file in self.entries if file not in known]
-        for file in stale:
-            del self.entries[file]
-            self.dirty = True
-
     def save(self) -> None:
         if not self.dirty:
             return

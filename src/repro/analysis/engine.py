@@ -3,13 +3,13 @@
 Each file is one :class:`~repro.runner.engine.RunUnit`, so linting runs
 through the same machinery as sweeps and reports: serial by default,
 fanned out over a :class:`~repro.runner.pool.PoolRunner` when
-``workers`` is given.  The per-file task is a module-level dataclass —
-the engine obeys its own REP004 rule — and a checker crash in one file
+``workers`` is given.  The per-file task is a module-level dataclass,
+so it pickles to pool workers, and a checker crash in one file
 is isolated, collected, and re-raised as a single
 :class:`~repro.errors.LintError` naming every broken file.
 
 The optional **program phase** (``program=True``) adds whole-program
-rules (REP007–REP011) in two steps that keep the parallel shape: a
+rules in two steps that keep the parallel shape: a
 serial graph build (per-file summaries, content-hash cached, linked
 into a :class:`~repro.analysis.program.graph.Program`) followed by
 per-rule evaluation units that fan out over the same pool.  Program
@@ -423,7 +423,7 @@ def lint_paths(
     ``select``/``ignore`` filter the rule set (validated up front);
     ``workers`` follows the CLI convention of the other commands
     (``None``/``0``/``"serial"`` serial, ``"auto"`` one per CPU).
-    ``program=True`` enables the whole-program phase (REP007–REP011);
+    ``program=True`` enables the whole-program phase;
     explicitly selecting a program rule without it is an error rather
     than a silent no-op.  ``cache`` names a content-hash cache file
     (see :mod:`repro.analysis.cache`); ``None`` disables caching.

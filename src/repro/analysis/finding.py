@@ -6,7 +6,7 @@ import ast
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 __all__ = ["Finding", "FileContext", "dotted_name"]
 
@@ -86,10 +86,6 @@ class FileContext:
     tree: ast.Module = field(repr=False)
 
     @cached_property
-    def lines(self) -> Tuple[str, ...]:
-        return tuple(self.source.splitlines())
-
-    @cached_property
     def package_relpath(self) -> Optional[str]:
         """Path inside ``src/repro/`` (e.g. ``cache/geometry.py``), or None."""
         posix = self.path.as_posix()
@@ -117,21 +113,6 @@ class FileContext:
         if rel is None:
             return False
         return any(rel.startswith(prefix.rstrip("/") + "/") for prefix in prefixes)
-
-    @cached_property
-    def parent_map(self) -> Dict[int, ast.AST]:
-        """Map ``id(node) -> parent node`` over the whole tree."""
-        parents: Dict[int, ast.AST] = {}
-        for parent in ast.walk(self.tree):
-            for child in ast.iter_child_nodes(parent):
-                parents[id(child)] = parent
-        return parents
-
-    def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
-        current: Optional[ast.AST] = self.parent_map.get(id(node))
-        while current is not None:
-            yield current
-            current = self.parent_map.get(id(current))
 
     @cached_property
     def import_aliases(self) -> Dict[str, str]:
@@ -163,16 +144,3 @@ class FileContext:
         head, _, rest = name.partition(".")
         head = self.import_aliases.get(head, head)
         return f"{head}.{rest}" if rest else head
-
-    def in_pytest_raises(self, node: ast.AST) -> bool:
-        """True when ``node`` sits inside a ``with pytest.raises(...)``."""
-        for ancestor in self.ancestors(node):
-            if not isinstance(ancestor, ast.With):
-                continue
-            for item in ancestor.items:
-                expr = item.context_expr
-                if isinstance(expr, ast.Call):
-                    target = dotted_name(expr.func)
-                    if target in ("pytest.raises", "raises"):
-                        return True
-        return False

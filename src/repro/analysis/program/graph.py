@@ -21,19 +21,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .summary import (
-    CallSite,
-    FunctionSummary,
-    ModuleSummary,
-    RaiseSite,
-    ReturnSite,
-)
+from .summary import CallSite, ModuleSummary, RaiseSite, SinkSite
 
 __all__ = [
     "Resolution",
     "ResolvedCall",
     "ResolvedRaise",
-    "ReturnFlow",
     "FunctionNode",
     "ClassNode",
     "Program",
@@ -42,8 +35,8 @@ __all__ = [
     "reachable_from",
 ]
 
-#: (kind, target): kind is one of "function", "class", "module-lambda",
-#: "module", "external", "unknown"; target is the internal id, the
+#: (kind, target): kind is one of "function", "class", "module",
+#: "external", "unknown"; target is the internal id, the
 #: external dotted name, or None for unknown.
 Resolution = Tuple[str, Optional[str]]
 
@@ -78,15 +71,6 @@ class ResolvedRaise:
 
 
 @dataclass(frozen=True)
-class ReturnFlow:
-    """Pickle-flow relevant return: a local unpicklable or a call."""
-
-    line: int
-    kind: str  # "lambda" | "nested" | "call"
-    target: Optional[str]  # resolved callee fid for kind "call"
-
-
-@dataclass(frozen=True)
 class FunctionNode:
     """One function in the linked program."""
 
@@ -100,25 +84,13 @@ class FunctionNode:
     is_async: bool
     owner_class: Optional[str]  # cid of the lexically enclosing class
     decorators: Tuple[str, ...] = ()
-    sinks: Tuple["SinkRef", ...] = ()
+    sinks: Tuple[SinkSite, ...] = ()  # direct blocking calls
     calls: Tuple[ResolvedCall, ...] = ()
     raises: Tuple[ResolvedRaise, ...] = ()
-    returns: Tuple[ReturnFlow, ...] = ()
 
     @property
     def display(self) -> str:
         return f"{self.module}.{self.qualname}"
-
-
-@dataclass(frozen=True)
-class SinkRef:
-    """A direct sink inside a function (copied from the summary)."""
-
-    line: int
-    col: int
-    kind: str
-    detail: str
-    suppressed: bool
 
 
 @dataclass(frozen=True)
@@ -139,7 +111,7 @@ class ClassNode:
 
 @dataclass
 class Program:
-    """The linked whole-program view the REP007–REP011 rules consume."""
+    """The linked whole-program view the program rules consume."""
 
     modules: Dict[str, ModuleSummary] = field(default_factory=dict)
     by_path: Dict[str, ModuleSummary] = field(default_factory=dict)
@@ -149,8 +121,7 @@ class Program:
     callers: Dict[str, Tuple[Tuple[str, ResolvedCall], ...]] = field(
         default_factory=dict
     )
-    #: Per-module symbol tables (name -> Resolution-ish), for REP008's
-    #: module-scope resolution of RunUnit slot names.
+    #: Per-module symbol tables (name -> Resolution-ish).
     symbols: Dict[str, Dict[str, Tuple[str, str]]] = field(default_factory=dict)
 
     # -- resolution helpers (shared with the rules) -------------------
@@ -184,8 +155,6 @@ class Program:
             return self.resolve_absolute(".".join([value] + tail), depth + 1)
         if kind == "function":
             return (kind, value) if not tail else ("unknown", None)
-        if kind == "module-lambda":
-            return (kind, value) if not tail else ("unknown", None)
         if kind == "class":
             if not tail:
                 return ("class", value)
@@ -210,9 +179,7 @@ class Program:
             return self._resolve_members(module, parts, 0)
         if head in _BUILTIN_NAMES:
             return ("external", raw)
-        if tail:
-            return ("unknown", None)  # attribute chain on a local value
-        return ("unknown", None)
+        return ("unknown", None)  # a local value, or an attribute chain on one
 
     def resolve_in_function(
         self, fn: FunctionNode, raw: Optional[str]
@@ -323,8 +290,6 @@ def link_program(summaries: Iterable[ModuleSummary]) -> Program:
                 aliases=summary.aliases,
                 functions=summary.functions,
                 classes=summary.classes,
-                unit_sites=summary.unit_sites,
-                module_lambdas=summary.module_lambdas,
                 suppressions=summary.suppressions,
             )
         program.modules[module] = summary
@@ -335,8 +300,6 @@ def link_program(summaries: Iterable[ModuleSummary]) -> Program:
         table: Dict[str, Tuple[str, str]] = {}
         for local, target in summary.aliases:
             table[local] = ("alias", target)
-        for name in summary.module_lambdas:
-            table[name] = ("module-lambda", f"{module}:{name}")
         for cls in summary.classes:
             if "." not in cls.qualname:
                 table[cls.name] = ("class", f"{module}:{cls.qualname}")
@@ -419,13 +382,10 @@ def link_program(summaries: Iterable[ModuleSummary]) -> Program:
                 is_async=fn.is_async,
                 owner_class=owner,
                 decorators=fn.decorators,
-                sinks=tuple(
-                    SinkRef(s.line, s.col, s.kind, s.detail, s.suppressed)
-                    for s in fn.sinks
-                ),
+                sinks=fn.sinks,
             )
 
-    # Now resolve each function's calls, raises, and return flow.
+    # Now resolve each function's calls and raises.
     reverse: Dict[str, List[Tuple[str, ResolvedCall]]] = {}
     for module, summary in program.modules.items():
         for fn in summary.functions:
@@ -436,13 +396,6 @@ def link_program(summaries: Iterable[ModuleSummary]) -> Program:
             )
             raises = tuple(
                 _resolve_raise(program, node, site) for site in fn.raises
-            )
-            returns = tuple(
-                flow
-                for flow in (
-                    _resolve_return(program, node, site) for site in fn.returns
-                )
-                if flow is not None
             )
             program.functions[fid] = FunctionNode(
                 fid=node.fid,
@@ -458,7 +411,6 @@ def link_program(summaries: Iterable[ModuleSummary]) -> Program:
                 sinks=node.sinks,
                 calls=calls,
                 raises=raises,
-                returns=returns,
             )
             for call in calls:
                 if call.target_kind == "function" and call.target is not None:
@@ -496,22 +448,6 @@ def _resolve_raise(
     )
 
 
-def _resolve_return(
-    program: Program, fn: FunctionNode, site: ReturnSite
-) -> Optional[ReturnFlow]:
-    if site.kind in ("lambda", "nested"):
-        return ReturnFlow(line=site.line, kind=site.kind, target=site.name)
-    if site.kind == "call":
-        kind, target = program.resolve_in_function(fn, site.name)
-        if kind == "function" and target is not None:
-            return ReturnFlow(line=site.line, kind="call", target=target)
-        if kind == "module-lambda":
-            # Calling a module-level lambda returns its body's value —
-            # conservative: not a taint source by itself.
-            return None
-    return None  # "partial" of a module-level callable pickles fine
-
-
 def propagate_to_callers(
     program: Program,
     seeds: Mapping[str, str],
@@ -523,8 +459,8 @@ def propagate_to_callers(
 
     ``seeds`` maps function id -> sink description.  Taint flows from a
     callee to its callers over edges of the given kinds, but only when
-    ``through(callee)`` holds — e.g. REP007 stops at async callees,
-    REP011 stops at the sanctioned atomic helpers.  Returns, for every
+    ``through(callee)`` holds — e.g. REP007 stops at async callees.
+    Returns, for every
     tainted function, a shortest witness chain ending in the seed's
     description; BFS over sorted frontiers keeps chains deterministic.
     """

@@ -1,4 +1,4 @@
-"""Whole-program rules REP007–REP011.
+"""Whole-program rules.
 
 Imported by the registry for registration side effects, exactly like
 the per-file rules package.  Each module registers one rule via
@@ -9,10 +9,4 @@ yield ``(path, line, col, message)`` tuples.
 
 from __future__ import annotations
 
-from . import (  # noqa: F401
-    async_safety,
-    atomic_flow,
-    determinism_flow,
-    exception_flow,
-    picklable_flow,
-)
+from . import async_safety, exception_flow  # noqa: F401

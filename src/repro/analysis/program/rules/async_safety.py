@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Tuple
 
 from ...registry import ProgramViolation, program_checker
-from ..graph import FunctionNode, Program, propagate_to_callers
+from ..graph import Program, propagate_to_callers
 
 _SERVE_PREFIX = "repro.serve"
 
@@ -46,9 +46,8 @@ def check_async_safety(program: Program) -> Iterator[ProgramViolation]:
     for node in program.functions.values():
         if node.is_async:
             continue
-        blocking = [s for s in node.sinks if s.kind == "blocking"]
-        if blocking:
-            first = min(blocking, key=lambda s: (s.line, s.col))
+        if node.sinks:
+            first = min(node.sinks, key=lambda s: (s.line, s.col))
             seeds[node.fid] = f"{first.detail} at {node.path}:{first.line}"
     tainted = propagate_to_callers(
         program,
@@ -62,8 +61,6 @@ def check_async_safety(program: Program) -> Iterator[ProgramViolation]:
         if not (node.is_async and _in_serve(node.module)):
             continue
         for sink in node.sinks:
-            if sink.kind != "blocking":
-                continue
             findings.append(
                 (
                     node.path,

@@ -11,10 +11,8 @@ warm run only re-parses edited files.
 Name handling: call sites keep the *raw* dotted name as written
 (``self.memo.load``, ``helper``); the summary also carries the module's
 import alias map with relative imports resolved to absolute dotted
-paths, and the linker does all cross-module resolution.  Sink
-classification (blocking / clock / RNG / write) happens here because it
-only needs the alias map, and it reuses the exact matching logic of the
-per-file rules so suppression semantics line up.
+paths, and the linker does all cross-module resolution.  Blocking-sink
+classification happens here because it only needs the alias map.
 """
 
 from __future__ import annotations
@@ -25,8 +23,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from ..finding import dotted_name
-from ..rules.atomic_writes import _OPENERS, _PATH_WRITERS, _literal_mode
-from ..rules.determinism import _SEEDABLE_CONSTRUCTORS, _WALL_CLOCKS
+from ..rules.atomic_writes import _OPENERS
 from ..suppress import Suppression, scan_suppressions
 
 __all__ = [
@@ -34,8 +31,6 @@ __all__ = [
     "CallSite",
     "SinkSite",
     "RaiseSite",
-    "ReturnSite",
-    "UnitSite",
     "SuppressionSite",
     "FunctionSummary",
     "ClassSummary",
@@ -46,7 +41,7 @@ __all__ = [
 
 #: Bumped whenever extraction output changes; cached summaries with a
 #: different schema are discarded, never reinterpreted.
-SUMMARY_SCHEMA = 2
+SUMMARY_SCHEMA = 3
 
 _PACKAGE_MARKER = "src/repro/"
 
@@ -100,21 +95,12 @@ class CallSite:
 
 @dataclass(frozen=True)
 class SinkSite:
-    """A direct contract-relevant effect inside a function body.
-
-    ``kind``: ``blocking`` (sync I/O / sleeps / subprocess / future
-    joins), ``clock`` (wall-clock read), ``rng`` (global or legacy RNG
-    draw), ``write`` (non-atomic file write).  ``suppressed`` is True
-    when the corresponding *per-file* rule (REP001 for writes, REP002
-    for clock/RNG) is suppressed at this site — documented deviations
-    do not generate interprocedural taint.
-    """
+    """A blocking call inside a function body (REP007's sink): sync
+    I/O, sleeps, subprocesses, future joins."""
 
     line: int
     col: int
-    kind: str
     detail: str
-    suppressed: bool = False
 
 
 @dataclass(frozen=True)
@@ -124,40 +110,6 @@ class RaiseSite:
     line: int
     col: int
     name: str  # raw dotted name as written
-
-
-@dataclass(frozen=True)
-class ReturnSite:
-    """What a ``return`` statement hands back, for pickle-flow taint.
-
-    ``kind``: ``lambda`` (a lambda or a name bound to a local lambda),
-    ``nested`` (a locally-defined function), ``call`` (the value of
-    another call — taint flows from the callee), ``partial`` (a
-    functools.partial whose target is ``name``).
-    """
-
-    line: int
-    kind: str
-    name: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class UnitSite:
-    """A ``RunUnit(...)`` construction with one shipped slot's shape.
-
-    ``kind``: ``name`` (a bare/dotted name — resolved by the linker;
-    flagged when it lands on a module-level lambda), ``call`` (the slot
-    receives another call's return value — flagged when the callee may
-    return an unpicklable), ``partial`` (``functools.partial(name,
-    ...)``), ``direct`` (lambda/nested-def written in place — REP004's
-    per-file business, skipped here), ``other`` (anything else).
-    """
-
-    line: int
-    col: int
-    slot: str
-    kind: str
-    name: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -188,8 +140,6 @@ class FunctionSummary:
     calls: Tuple[CallSite, ...] = ()
     sinks: Tuple[SinkSite, ...] = ()
     raises: Tuple[RaiseSite, ...] = ()
-    returns: Tuple[ReturnSite, ...] = ()
-    local_funcs: Tuple[str, ...] = ()  # bare names of directly nested defs
 
 
 @dataclass(frozen=True)
@@ -216,8 +166,6 @@ class ModuleSummary:
     aliases: Tuple[Tuple[str, str], ...] = ()
     functions: Tuple[FunctionSummary, ...] = ()
     classes: Tuple[ClassSummary, ...] = ()
-    unit_sites: Tuple[UnitSite, ...] = ()
-    module_lambdas: Tuple[str, ...] = ()
     suppressions: Tuple[SuppressionSite, ...] = ()
 
     def to_record(self) -> Dict[str, Any]:
@@ -230,10 +178,6 @@ class ModuleSummary:
             "aliases": [list(pair) for pair in self.aliases],
             "functions": [_fn_record(fn) for fn in self.functions],
             "classes": [_cls_record(cls) for cls in self.classes],
-            "unit_sites": [
-                [u.line, u.col, u.slot, u.kind, u.name] for u in self.unit_sites
-            ],
-            "module_lambdas": list(self.module_lambdas),
             "suppressions": [
                 [s.line, s.col, list(s.covered), list(s.rule_ids), s.reason]
                 for s in self.suppressions
@@ -249,11 +193,6 @@ class ModuleSummary:
             aliases=tuple((a, b) for a, b in record["aliases"]),
             functions=tuple(_fn_from_record(r) for r in record["functions"]),
             classes=tuple(_cls_from_record(r) for r in record["classes"]),
-            unit_sites=tuple(
-                UnitSite(line=r[0], col=r[1], slot=r[2], kind=r[3], name=r[4])
-                for r in record["unit_sites"]
-            ),
-            module_lambdas=tuple(record["module_lambdas"]),
             suppressions=tuple(
                 SuppressionSite(
                     line=r[0],
@@ -277,10 +216,8 @@ def _fn_record(fn: FunctionSummary) -> Dict[str, Any]:
         "owner_class": fn.owner_class,
         "decorators": list(fn.decorators),
         "calls": [[c.line, c.col, c.kind, c.name] for c in fn.calls],
-        "sinks": [[s.line, s.col, s.kind, s.detail, s.suppressed] for s in fn.sinks],
+        "sinks": [[s.line, s.col, s.detail] for s in fn.sinks],
         "raises": [[r.line, r.col, r.name] for r in fn.raises],
-        "returns": [[r.line, r.kind, r.name] for r in fn.returns],
-        "local_funcs": list(fn.local_funcs),
     }
 
 
@@ -298,16 +235,11 @@ def _fn_from_record(record: Dict[str, Any]) -> FunctionSummary:
             for c in record["calls"]
         ),
         sinks=tuple(
-            SinkSite(line=s[0], col=s[1], kind=s[2], detail=s[3], suppressed=s[4])
-            for s in record["sinks"]
+            SinkSite(line=s[0], col=s[1], detail=s[2]) for s in record["sinks"]
         ),
         raises=tuple(
             RaiseSite(line=r[0], col=r[1], name=r[2]) for r in record["raises"]
         ),
-        returns=tuple(
-            ReturnSite(line=r[0], kind=r[1], name=r[2]) for r in record["returns"]
-        ),
-        local_funcs=tuple(record["local_funcs"]),
     )
 
 
@@ -401,9 +333,6 @@ class _FunctionAccumulator:
     calls: List[CallSite] = field(default_factory=list)
     sinks: List[SinkSite] = field(default_factory=list)
     raises: List[RaiseSite] = field(default_factory=list)
-    returns: List[ReturnSite] = field(default_factory=list)
-    local_funcs: List[str] = field(default_factory=list)
-    local_lambdas: Set[str] = field(default_factory=set)
 
     def freeze(self) -> FunctionSummary:
         return FunctionSummary(
@@ -417,31 +346,17 @@ class _FunctionAccumulator:
             calls=tuple(self.calls),
             sinks=tuple(self.sinks),
             raises=tuple(self.raises),
-            returns=tuple(self.returns),
-            local_funcs=tuple(self.local_funcs),
         )
 
 
 class _Extractor:
     """One pass over a parsed module producing its summary."""
 
-    def __init__(
-        self,
-        module: str,
-        path: str,
-        tree: ast.Module,
-        aliases: Dict[str, str],
-        suppressions: Dict[int, List[Suppression]],
-    ) -> None:
-        self.module = module
-        self.path = path
+    def __init__(self, tree: ast.Module, aliases: Dict[str, str]) -> None:
         self.tree = tree
         self.aliases = aliases
-        self.suppressions = suppressions
         self.functions: List[FunctionSummary] = []
         self.classes: List[ClassSummary] = []
-        self.unit_sites: List[UnitSite] = []
-        self.module_lambdas: List[str] = []
 
     # -- name helpers -------------------------------------------------
 
@@ -452,12 +367,6 @@ class _Extractor:
         head, _, rest = raw.partition(".")
         head = self.aliases.get(head, head)
         return f"{head}.{rest}" if rest else head
-
-    def _suppressed_at(self, line: int, rule_id: str) -> bool:
-        return any(
-            s.covers(rule_id) and s.reason
-            for s in self.suppressions.get(line, ())
-        )
 
     # -- module walk --------------------------------------------------
 
@@ -470,17 +379,11 @@ class _Extractor:
             self._function(stmt, prefix="", owner_class="")
         elif isinstance(stmt, ast.ClassDef):
             self._class(stmt, prefix="")
-        elif isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Lambda):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    self.module_lambdas.append(target.id)
         elif isinstance(stmt, (ast.If, ast.Try)):
             # Conditional defs (version guards) still define symbols.
             for child in ast.iter_child_nodes(stmt):
                 if isinstance(child, ast.stmt):
                     self._module_stmt(child)
-        else:
-            self._scan_unit_sites(stmt)
 
     def _class(self, node: ast.ClassDef, prefix: str) -> None:
         qualname = f"{prefix}{node.name}"
@@ -578,7 +481,6 @@ class _Extractor:
 
         def walk(n: ast.AST) -> None:
             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                acc.local_funcs.append(n.name)
                 nested.append(n)
                 return  # its body is a separate function summary
             if isinstance(n, ast.ClassDef):
@@ -592,12 +494,6 @@ class _Extractor:
                 self._call(n, acc, bridged)
             elif isinstance(n, ast.Raise):
                 self._raise(n, acc)
-            elif isinstance(n, ast.Return):
-                self._return(n, acc)
-            elif isinstance(n, ast.Assign) and isinstance(n.value, ast.Lambda):
-                for target in n.targets:
-                    if isinstance(target, ast.Name):
-                        acc.local_lambdas.add(target.id)
             for child in ast.iter_child_nodes(n):
                 walk(child)
 
@@ -653,85 +549,21 @@ class _Extractor:
                     acc.calls.append(
                         CallSite(arg.lineno, arg.col_offset + 1, "ref", ref)
                     )
-        if raw is not None and raw.split(".")[-1] == "RunUnit":
-            self._unit_site(call, acc)
 
     def _sinks(
         self, call: ast.Call, raw: Optional[str], acc: _FunctionAccumulator
     ) -> None:
         line, col = call.lineno, call.col_offset + 1
         canonical = self.canonical(raw)
-        if canonical is not None:
-            if canonical in _BLOCKING_CALLS or canonical.startswith(
-                _BLOCKING_PREFIXES
-            ):
-                acc.sinks.append(SinkSite(line, col, "blocking", canonical))
-            if canonical in _WALL_CLOCKS:
-                acc.sinks.append(
-                    SinkSite(
-                        line,
-                        col,
-                        "clock",
-                        canonical,
-                        suppressed=self._suppressed_at(line, "REP002"),
-                    )
-                )
-            elif canonical.startswith("random."):
-                acc.sinks.append(
-                    SinkSite(
-                        line,
-                        col,
-                        "rng",
-                        canonical,
-                        suppressed=self._suppressed_at(line, "REP002"),
-                    )
-                )
-            elif canonical.startswith("numpy.random."):
-                tail = canonical[len("numpy.random.") :]
-                unseeded_default = tail == "default_rng" and not (
-                    call.args or call.keywords
-                )
-                if unseeded_default or (
-                    tail != "default_rng" and tail not in _SEEDABLE_CONSTRUCTORS
-                ):
-                    acc.sinks.append(
-                        SinkSite(
-                            line,
-                            col,
-                            "rng",
-                            canonical,
-                            suppressed=self._suppressed_at(line, "REP002"),
-                        )
-                    )
-        # Openers: mirror REP001's matching (raw dotted name) so the
-        # suppression story is identical; any open is also sync I/O.
+        if canonical is not None and (
+            canonical in _BLOCKING_CALLS or canonical.startswith(_BLOCKING_PREFIXES)
+        ):
+            acc.sinks.append(SinkSite(line, col, canonical))
+        # Openers match REP001's raw dotted names; any open is sync I/O.
         if raw in _OPENERS:
-            acc.sinks.append(SinkSite(line, col, "blocking", raw))
-            mode = _literal_mode(call)
-            if mode is not None and any(ch in mode for ch in "wax+"):
-                acc.sinks.append(
-                    SinkSite(
-                        line,
-                        col,
-                        "write",
-                        f"{raw}(..., {mode!r})",
-                        suppressed=self._suppressed_at(line, "REP001"),
-                    )
-                )
-        elif isinstance(call.func, ast.Attribute):
-            attr = call.func.attr
-            if attr in _BLOCKING_ATTRS:
-                acc.sinks.append(SinkSite(line, col, "blocking", f".{attr}()"))
-            if attr in _PATH_WRITERS:
-                acc.sinks.append(
-                    SinkSite(
-                        line,
-                        col,
-                        "write",
-                        f".{attr}(...)",
-                        suppressed=self._suppressed_at(line, "REP001"),
-                    )
-                )
+            acc.sinks.append(SinkSite(line, col, raw))
+        elif isinstance(call.func, ast.Attribute) and call.func.attr in _BLOCKING_ATTRS:
+            acc.sinks.append(SinkSite(line, col, f".{call.func.attr}()"))
 
     def _raise(self, node: ast.Raise, acc: _FunctionAccumulator) -> None:
         exc = node.exc
@@ -744,112 +576,6 @@ class _Extractor:
             return  # raising a variable/expression — unresolvable
         acc.raises.append(RaiseSite(node.lineno, node.col_offset + 1, name))
 
-    def _return(self, node: ast.Return, acc: _FunctionAccumulator) -> None:
-        value = node.value
-        if value is None:
-            return
-        site = self._classify_flow(value, acc)
-        if site is not None:
-            kind, name = site
-            acc.returns.append(ReturnSite(node.lineno, kind, name))
-
-    def _classify_flow(
-        self, value: ast.expr, acc: Optional[_FunctionAccumulator]
-    ) -> Optional[Tuple[str, Optional[str]]]:
-        """How a value expression relates to pickle-flow taint."""
-        local_funcs = set(acc.local_funcs) if acc else set()
-        local_lambdas = acc.local_lambdas if acc else set()
-        if isinstance(value, ast.Lambda):
-            return ("lambda", None)
-        if isinstance(value, ast.Name):
-            if value.id in local_lambdas:
-                return ("lambda", value.id)
-            if value.id in local_funcs:
-                return ("nested", value.id)
-            return None
-        if isinstance(value, ast.Call):
-            func_name = dotted_name(value.func)
-            if self.canonical(func_name) in _PARTIAL_NAMES:
-                if not value.args:
-                    return None
-                inner = value.args[0]
-                if isinstance(inner, ast.Lambda):
-                    return ("lambda", None)
-                if isinstance(inner, ast.Name):
-                    if inner.id in local_lambdas:
-                        return ("lambda", inner.id)
-                    if inner.id in local_funcs:
-                        return ("nested", inner.id)
-                    return ("partial", inner.id)
-                return None
-            if func_name is not None:
-                return ("call", func_name)
-        return None
-
-    def _scan_unit_sites(self, stmt: ast.stmt) -> None:
-        """RunUnit(...) constructions outside any function body."""
-
-        def walk(n: ast.AST) -> None:
-            if isinstance(
-                n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                return
-            if isinstance(n, ast.Call):
-                raw = dotted_name(n.func)
-                if raw is not None and raw.split(".")[-1] == "RunUnit":
-                    self._unit_site(n, None)
-            for child in ast.iter_child_nodes(n):
-                walk(child)
-
-        walk(stmt)
-
-    def _unit_site(
-        self, call: ast.Call, acc: Optional[_FunctionAccumulator]
-    ) -> None:
-        shipped: List[Tuple[str, ast.expr]] = []
-        for index, arg in enumerate(call.args):
-            if index in (2, 3):
-                shipped.append(("run" if index == 2 else "to_record", arg))
-        for keyword in call.keywords:
-            if keyword.arg in ("run", "to_record"):
-                shipped.append((keyword.arg, keyword.value))
-        for slot, value in shipped:
-            kind: str
-            name: Optional[str] = None
-            if isinstance(value, ast.Lambda):
-                kind = "direct"  # REP004's per-file finding; not duplicated
-            elif isinstance(value, (ast.Name, ast.Attribute)):
-                flow = self._classify_flow(value, acc)
-                if flow is not None and flow[0] == "nested":
-                    kind = "direct"  # REP004 flags names of nested defs
-                elif flow is not None and flow[0] == "lambda":
-                    # A name bound to a *local* lambda: invisible to
-                    # REP004 (which only tracks nested defs).
-                    kind, name = "local-lambda", dotted_name(value)
-                else:
-                    kind, name = "name", dotted_name(value)
-            elif isinstance(value, ast.Call):
-                func_name = dotted_name(value.func)
-                if self.canonical(func_name) in _PARTIAL_NAMES and value.args:
-                    inner = value.args[0]
-                    if isinstance(inner, ast.Lambda):
-                        kind = "direct"
-                    else:
-                        kind, name = "partial", dotted_name(inner)
-                else:
-                    kind, name = "call", func_name
-            else:
-                kind = "other"
-            self.unit_sites.append(
-                UnitSite(
-                    line=value.lineno,
-                    col=value.col_offset + 1,
-                    slot=slot,
-                    kind=kind,
-                    name=name,
-                )
-            )
-
 
 def summarize_source(
     source: str, path: Union[str, Path], tree: Optional[ast.Module] = None
@@ -861,7 +587,7 @@ def summarize_source(
     module, is_package = module_name_for(posix)
     aliases = _build_aliases(tree, module, is_package)
     raw_suppressions = scan_suppressions(source)
-    extractor = _Extractor(module, posix, tree, aliases, raw_suppressions)
+    extractor = _Extractor(tree, aliases)
     extractor.run()
     # Deduplicate the scan's per-line registration back into one
     # SuppressionSite per comment, carrying every covered line.
@@ -882,9 +608,6 @@ def summarize_source(
         )
         for key in sorted(originals)
     )
-    # Unit sites inside functions are recorded during the function walk;
-    # the extractor's function pass appends them to the same list, so
-    # order can interleave — normalize for determinism.
     return ModuleSummary(
         module=module,
         path=posix,
@@ -892,9 +615,5 @@ def summarize_source(
         aliases=tuple(sorted(extractor.aliases.items())),
         functions=tuple(extractor.functions),
         classes=tuple(extractor.classes),
-        unit_sites=tuple(
-            sorted(extractor.unit_sites, key=lambda u: (u.line, u.col, u.slot))
-        ),
-        module_lambdas=tuple(extractor.module_lambdas),
         suppressions=suppression_sites,
     )

@@ -6,20 +6,14 @@ from . import (
     atomic_writes,
     determinism,
     error_policy,
-    geometry,
     manifest,
-    picklable,
     process_control,
-    telemetry,
 )
 
 __all__ = [
     "atomic_writes",
     "determinism",
     "error_policy",
-    "geometry",
     "manifest",
-    "picklable",
     "process_control",
-    "telemetry",
 ]

@@ -35,9 +35,7 @@ def geometry_violations(
 
     This is the *single* source of truth for geometry validity: the
     runtime validator (:meth:`CacheGeometry.__post_init__`) raises on
-    the first entry, and the ``REP005`` static checker
-    (:mod:`repro.analysis.rules.geometry`) reports the same messages
-    for literal configurations — the two can never drift apart.
+    the first entry, so any caller may ask before constructing.
     """
     problems: List[str] = []
     for label, value in (

@@ -39,10 +39,10 @@ Commands
     the run to have used ``--telemetry``).
 ``lint [paths] [--format json] [--select ...] [--program] [--no-cache]``
     Run the repro static-analysis checkers (atomic writes,
-    determinism, error policy, pool picklability, geometry literals,
-    manifest tracking) over source trees; exit 0 clean, 1 findings,
-    2 internal error.  ``--program`` adds the whole-program phase
-    (call graph, taint, REP007-REP011); results are cached by content
+    determinism, error policy, manifest tracking, process control)
+    over source trees; exit 0 clean, 1 findings, 2 internal error.
+    ``--program`` adds the whole-program phase (call graph, taint:
+    REP007, REP009); results are cached by content
     hash in ``.repro-lint-cache.json`` unless ``--no-cache``.
     ``--list-rules`` prints the rule catalogue.
 ``verify DIR [--repair]``
@@ -715,7 +715,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--program",
         action=argparse.BooleanOptionalAction,
         default=False,
-        help="enable the whole-program phase (call graph + REP007-REP011)",
+        help="enable the whole-program phase (call graph: REP007, REP009)",
     )
     lint.add_argument(
         "--no-cache",

@@ -203,7 +203,7 @@ class _EvaluateRun:
         # activated (the shared DISABLED no-op otherwise).  Phases are
         # timed *around* the model calls — the model packages stay
         # clock-free (REP002) and time is only read inside the tracer
-        # through its injected clock (REP012).
+        # through its injected clock.
         telemetry = current_telemetry()
         if not self.shared:
             with telemetry.span("trace") as trace_span:

@@ -14,8 +14,8 @@ optimise what you can't see").  Three pieces, one injected clock:
 :class:`Telemetry` bundles them for the runner, serve, and chaos
 layers; :func:`current` is the ambient handle the simulation hot path
 uses from inside picklable unit bodies.  Time is only ever read through
-:mod:`repro.obs.clock` — the REP012 lint rule enforces exactly that,
-plus context-managed span usage, across the instrumented tree.
+:mod:`repro.obs.clock`, which is what lets a :class:`ManualClock` give
+tests exact span durations.
 """
 
 from .clock import SYSTEM_CLOCK, Clock, ManualClock, SystemClock

@@ -5,16 +5,15 @@ through a :class:`Clock` instance, never a direct ``time.time()`` /
 ``time.monotonic()`` call.  Two things depend on that discipline:
 
 * **determinism of model code** — the REP002 audit bans wall clocks in
-  the model packages, and REP012 extends the guarantee to telemetry:
-  instrumented code only ever receives time *through* the clock object
-  it was handed, so the model layer stays clock-free and tests can
-  substitute a :class:`ManualClock` to get exact, reproducible
-  durations;
+  the model packages; instrumented code only ever receives time
+  *through* the clock object it was handed, so the model layer stays
+  clock-free and tests can substitute a :class:`ManualClock` to get
+  exact, reproducible durations;
 * **testability** — span trees and histogram contents are asserted
-  against a hand-advanced clock instead of sleeping.
+  against a hand-advanced clock instead of sleeping (a direct ``time``
+  read elsewhere in :mod:`repro.obs` fails those exact-duration tests).
 
-This module is the single REP012-sanctioned site of ``time`` usage in
-:mod:`repro.obs`.
+This module is the single site of ``time`` usage in :mod:`repro.obs`.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ Two usage shapes:
   cannot carry a live handle) asks :func:`current` for the bundle the
   engine activated around the attempt loop, falling back to the shared
   :data:`DISABLED` no-op bundle, so model-layer call sites stay free of
-  ``if telemetry`` branches *and* of clocks (REP002/REP012: time is
-  only ever read inside the tracer, through the injected clock).
+  ``if telemetry`` branches *and* of clocks (REP002: time is only ever
+  read inside the tracer, through the injected clock).
 
 Telemetry is written once per run: the runner's final :meth:`flush`
 (with the canonical unit order), made by every run that completes or

@@ -286,12 +286,16 @@ def _fault_evidence(journal_path: Path) -> int:
 
 class _Soak:
     """What differs between soaks: the schedule table (``draw``), the
-    round body (``round``), what gets rotted and the final check
-    (``finish``).  ``journal`` is where the rounds' faults show up."""
+    round body (``round``), what gets rotted, the final check
+    (``finish``) and where the rounds' faults show up (``evidence``)."""
 
     kind = "chaos"
     counts: Tuple[str, ...] = ()
     journal: Path
+
+    def evidence(self) -> int:
+        """Faults observed so far (journal entries with a failure or retry)."""
+        return _fault_evidence(self.journal)
 
     def __enter__(self) -> "_Soak":
         return self
@@ -425,6 +429,7 @@ class _ServeSoak(_Soak):
             self.references[key] = canonical_json(record).encode("utf-8")
         self.keys = sorted(self.payloads)
         self.rng = random.Random(f"{seed}:requests")
+        self.pool_deaths = 0
         self.server = BackgroundServer(
             self.store,
             workers=workers,
@@ -445,6 +450,14 @@ class _ServeSoak(_Soak):
 
     def draw(self, rng: random.Random) -> str:
         return _serve_schedule(rng, self.keys)
+
+    def evidence(self) -> int:
+        # A resubmitted point and a recomputed poisoned (or rotted) entry
+        # both journal the worker's single attempt: only serve's counts
+        # show the pool death and the quarantine.
+        return (
+            super().evidence() + self.pool_deaths + self.server.app.memo.quarantined
+        )
 
     def _ask(self, key: str) -> Tuple[int, Dict[str, str], bytes]:
         return self.server.request("POST", "/v1/evaluate", self.payloads[key])
@@ -485,6 +498,7 @@ class _ServeSoak(_Soak):
             responses = list(clients.map(self._ask, picks))
         for key, response in zip(picks, responses):
             self._check(result, key, response)
+        self.pool_deaths += self.server.app.pool_deaths  # reset each round
         if self.server.app.degraded_reason is not None:
             result.counts["degraded_rounds"] += 1
         # Rot a surviving memo entry behind the service's back: it must
@@ -535,7 +549,8 @@ def run_chaos(
     injected faults were *observed*, not merely scheduled:
     ``repro_chaos_faults_scheduled_total{kind}`` counts what each
     round's schedule drew, ``repro_chaos_faults_observed_total`` counts
-    the journal entries (failures or retries) those faults produced,
+    the journal entries (failures or retries) those faults produced —
+    plus, in the serve soak, pool deaths and quarantined memo entries —
     and ``repro_chaos_quarantined_total`` / ``repro_chaos_reruns_total``
     count what the soak's final check quarantined and re-ran.
     """
@@ -559,12 +574,12 @@ def run_chaos(
                     "repro_chaos_faults_scheduled_total",
                     kind=part.split("=", 1)[0],
                 )
-            evidence_before = _fault_evidence(soak.journal)
+            evidence_before = soak.evidence()
             with tel.span(
                 "chaos_round", round=round_index, schedule=schedule
             ) as round_span, fault_schedule(schedule):
                 soak.round(schedule, result)
-                observed = max(0, _fault_evidence(soak.journal) - evidence_before)
+                observed = max(0, soak.evidence() - evidence_before)
                 round_span.set(observed=observed)
             if observed:
                 tel.count("repro_chaos_faults_observed_total", float(observed))

@@ -26,10 +26,7 @@ RULE_FIXTURES = {
     "REP001": FIXTURES / "src" / "repro" / "study",
     "REP002": FIXTURES / "src" / "repro" / "cache",
     "REP003": FIXTURES / "src" / "repro" / "core",
-    "REP004": FIXTURES / "src" / "repro" / "core",
-    "REP005": FIXTURES / "benchmarks",
     "REP006": FIXTURES / "src" / "repro" / "traces",
-    "REP012": FIXTURES / "src" / "repro" / "obs",
     "REP013": FIXTURES / "src" / "repro" / "runner",
 }
 
@@ -48,22 +45,17 @@ class TestRegistry:
             "REP001",
             "REP002",
             "REP003",
-            "REP004",
-            "REP005",
             "REP006",
             "REP007",
-            "REP008",
             "REP009",
-            "REP010",
-            "REP011",
         ):
             assert expected in ids
 
     def test_program_rules_are_program_scoped(self):
         by_id = {rule.rule_id: rule for rule in all_rules()}
-        for rule_id in ("REP007", "REP008", "REP009", "REP010", "REP011"):
+        for rule_id in ("REP007", "REP009"):
             assert by_id[rule_id].scope == "program"
-        for rule_id in ("REP000", "REP001", "REP005"):
+        for rule_id in ("REP000", "REP001", "REP006"):
             assert by_id[rule_id].scope == "file"
 
     def test_every_rule_has_rationale(self):
@@ -92,10 +84,7 @@ class TestRegistry:
         ("REP001", 4),
         ("REP002", 5),
         ("REP003", 3),
-        ("REP004", 5),
-        ("REP005", 6),
         ("REP006", 4),
-        ("REP012", 5),
         ("REP013", 4),
     ],
 )
@@ -253,7 +242,7 @@ class TestReporters:
 
 
 class TestSharedGeometryPredicate:
-    """REP005 and the runtime validator must agree exactly."""
+    """``geometry_violations`` and the runtime validator agree exactly."""
 
     SHAPES = [
         (8192, 16, 1),

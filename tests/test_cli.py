@@ -232,8 +232,7 @@ class TestLint:
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in (
-            "REP000", "REP001", "REP002", "REP003", "REP004", "REP005",
-            "REP006", "REP007", "REP008", "REP009", "REP010", "REP011",
+            "REP000", "REP001", "REP002", "REP003", "REP006", "REP007", "REP009",
         ):
             assert rule_id in out
 

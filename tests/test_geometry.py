@@ -66,8 +66,8 @@ class TestValidation:
             CacheGeometry(**shape)
 
     def test_violations_predicate_matches_validator(self):
-        # The REP005 checker consumes geometry_violations directly; the
-        # validator must raise exactly when it is non-empty.
+        # The validator must raise exactly when the predicate is
+        # non-empty, carrying every problem it lists.
         valid = geometry_violations(kb(8), 16, 1)
         assert valid == []
         problems = geometry_violations(3000, 24, 0)

@@ -145,6 +145,42 @@ class TestManifest:
         assert not is_volatile("result.json")
 
 
+class TestEveryArtefactTracked:
+    """A real report leaves no file outside integrity tracking.
+
+    ``repro verify`` only judges what sidecars and the manifest name, so
+    an artefact written without ``track=True`` (or around the atomic
+    helpers) verifies clean while being unprotected; this walk is the
+    check that notices.
+    """
+
+    #: The integrity records themselves (a sidecar has no sidecar).
+    INTEGRITY = {MANIFEST_NAME}
+    #: Volatile by design: tracked by sidecar and listed by name, never
+    #: by digest (run journal, telemetry snapshots).
+    VOLATILE = {"journal.jsonl", "METRICS.jsonl", "SPANS.jsonl"}
+
+    def test_report_tree_is_fully_tracked(self, tmp_path):
+        write_report(tmp_path, ids=["table1", "ext1"], scale=0.05, telemetry=True)
+        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        names = sorted(
+            path.name
+            for path in tmp_path.iterdir()
+            if not path.name.endswith(".sha256") and path.name not in self.INTEGRITY
+        )
+        assert {"table1.json", "table1.txt", "ext1.json", "ext1.txt"} <= set(names)
+        assert not [p for p in tmp_path.iterdir() if p.is_dir()]
+        for name in names:
+            assert read_sidecar(tmp_path / name) == hash_file(tmp_path / name), name
+            if name in self.VOLATILE:
+                assert name in manifest["volatile"], name
+            else:
+                assert manifest["artifacts"][name]["sha256"] == hash_file(
+                    tmp_path / name
+                ), name
+        assert sorted(manifest["volatile"]) == sorted(self.VOLATILE & set(names))
+
+
 class TestVerifyTree:
     def managed(self, tmp_path):
         tracked(tmp_path / "a.txt", "alpha artefact\n")

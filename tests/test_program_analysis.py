@@ -1,4 +1,4 @@
-"""Whole-program analysis: call graph, taint, REP007-REP011, cache."""
+"""Whole-program analysis: call graph, taint, the program rules, cache."""
 
 import json
 import shutil
@@ -8,12 +8,12 @@ import pytest
 
 from repro.analysis import lint_paths, render_json
 from repro.analysis.cache import LintCache, ruleset_key
-from repro.analysis.program import link_program, summarize_source
+from repro.analysis.program import SUMMARY_SCHEMA, link_program, summarize_source
 from repro.errors import LintError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = REPO_ROOT / "tests" / "fixtures" / "lint" / "program"
-PROGRAM_RULES = ("REP007", "REP008", "REP009", "REP010", "REP011")
+PROGRAM_RULES = ("REP007", "REP009")
 
 
 def build(files):
@@ -360,6 +360,21 @@ class TestLintCache:
         report = lint_paths([target], cache=cache)
         assert report.n_cached == 0
         assert cache.exists()  # rewritten atomically afterwards
+
+    def test_summary_of_another_schema_is_a_miss(self, tmp_path):
+        # A cache written before the summary record changed must be
+        # re-summarized, never read with the new field layout.
+        target = self._tree(tmp_path)
+        cache = tmp_path / "cache.json"
+        lint_paths([target], cache=cache, program=True)
+        payload = json.loads(cache.read_text())
+        for entry in payload["files"].values():
+            entry["summary"]["schema"] = SUMMARY_SCHEMA - 1
+        cache.write_text(json.dumps(payload))
+        loaded = LintCache.load(cache, payload["key"])
+        assert len(loaded.entries) == 2
+        for file, entry in payload["files"].items():
+            assert loaded.lookup_summary(file, entry["sha256"]) is None
 
     def test_ruleset_key_is_order_insensitive(self):
         assert ruleset_key("1.0.0", ["REP002", "REP001"]) == ruleset_key(

@@ -590,6 +590,25 @@ class TestServeChaosSoak:
         spans = [r for r in telemetry.tracer.records() if r["name"] == "chaos_round"]
         assert len(spans) == 3
 
+    def test_pool_death_round_is_observed(self, tmp_path):
+        # Seed 7 opens with pooldeath=: the resubmitted point journals the
+        # worker's single attempt, so only serve's pool-death count shows
+        # that the fault fired.
+        from repro.obs.telemetry import Telemetry
+        from repro.study.chaos import run_chaos
+
+        telemetry = Telemetry()
+        result = run_chaos(
+            tmp_path, seed=7, rounds=1, workers=2, scale=0.02, serve=True,
+            telemetry=telemetry,
+        )
+        assert result.converged, result.render()
+        assert result.schedules == ["pooldeath=*:1"]
+        (span,) = [r for r in telemetry.tracer.records() if r["name"] == "chaos_round"]
+        assert int(span["attrs"]["observed"]) >= 1
+        samples = {sample["name"]: sample for sample in telemetry.registry.snapshot()}
+        assert samples["repro_chaos_faults_observed_total"]["value"] >= 1
+
     def test_same_seed_draws_the_same_schedules(self, tmp_path):
         from repro.study.chaos import run_chaos
 
