@@ -21,7 +21,7 @@ Specification grammar (comma-separated, e.g.
     enospc=<unit>[:<times>]   fail <unit>'s artefact writes with ENOSPC
     killworker=<unit>         hard-kill the pool worker running <unit>
     slowworker=<unit>[:<s>]   sleep before *every* attempt of <unit>
-    pooldeath=<unit>[:<times>] hard-kill the worker running <unit>, <times> times
+    pooldeath=<unit>[:<times>] hard-kill each worker on its first <times> <unit>s
     poisonmemo=<key>[:<times>] bit-rot a memo-store entry after it is written
     hang=<unit>[:<seconds>]   wedge the pool worker running <unit> (no heartbeat)
     sigterm=<unit>            deliver SIGTERM to the supervising process on <unit>
@@ -41,8 +41,10 @@ exercise ``repro serve``: request unit ids are canonical config hashes
 a test cannot predict, so these three accept ``*`` to match any unit.
 ``slowworker`` is ``delay`` that fires on *every* attempt (driving a
 request past its deadline so the 504 path is reachable); ``pooldeath``
-is a times-bounded ``killworker`` (the service must rebuild its pool
-mid-request); ``poisonmemo`` flips a bit in a just-written memo-store
+is a times-bounded ``killworker``, counted per worker process: a
+rebuilt pool's fresh workers die too, so the request survives only
+because the pool's shared death rule degrades it to serial at
+:data:`~repro.runner.pool.DEATH_LIMIT`; ``poisonmemo`` flips a bit in a just-written memo-store
 artefact *after* its sidecar was recorded — the poisoned entry must be
 detected on read, quarantined, and never served.
 
@@ -295,8 +297,8 @@ def before_unit(unit_id: str) -> None:
         and _fires("pooldeath", "*", plan.pooldeath_times)
     ):
         # Same mechanics as killworker, but times-bounded and wildcard-
-        # addressable: the serve path must survive repeated pool deaths
-        # by rebuilding its executor, so the soak needs more than one.
+        # addressable: every fresh worker dies again, so the serve path
+        # must survive a rebuild that dies too.
         # repro: lint-ok[REP013] emulating a SIGKILL requires a true hard exit; routing it through the lifecycle drain would defeat the fault
         os._exit(86)
     if (

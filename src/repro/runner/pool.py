@@ -28,7 +28,11 @@ offers — with the work distributed over a
   assembled in unit submission order, never arrival order.  Downstream
   artefacts (report rows, sweep tables, envelopes, failure manifests)
   are thus bit-identical to a serial run; the only volatile journal
-  fields are the wall-clock ``elapsed_s`` measurements.
+  fields are the wall-clock ``elapsed_s`` measurements;
+* **one pool life** — :class:`WorkerPool` owns the executor, here and
+  in ``repro serve``: a dead or hung worker is one death per broken
+  executor and a rebuild, and the :data:`DEATH_LIMIT`-th death (or an
+  RSS breach) degrades to serial with its cause recorded.
 
 Worker-side fault injection (:mod:`repro.runner.faults`) works through
 the ``REPRO_FAULTS`` environment variable (inherited by workers under
@@ -46,15 +50,27 @@ closures, exactly as before.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import shutil
 import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+import weakref
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from pathlib import Path
 
@@ -72,10 +88,19 @@ from .engine import (
     resume_outcome,
 )
 from .journal import RunJournal
-from .lifecycle import CancelToken, Heartbeat, HeartbeatRecord, read_heartbeats
+from .lifecycle import CancelToken, Heartbeat, read_heartbeats
 from .watchdog import ResourceWatchdog, peak_rss_bytes
 
-__all__ = ["PoolRunner", "WorkerTask", "execute_task", "resolve_workers", "run_units"]
+__all__ = [
+    "DEATH_LIMIT",
+    "PoolRunner",
+    "WorkerPool",
+    "WorkerTask",
+    "execute_task",
+    "resolve_workers",
+    "rss_reason",
+    "run_units",
+]
 
 
 def resolve_workers(spec: Union[None, int, str]) -> Optional[int]:
@@ -113,8 +138,9 @@ class WorkerTask:
 
     ``unit`` is stripped of its parent-side ``check_skip`` and
     ``from_record`` callables, which may be unpicklable closures.
-    ``repro serve`` submits these to its own long-lived executor, so a
-    served point runs the same attempt loop as a pooled batch unit.
+    Batch runs and ``repro serve`` both submit these through a
+    :class:`WorkerPool`, so a served point runs the same attempt loop
+    as a pooled batch unit.
     """
 
     unit: RunUnit
@@ -177,20 +203,147 @@ def _shippable(obj: Any) -> Any:
     return obj
 
 
-def _kill_workers(executor: ProcessPoolExecutor) -> None:
-    """SIGKILL every live worker of ``executor`` (abort path only).
+#: The executor death that degrades a :class:`WorkerPool` to serial;
+#: each earlier one rebuilds it.  A replacement worker that dies too
+#: means a unit or host that kills workers: rebuilding again repeats it.
+DEATH_LIMIT = 2
 
-    ``shutdown(wait=True)`` would otherwise block forever behind a
-    wedged worker; killing first makes the join prompt.  Reaches into
-    the executor's private process table — there is no public handle on
-    worker processes — so it degrades to a no-op if that ever changes.
+_DEATH_REASONS = {
+    "worker-death": "a worker died without reporting",
+    "hung-worker": "hung-worker rescue budget exhausted: a hung worker was killed",
+}
+
+
+def rss_reason(rss_bytes: Optional[int], watchdog: ResourceWatchdog) -> str:
+    """Why a pool degrades when a reply's peak RSS breaches the ceiling."""
+    return (
+        f"worker peak RSS {rss_bytes} bytes exceeded the "
+        f"{watchdog.policy.max_worker_rss_bytes}-byte watchdog ceiling; "
+        f"degraded to serial execution"
+    )
+
+
+def _workers_of(executor: Optional[ProcessPoolExecutor]) -> Dict[int, Any]:
+    """``executor``'s worker processes by pid (a private table: no public one)."""
+    return dict(getattr(executor, "_processes", None) or {})
+
+
+class WorkerPool:
+    """Every decision about a process pool's life: batch runs and serve.
+
+    The executor is built on the first :meth:`submit` (never, for
+    ``workers=None``).  A worker that dies breaks its whole executor;
+    whether ``submit`` raised the ``BrokenProcessPool`` or a future
+    carries it, :meth:`broke` counts one death per broken executor, and
+    the next submit builds a fresh one.  Killing a hung worker
+    (:meth:`kill`) is a death too.  At the :data:`DEATH_LIMIT`-th death,
+    or on an RSS breach (:meth:`degrade`), the pool degrades for good:
+    :attr:`degraded_cause` is ``worker-death``, ``hung-worker`` or
+    ``rss``, and :meth:`submit` answers None (run the task in-process).
+    One thread drives a pool, so it takes no locks.
     """
-    processes: Any = getattr(executor, "_processes", None) or {}
-    for process in list(processes.values()):
+
+    def __init__(
+        self,
+        workers: Optional[int],
+        *,
+        mp_context: Any,
+        initializer: Optional[Callable[..., None]],
+        initargs: Tuple[Any, ...],
+    ):
+        self.workers = workers
+        self._options: Dict[str, Any] = dict(
+            mp_context=mp_context, initializer=initializer, initargs=initargs
+        )
+        self.deaths = 0
+        self.degraded_cause: Optional[str] = None
+        self.degraded_reason: Optional[str] = None
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._retired: List[Any] = []  # workers of shut-down executors
+        # Which build of the executor each future went to: only a
+        # future of the live build reports a new death.
+        self._builds = 0
+        self._build_of: "weakref.WeakKeyDictionary[Future[Any], int]" = (
+            weakref.WeakKeyDictionary()
+        )
+
+    def submit(self, task: WorkerTask) -> Optional[Future[Any]]:
+        """Run ``task`` on a worker; None once degraded (run it in-process)."""
+        if self.workers is None or self.degraded_cause is not None:
+            return None
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(self.workers, **self._options)
+            self._builds += 1
         try:
+            future: Future[Any] = self._executor.submit(execute_task, task)
+        except BrokenProcessPool as error:
+            # Broken before any future said so: report it on one.
+            future = Future()
+            future.set_exception(error)
+        self._build_of[future] = self._builds
+        return future
+
+    def broke(self, future: Future[Any]) -> bool:
+        """Count the death a ``BrokenProcessPool`` future reports; True if new."""
+        if self._executor is None or self._build_of.get(future) != self._builds:
+            return False
+        self._died("worker-death")
+        return True
+
+    def kill(self, pids: Collection[int]) -> int:
+        """SIGKILL the live executor's workers among ``pids`` (one death)."""
+        victims = [p for pid, p in _workers_of(self._executor).items() if pid in pids]
+        for process in victims:
             process.kill()
-        except Exception:
-            pass
+        if victims:
+            self._died("hung-worker")
+        return len(victims)
+
+    def degrade(self, cause: str, reason: str) -> None:
+        """Stop for good (the first cause sticks); running tasks still report."""
+        if self.degraded_cause is None:
+            self.degraded_cause, self.degraded_reason = cause, reason
+        self._retire(cancel=True)
+
+    def abort(self) -> None:
+        """SIGKILL every worker, then join: a wedged one cannot block it."""
+        self._retire(cancel=True)
+        for process in self._retired:
+            with contextlib.suppress(OSError, ValueError):
+                process.kill()
+        self.close(wait=True)
+
+    def close(self, wait: bool) -> None:
+        """Shut down, cancelling queued tasks; ``wait`` joins every worker."""
+        self._retire(cancel=True)
+        retired, self._retired = self._retired, []
+        for process in retired if wait else ():
+            with contextlib.suppress(ValueError):
+                process.join()
+
+    def reset(self) -> None:
+        """Close without waiting; forget deaths and degradation."""
+        self.close(wait=False)
+        self.deaths = 0
+        self.degraded_cause = self.degraded_reason = None
+
+    def _died(self, cause: str) -> None:
+        self.deaths += 1
+        # Not cancelled: the broken executor fails every outstanding
+        # future with BrokenProcessPool, and their callers resubmit.
+        self._retire(cancel=False)
+        if self.deaths >= DEATH_LIMIT:
+            self.degrade(
+                cause,
+                f"{_DEATH_REASONS[cause]}; the worker pool died "
+                f"{self.deaths} times, degraded to serial execution",
+            )
+
+    def _retire(self, cancel: bool) -> None:
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            self._retired.extend(_workers_of(executor).values())
+            executor.shutdown(wait=False, cancel_futures=cancel)
 
 
 class PoolRunner(Runner):
@@ -225,13 +378,12 @@ class PoolRunner(Runner):
         context when workers must inherit parent state).
     watchdog:
         Optional :class:`~repro.runner.watchdog.ResourceWatchdog`.
-        When set, the journal directory gets a disk-space preflight,
-        and memory pressure degrades the run instead of killing it: a
-        worker reply whose peak RSS breaches the policy ceiling sheds
-        the queued work back to the parent (which finishes it
-        serially), and a worker that dies outright (OOM kill) likewise
-        falls back to serial execution instead of raising.  After a
-        degraded run :attr:`degraded_reason` records why.
+        When set, the journal directory gets a disk-space preflight, a
+        reply over the RSS ceiling sheds the queued work to serial, and
+        with ``hang_timeout_s`` a worker whose heartbeat goes stale is
+        killed.  With or without one, worker deaths follow
+        :class:`WorkerPool`'s rule.  After a degraded run
+        :attr:`degraded_reason` records why.
     """
 
     def __init__(
@@ -269,7 +421,7 @@ class PoolRunner(Runner):
         self.watchdog = watchdog
         #: Why the last run shed its workers, or None if it never did.
         self.degraded_reason: Optional[str] = None
-        #: Hung workers killed-and-requeued during the last run.
+        #: Hung workers killed (their units requeued) during the last run.
         self.rescues = 0
 
     def run(self, units: Sequence[RunUnit]) -> RunResult:
@@ -324,177 +476,107 @@ class PoolRunner(Runner):
     def _run_pool(
         self, pending: Sequence[RunUnit], outcomes: Dict[str, UnitOutcome]
     ) -> None:
-        stopping = self._drive_pool(pending, outcomes)
-        if self.degraded_reason is not None:
-            reason = "worker-death"
-            if "RSS" in self.degraded_reason:
-                reason = "rss"
-            elif "hung" in self.degraded_reason:
-                reason = "hung-worker"
-            self.telemetry.count("repro_degradations_total", reason=reason)
-        if self.degraded_reason is None or stopping:
+        pool = WorkerPool(
+            min(self.workers, len(pending)),
+            mp_context=self.mp_context,
+            initializer=self.initializer,
+            initargs=self.initargs,
+        )
+        try:
+            stopping = self._drive_pool(pool, pending, outcomes)
+        finally:
+            pool.close(wait=True)
+        self.degraded_reason = pool.degraded_reason
+        if pool.degraded_cause is None:
             return
-        # Degradation ladder, final rung before --resume: the pool was
-        # shed (RSS ceiling), broke (worker death), or exhausted its
-        # hung-worker rescue budget; the inherited serial Runner loop,
-        # with this pool's journal, retry, timeout, keep_going,
-        # telemetry, profile and cancel settings, finishes the units
-        # that never produced an outcome in the parent.  Telemetry is
-        # flushed once, for the whole run, after this rung.
+        self.telemetry.count("repro_degradations_total", reason=pool.degraded_cause)
+        if stopping:
+            return
+        # Degradation ladder, final rung before --resume: the inherited
+        # serial Runner loop, with this pool's settings, finishes the
+        # units that never produced an outcome in the parent.  Telemetry
+        # is flushed once, for the whole run, after this rung.
         leftover = [unit for unit in pending if unit.unit_id not in outcomes]
         for outcome in self._run_serial(leftover).outcomes:
             outcomes[outcome.unit_id] = outcome
 
     def _drive_pool(
-        self, pending: Sequence[RunUnit], outcomes: Dict[str, UnitOutcome]
-    ) -> bool:
-        """Fan ``pending`` out over the pool; True if a failure stopped it.
-
-        Sets :attr:`degraded_reason` (leaving the un-finished units
-        without outcomes) when the watchdog sheds the pool or a worker
-        dies with a watchdog installed.
-
-        The pool runs in *generations*: normally one, but killing a
-        hung worker breaks the whole :class:`ProcessPoolExecutor` (its
-        manager terminates every sibling), so each rescue starts a
-        fresh generation that resubmits exactly the units still without
-        an outcome — completed units are journalled and never
-        re-executed.
-        """
-        order = self._submission(pending)
-        heartbeat_dir: Optional[str] = None
-        if (
-            self.watchdog is not None
-            and self.watchdog.policy.hang_timeout_s is not None
-        ):
-            heartbeat_dir = tempfile.mkdtemp(prefix="repro-heartbeat-")
-        rescue_counts: Dict[str, int] = {}
-        stopping = False
-        try:
-            while True:
-                remaining = [
-                    unit for unit in order if unit.unit_id not in outcomes
-                ]
-                if not remaining:
-                    break
-                stopping, rebuild = self._drive_generation(
-                    remaining, outcomes, heartbeat_dir, rescue_counts
-                )
-                if stopping or not rebuild or self.degraded_reason is not None:
-                    break
-                if self.cancel is not None and self.cancel.cancelled:
-                    break
-        finally:
-            if heartbeat_dir is not None:
-                shutil.rmtree(heartbeat_dir, ignore_errors=True)
-        return stopping
-
-    def _drive_generation(
         self,
-        units: Sequence[RunUnit],
+        pool: WorkerPool,
+        pending: Sequence[RunUnit],
         outcomes: Dict[str, UnitOutcome],
-        heartbeat_dir: Optional[str],
-        rescue_counts: Dict[str, int],
-    ) -> Tuple[bool, bool]:
-        """One executor's lifetime; returns ``(stopping, rebuild)``.
+    ) -> bool:
+        """Fan ``pending`` out over ``pool``; True if a failure stopped it.
 
-        ``rebuild`` is True only when a hung worker was killed within
-        budget: the caller starts a fresh generation for the units left
-        without outcomes (including the hung one, which gets a fresh
-        worker).  Exhausting the budget sets :attr:`degraded_reason`
-        instead, handing the leftovers to the serial rung.
+        Units a pool death took down are resubmitted; once the pool
+        degrades, the units without an outcome are left for the serial rung.
         """
-        if heartbeat_dir is not None:
-            # Stale stamps from a previous generation's (killed) workers
-            # must not trigger instant re-rescues.
-            for stale in Path(heartbeat_dir).glob("*.json"):
-                try:
-                    stale.unlink()
-                except OSError:
-                    pass
-        hang_limit = (
-            self.watchdog.policy.hang_timeout_s
-            if self.watchdog is not None and heartbeat_dir is not None
-            else None
-        )
-        poll: Optional[float] = None
+        watchdog = self.watchdog
+        hang_limit = None if watchdog is None else watchdog.policy.hang_timeout_s
+        heartbeat_dir: Optional[str] = None
+        poll = 0.25 if self.cancel is not None else None
         if hang_limit is not None:
+            heartbeat_dir = tempfile.mkdtemp(prefix="repro-heartbeat-")
             poll = max(0.05, hang_limit / 4.0)
-        elif self.cancel is not None:
-            poll = 0.25
-        executor = ProcessPoolExecutor(
-            max_workers=min(self.workers, len(units)),
-            mp_context=self.mp_context,
-            initializer=self.initializer,
-            initargs=self.initargs,
-        )
+
+        def submit(unit: RunUnit) -> None:
+            future = pool.submit(
+                WorkerTask(
+                    unit=replace(unit, check_skip=None, from_record=None),
+                    retry=self.retry,
+                    timeout_s=self.timeout_s,
+                    telemetry_on=self.telemetry.enabled,
+                    profile_dir=self.profile_dir,
+                    heartbeat_dir=heartbeat_dir,
+                )
+            )
+            if future is not None:
+                in_flight[future] = unit
+
+        def cancel_queued() -> None:
+            # A future cancelled before it started is forgotten at once:
+            # wait() would not report it done until its executor, which
+            # may already be shut down, acknowledges the cancellation.
+            for future in [f for f in in_flight if f.cancel()]:
+                del in_flight[future]
+
+        # Outstanding futures in submission order (resubmissions last).
+        in_flight: Dict[Future[Any], RunUnit] = {}
         stopping = False
-        rebuild = False
         drained = False
         handed_at = time.time()
         try:
-            futures = {
-                executor.submit(
-                    execute_task,
-                    WorkerTask(
-                        unit=replace(unit, check_skip=None, from_record=None),
-                        retry=self.retry,
-                        timeout_s=self.timeout_s,
-                        telemetry_on=self.telemetry.enabled,
-                        profile_dir=self.profile_dir,
-                        heartbeat_dir=heartbeat_dir,
-                    ),
-                ): unit
-                for unit in units
-            }
-            submitted = {future: index for index, future in enumerate(futures)}
-            not_done = set(futures)
-            while not_done:
-                if (
-                    self.cancel is not None
-                    and self.cancel.cancelled
-                    and not drained
-                ):
+            for unit in self._submission(pending):
+                submit(unit)
+            while in_flight:
+                if self.cancel is not None and self.cancel.cancelled and not drained:
                     # Drain: queued units never start (they stay
                     # outcome-less for --resume); running units finish
                     # and are journalled below.
                     drained = True
-                    for other in not_done:
-                        other.cancel()
+                    cancel_queued()
                 if self.cancel is not None and self.cancel.expired():
-                    _kill_workers(executor)
+                    pool.abort()
                     self.cancel.raise_if_expired()
-                done, not_done = wait(
-                    not_done, timeout=poll, return_when=FIRST_COMPLETED
+                done, _ = wait(
+                    set(in_flight), timeout=poll, return_when=FIRST_COMPLETED
                 )
                 # A done *batch* is processed in submission order: when a
                 # crash arrives together with results, everything that
                 # finished before the crashing unit is journalled first,
                 # so the journal a killed run leaves behind is
                 # deterministic, not subject to set iteration order.
-                for future in sorted(done, key=submitted.__getitem__):
-                    if future.cancelled():
-                        continue
-                    unit = futures[future]
+                for future in [f for f in in_flight if f in done]:
+                    unit = in_flight.pop(future)
                     crash = future.exception()
                     if crash is not None:
                         if isinstance(crash, BrokenProcessPool):
-                            if self.watchdog is None:
-                                raise RunnerError(
-                                    "worker pool broke (a worker died without "
-                                    "reporting); completed units are journalled — "
-                                    "re-run with --resume"
-                                ) from crash
-                            # Watchdog ladder: a dead worker (OOM kill)
-                            # degrades to serial instead of aborting.
-                            # Every in-flight future fails with the same
-                            # BrokenProcessPool; their units simply stay
-                            # outcome-less for the serial fallback.
-                            if self.degraded_reason is None:
-                                self.degraded_reason = (
-                                    f"worker died without reporting ({crash}); "
-                                    f"finishing remaining units serially"
-                                )
+                            # A dead worker broke the executor: count the
+                            # death once, and resubmit (a rebuild) unless
+                            # the run is stopping or the pool degraded.
+                            pool.broke(future)
+                            if not stopping and not drained:
+                                submit(unit)
                             continue
                         if not isinstance(crash, Exception):
                             # A simulated (or real) kill: abandon
@@ -510,94 +592,40 @@ class PoolRunner(Runner):
                         outcome = self._outcome_from_reply(unit, reply)
                         stored = reply["result"]
                         self.telemetry.absorb(reply.get("telemetry"))
-                        if reply.get("rss_bytes") is not None:
+                        rss = reply.get("rss_bytes")
+                        if rss is not None:
                             self.telemetry.gauge_max(
-                                "repro_worker_peak_rss_bytes",
-                                float(reply["rss_bytes"]),
+                                "repro_worker_peak_rss_bytes", float(rss)
                             )
                         if (
-                            self.watchdog is not None
-                            and self.degraded_reason is None
-                            and self.watchdog.over_rss(reply.get("rss_bytes"))
+                            watchdog is not None
+                            and pool.degraded_cause is None
+                            and watchdog.over_rss(rss)
                         ):
                             # Shed: cancel what has not started (running
                             # units drain normally and are journalled);
                             # cancelled units fall to the serial rung.
-                            self.degraded_reason = (
-                                f"worker peak RSS {reply.get('rss_bytes')} "
-                                f"bytes breached the watchdog ceiling; "
-                                f"shedding queued units to serial execution"
-                            )
-                            for other in not_done:
-                                other.cancel()
+                            pool.degrade("rss", rss_reason(rss, watchdog))
+                            cancel_queued()
                     outcomes[unit.unit_id] = outcome
                     record_outcome(self.journal, unit, outcome, stored)
                     if outcome.status == "failed" and not self.keep_going and not stopping:
                         stopping = True
-                        for other in not_done:
-                            other.cancel()
-                if (
-                    hang_limit is not None
-                    and heartbeat_dir is not None
-                    and not_done
-                    and not stopping
-                    and self.degraded_reason is None
-                ):
-                    in_flight = {
-                        futures[future].unit_id
-                        for future in not_done
-                        if not future.cancelled()
-                    }
-                    hung = [
-                        beat
-                        for beat in self.watchdog.hung_workers(  # type: ignore[union-attr]
-                            read_heartbeats(heartbeat_dir)
-                        )
-                        if beat.unit_id in in_flight
-                    ]
-                    if hung:
-                        self._rescue(executor, hung, rescue_counts)
-                        rebuild = self.degraded_reason is None
-                        for other in not_done:
-                            other.cancel()
-                        break
+                        cancel_queued()
+                if heartbeat_dir is not None and watchdog is not None and not stopping:
+                    # A hung worker is killed: a pool death like any
+                    # other, so its unit comes back as BrokenProcessPool
+                    # and is resubmitted, or at the death limit left for
+                    # the serial rung, where a wedge cannot block a pool.
+                    beats = watchdog.hung_workers(read_heartbeats(heartbeat_dir))
+                    killed = pool.kill({beat.pid for beat in beats})
+                    if killed:
+                        self.rescues += killed
+                        self.telemetry.count("repro_runner_rescues_total", killed)
         finally:
-            executor.shutdown(wait=True, cancel_futures=True)
-        return stopping, rebuild
-
-    def _rescue(
-        self,
-        executor: ProcessPoolExecutor,
-        hung: Sequence[HeartbeatRecord],
-        rescue_counts: Dict[str, int],
-    ) -> None:
-        """Kill hung workers and charge the rescue budget.
-
-        Killing any worker breaks the executor (its manager terminates
-        the siblings), so the caller abandons this generation either
-        way; within budget the next generation resubmits, past it
-        :attr:`degraded_reason` routes the leftovers to the serial rung
-        — where a deterministically-hanging unit cannot re-wedge a pool
-        it is no longer in.
-        """
-        processes: Any = getattr(executor, "_processes", None) or {}
-        for beat in hung:
-            victim = processes.get(beat.pid)
-            if victim is not None:
-                victim.kill()
-            self.rescues += 1
-            unit_id = beat.unit_id or ""
-            rescue_counts[unit_id] = rescue_counts.get(unit_id, 0) + 1
-            self.telemetry.count("repro_runner_rescues_total")
-        budget = (
-            self.watchdog.policy.max_rescues if self.watchdog is not None else 0
-        )
-        repeat_offender = any(count >= 2 for count in rescue_counts.values())
-        if self.rescues > budget or repeat_offender:
-            self.degraded_reason = (
-                f"hung-worker rescue budget exhausted after {self.rescues} "
-                f"rescue(s); finishing remaining units serially"
-            )
+            if heartbeat_dir is not None:
+                shutil.rmtree(heartbeat_dir, ignore_errors=True)
+        return stopping
 
     def _outcome_from_reply(self, unit: RunUnit, reply: dict) -> UnitOutcome:
         outcome: UnitOutcome = reply["outcome"]

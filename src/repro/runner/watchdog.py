@@ -15,15 +15,16 @@ both into typed, recoverable behaviour:
   (:func:`peak_rss_bytes`, via :mod:`resource`) with every reply; when
   a reply crosses the configured ceiling the pool **sheds** its
   remaining queued work and the parent finishes it serially — degrading
-  throughput instead of dying on memory pressure.  A worker that is
-  killed outright (OOM, ``killworker`` fault) breaks the pool; with a
-  watchdog installed the parent likewise falls back to serial execution
-  instead of aborting the run;
+  throughput instead of dying on memory pressure;
 * **liveness** — pool workers stamp heartbeat files between unit
   attempts (:mod:`repro.runner.lifecycle`); a worker whose
   ``run``-phase stamp goes staler than ``hang_timeout_s`` is declared
-  hung, killed, and its unit requeued on the survivors, up to
-  ``max_rescues`` times before the run degrades to serial.
+  hung and killed, and its unit requeued on a fresh worker.
+
+A killed worker is a pool death like any other (an OOM kill, a
+``killworker`` fault): :class:`~repro.runner.pool.WorkerPool` rebuilds
+the executor, and its :data:`~repro.runner.pool.DEATH_LIMIT`-th death
+degrades the run to serial instead of aborting it.
 
 The degradation ladder, mildest to harshest: preflight refusal →
 retryable ``CheckpointError`` per write → hung worker killed and unit
@@ -88,16 +89,14 @@ class WatchdogPolicy:
     declared hung, killed, and its unit requeued; it must comfortably
     exceed the longest legitimate gap between heartbeat stamps (one
     unit attempt), so set it well above the per-unit timeout when both
-    are in play.  ``max_rescues`` bounds how many hung workers one run
-    will kill-and-requeue before giving up and degrading to serial
-    execution (each rescue restarts the pool, so unbounded rescues
-    against a deterministically-hanging unit would loop forever).
+    are in play.  Each kill is a pool death, so a unit that hangs
+    every worker degrades the run to serial at
+    :data:`~repro.runner.pool.DEATH_LIMIT` instead of looping.
     """
 
     min_free_bytes: int = DEFAULT_MIN_FREE_BYTES
     max_worker_rss_bytes: Optional[int] = None
     hang_timeout_s: Optional[float] = None
-    max_rescues: int = 3
 
     def __post_init__(self) -> None:
         if self.min_free_bytes < 0:
@@ -106,8 +105,6 @@ class WatchdogPolicy:
             raise ResourceError("max_worker_rss_bytes must be positive")
         if self.hang_timeout_s is not None and self.hang_timeout_s <= 0:
             raise ResourceError("hang_timeout_s must be positive")
-        if self.max_rescues < 0:
-            raise ResourceError("max_rescues must be non-negative")
 
 
 class ResourceWatchdog:

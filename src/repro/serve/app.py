@@ -18,11 +18,13 @@ queries through a three-tier resolution path, cheapest first:
    attempt loop, whose deterministic-backoff retries and per-request
    deadline (504 + Retry-After) act inside the worker.
 
-The fault-tolerance ladder for the backend: a broken pool is rebuilt
-and the unit resubmitted within its attempt budget; repeated pool
-deaths (or a worker breaching the
-:class:`~repro.runner.watchdog.ResourceWatchdog` RSS ceiling) degrade
-the service to serial in-process execution — slower but
+The fault-tolerance ladder for the backend is the batch runner's
+:class:`~repro.runner.pool.WorkerPool`: a broken pool is one death
+however many requests see it, it is rebuilt and the units resubmitted
+within their attempt budget; the
+:data:`~repro.runner.pool.DEATH_LIMIT`-th death (or a worker breaching
+the :class:`~repro.runner.watchdog.ResourceWatchdog` RSS ceiling)
+degrades the service to serial in-process execution — slower but
 available — with ``degraded_reason`` surfaced on ``/healthz`` and in
 the journal; persistent failures open the breaker, converting every
 doomed request into an immediate honest 503.
@@ -42,7 +44,7 @@ import json
 import math
 import signal
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from operator import itemgetter
@@ -65,6 +67,7 @@ from ..runner import (
     record_outcome,
     resolve_workers,
 )
+from ..runner.pool import WorkerPool, rss_reason
 from .admission import AdmissionController
 from .breaker import CircuitBreaker
 from .compute import (
@@ -153,33 +156,27 @@ class ServePolicy:
     compute budget, per attempt in the worker; ``retries`` the extra
     attempts a cold compute gets after a transient failure in the
     worker, or resubmissions after a pool death (backoff jitter derives
-    from the seeded LFSR and the canonical key — REP002-clean);
-    ``pool_death_limit`` the pool rebuilds tolerated before degrading
-    to serial execution.
+    from the seeded LFSR and the canonical key — REP002-clean).
     """
 
     max_active: int = 4
     max_waiting: int = 16
     deadline_s: float = 60.0
-    #: One more attempt than ``pool_death_limit``: a request whose pool
-    #: dies repeatedly still has an attempt left *after* the service
-    #: degrades to serial, so the degradation ladder completes the
-    #: request instead of bouncing it back to the client.
+    #: One more attempt than the pool's ``DEATH_LIMIT``: a request whose
+    #: pool keeps dying still has one left *after* the service degrades
+    #: to serial, so the ladder completes it instead of bouncing it.
     retries: int = 2
     backoff_s: float = 0.05
     breaker_threshold: int = 4
     breaker_cooldown_s: float = 2.0
     retry_after_s: float = 1.0
     max_body_bytes: int = 1 << 20
-    pool_death_limit: int = 2
 
     def __post_init__(self) -> None:
         if self.deadline_s <= 0:
             raise RunnerError("serve deadline_s must be positive")
         if self.retries < 0:
             raise RunnerError("serve retries must be non-negative")
-        if self.pool_death_limit < 1:
-            raise RunnerError("serve pool_death_limit must be >= 1")
 
 
 class ServeApp:
@@ -204,7 +201,6 @@ class ServeApp:
         self.policy = policy if policy is not None else ServePolicy()
         self.watchdog = watchdog if watchdog is not None else ResourceWatchdog()
         self.watchdog.preflight_disk(self.store_dir)
-        self.n_workers = resolve_workers(workers)
         self.memo = MemoStore(self.store_dir / MEMO_DIR)
         # Normalization is a pure function of the body and SystemConfig
         # is frozen, so a repeated point body reuses its first result;
@@ -231,7 +227,11 @@ class ServeApp:
             backoff_s=self.policy.backoff_s,
             jitter=0.5,
         )
-        self._pool: Optional[ProcessPoolExecutor] = None
+        # Cold computes run here: built on the first one, with the
+        # default start method; None workers means in-process serial.
+        self.pool = WorkerPool(
+            resolve_workers(workers), mp_context=None, initializer=None, initargs=()
+        )
         # Single-threaded on purpose: memo and journal writes share
         # fixed .tmp siblings (MANIFEST.json.tmp), so store-side I/O
         # must stay serialized — as it implicitly was when these calls
@@ -241,8 +241,6 @@ class ServeApp:
         )
         self._server: Optional[asyncio.base_events.Server] = None
         self.port: Optional[int] = None
-        self.pool_deaths = 0
-        self.degraded_reason: Optional[str] = None
         self.stats: Dict[str, int] = {
             "requests": 0,
             "memo": 0,
@@ -259,8 +257,8 @@ class ServeApp:
         #: refused with 503 while in-flight requests run to completion.
         self.draining = False
         self.drain_reason: Optional[str] = None
-        # Pool-backed compute futures still outstanding; what a pool
-        # discard would abandon (counted in stats["abandoned"]).
+        # Pool-backed compute futures still outstanding; what shedding
+        # or closing the pool abandons (counted in stats["abandoned"]).
         self._pool_futures: Set["asyncio.Future[Any]"] = set()
         self._routes = {
             ("GET", "/healthz"): self._handle_health,
@@ -372,33 +370,27 @@ class ServeApp:
     # ------------------------------------------------------------------
     # Compute backend: pool lifecycle, degradation, cold resolution.
 
-    def _backend(self) -> Optional[Executor]:
-        """The executor cold computes run on; None means in-process serial."""
-        if self.n_workers is None or self.degraded_reason is not None:
-            return None
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.n_workers)
-        return self._pool
+    @property
+    def pool_deaths(self) -> int:
+        """Worker-pool deaths since the last backend reset."""
+        return self.pool.deaths
 
-    def _discard_pool(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        # Futures still outstanding when the pool is thrown away never
-        # produce a reply; count them instead of dropping them silently
-        # (the projection surfaces repro_serve_abandoned_total).
-        abandoned = sum(
-            1 for future in list(self._pool_futures) if not future.done()
+    @property
+    def degraded_reason(self) -> Optional[str]:
+        """Why the pool degraded to serial execution, or None."""
+        return self.pool.degraded_reason
+
+    def _abandon(self) -> None:
+        """Count (not drop) the futures a shed or closed pool never answers."""
+        self.stats["abandoned"] += sum(
+            1 for future in self._pool_futures if not future.done()
         )
-        if abandoned:
-            self.stats["abandoned"] += abandoned
-        pool.shutdown(wait=False, cancel_futures=True)
 
     def _degrade(self, reason: str) -> None:
-        """One-way fallback to serial execution; stays visible on /healthz."""
+        """Shed the pool for good on an RSS breach; stays on /healthz."""
         if self.degraded_reason is None:
-            self.degraded_reason = reason
-        self._discard_pool()
+            self._abandon()
+        self.pool.degrade("rss", reason)
 
     def reset_backend(self) -> None:
         """Forget pool, degradation, and breaker state (chaos harness).
@@ -407,9 +399,8 @@ class ServeApp:
         inherit the environment at creation time, so a soak round that
         changes the fault plan must rebuild the backend.
         """
-        self._discard_pool()
-        self.pool_deaths = 0
-        self.degraded_reason = None
+        self._abandon()
+        self.pool.reset()
         self.breaker.record_success()
 
     def _pool_future_done(self, future: "asyncio.Future[Any]") -> None:
@@ -420,16 +411,24 @@ class ServeApp:
             future.exception()
 
     async def _submit(self, task: WorkerTask) -> dict:
-        loop = asyncio.get_running_loop()
-        backend = self._backend()
-        if backend is None:
+        """One reply for ``task``; raises BrokenProcessPool on a pool death."""
+        future = self.pool.submit(task)
+        if future is None:
             # Degraded/serial: the default thread executor keeps the
             # event loop (health checks, shedding) responsive.
+            loop = asyncio.get_running_loop()
             return await loop.run_in_executor(None, execute_task, task)
-        future = loop.run_in_executor(backend, execute_task, task)
-        self._pool_futures.add(future)
-        future.add_done_callback(self._pool_future_done)
-        return await future
+        waiter = asyncio.wrap_future(future)
+        self._pool_futures.add(waiter)
+        waiter.add_done_callback(self._pool_future_done)
+        try:
+            return await waiter
+        except BrokenProcessPool:
+            # Every request on the broken executor lands here; the pool
+            # counts one death, and the breaker one failure, for all.
+            if self.pool.broke(future):
+                self.breaker.record_failure()
+            raise
 
     # Memo and journal are synchronous disk I/O (REP007: they bottom
     # out in file reads/writes and fsync).  Every call from the async
@@ -468,14 +467,6 @@ class ServeApp:
             try:
                 reply = await self._submit(task)
             except BrokenProcessPool as error:
-                self.pool_deaths += 1
-                self.breaker.record_failure()
-                self._discard_pool()
-                if self.pool_deaths >= self.policy.pool_death_limit:
-                    self._degrade(
-                        f"worker pool died {self.pool_deaths} times; "
-                        f"degraded to serial execution"
-                    )
                 if submissions < self.retry.max_attempts:
                     continue
                 outcome = crashed_outcome(unit, error, submissions, handed_at)
@@ -483,11 +474,7 @@ class ServeApp:
                 outcome = reply["outcome"]
                 rss = reply["rss_bytes"]
                 if self.watchdog.over_rss(rss):
-                    self._degrade(
-                        f"worker peak RSS {rss} bytes exceeded the "
-                        f"{self.watchdog.policy.max_worker_rss_bytes}-byte "
-                        f"watchdog ceiling; degraded to serial execution"
-                    )
+                    self._degrade(rss_reason(rss, self.watchdog))
             break
         stored = None
         if outcome.ok:
@@ -658,7 +645,7 @@ class ServeApp:
             "draining": self.draining,
             "degraded_reason": self.degraded_reason,
             "breaker": self.breaker.state,
-            "workers": self.n_workers or 0,
+            "workers": self.pool.workers or 0,
             "pool_deaths": self.pool_deaths,
             "uptime_s": round(self.uptime_s(), 3),
             "in_flight": self._in_flight,
@@ -900,7 +887,8 @@ class ServeApp:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        self._discard_pool()
+        self._abandon()
+        self.pool.close(wait=False)
         # wait=True drains the queued memo/journal writes, leaving the
         # store manifest-consistent however the shutdown started.
         self._io_executor.shutdown(wait=True)
@@ -966,7 +954,7 @@ def run_serve(
         # place, or the default disposition would kill us mid-start.
         print(
             f"repro serve: listening on http://{host}:{app.port} "
-            f"(store {app.store_dir}, workers {app.n_workers or 'serial'})",
+            f"(store {app.store_dir}, workers {app.pool.workers or 'serial'})",
             flush=True,
         )
         tasks = {

@@ -192,8 +192,6 @@ class TestHungWorkerPolicy:
 
         with pytest.raises(ResourceError):
             WatchdogPolicy(hang_timeout_s=0.0)
-        with pytest.raises(ResourceError):
-            WatchdogPolicy(max_rescues=-1)
 
     def test_hung_workers_need_a_limit(self):
         beats = [HeartbeatRecord(pid=1, unit_id="u", phase="run", age_s=999.0)]
@@ -347,7 +345,7 @@ class TestHungWorkerRescue:
             journal=RunJournal.open(tmp_path / "j.jsonl"),
             workers=2,
             watchdog=ResourceWatchdog(
-                WatchdogPolicy(hang_timeout_s=0.75, max_rescues=3)
+                WatchdogPolicy(hang_timeout_s=0.75)
             ),
         )
         result = runner.run(units)
@@ -373,11 +371,11 @@ class TestHungWorkerRescue:
             journal=RunJournal.open(tmp_path / "j.jsonl"),
             workers=2,
             watchdog=ResourceWatchdog(
-                WatchdogPolicy(hang_timeout_s=0.4, max_rescues=5)
+                WatchdogPolicy(hang_timeout_s=0.4)
             ),
         )
         result = runner.run(units)
-        # Two rescues of the same unit prove it hangs deterministically;
+        # Each rescue is a pool death; the second degrades the run, and
         # the serial rung (where the wedge is a no-op) finishes it.
         assert runner.rescues == 2
         assert runner.degraded_reason is not None

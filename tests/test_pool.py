@@ -8,6 +8,7 @@ the wall-clock ``elapsed_s`` measurements, which these tests normalise
 before comparing byte-for-byte.
 """
 
+import ast
 import json
 import multiprocessing
 import random
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from conftest import REPO_ROOT
 
 from repro.core.config import SystemConfig
 from repro.core.envelope import best_envelope
@@ -482,3 +484,18 @@ class TestPoolRunnerSemantics:
     def test_zero_workers_rejected(self):
         with pytest.raises(RunnerError):
             PoolRunner(workers=0)
+
+
+def test_only_the_worker_pool_builds_a_process_pool():
+    """Batch runs and serve share one WorkerPool: no other module of
+    ``src/repro`` constructs a ProcessPoolExecutor of its own."""
+    src = REPO_ROOT / "src"
+    sites = []
+    for path in sorted((src / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "ProcessPoolExecutor":
+                sites.append(path.relative_to(src).as_posix())
+    assert sites == ["repro/runner/pool.py"]

@@ -454,6 +454,78 @@ class TestServeHTTP:
         assert health["memo"]["quarantined"] == 1
 
 
+def _kill_one_of_two(rendezvous, payload):
+    """``compute_point``, except that the first two calls to be in flight
+    together meet, and one kills its worker (once per process tree)."""
+    from repro.serve.compute import compute_point
+
+    here = Path(rendezvous)
+    killed = here / "killed"
+    if not killed.exists():
+        (here / f"running-{os.getpid()}").touch()
+        give_up = time.monotonic() + 30.0
+        while len(list(here.glob("running-*"))) < 2 and time.monotonic() < give_up:
+            time.sleep(0.01)
+        try:
+            os.close(os.open(killed, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            time.sleep(30.0)  # the sibling's death terminates this worker
+        else:
+            os._exit(86)
+    return compute_point(payload)
+
+
+class TestOneDeathPerExecutor:
+    def test_concurrent_requests_count_one_death(self, tmp_path, monkeypatch):
+        """Two requests on one broken executor: one death, one rebuild."""
+        import functools
+
+        import repro.serve.app as app_module
+
+        rendezvous = tmp_path / "rendezvous"
+        rendezvous.mkdir()
+        monkeypatch.setattr(
+            app_module,
+            "compute_point",
+            functools.partial(_kill_one_of_two, str(rendezvous)),
+        )
+        payloads = [PAYLOAD, dict(PAYLOAD, l2_kb=32)]
+        with BackgroundServer(tmp_path / "store", workers=2) as server:
+            failures = []
+            record_failure = server.app.breaker.record_failure
+
+            def count_failure():
+                failures.append(None)
+                record_failure()
+
+            monkeypatch.setattr(server.app.breaker, "record_failure", count_failure)
+            answers = {}
+
+            def ask(index):
+                try:
+                    answers[index] = server.request(
+                        "POST", "/v1/evaluate", payloads[index]
+                    )
+                except Exception as error:  # an answer never written
+                    answers[index] = (None, {}, repr(error).encode())
+
+            threads = [threading.Thread(target=ask, args=(i,)) for i in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            health = json.loads(server.request("GET", "/healthz")[2])
+        assert (rendezvous / "killed").exists()
+        assert health["pool_deaths"] == 1
+        assert health["status"] == "ok"
+        assert health["requests"]["abandoned"] == 0
+        assert len(failures) == 1
+        for index, payload in enumerate(payloads):
+            status, _, body = answers[index]
+            assert status == 200
+            assert body == reference_bytes(payload)
+
+
 class TestServedUnitJournal:
     """A cold point is a runner unit: retried in the worker, journalled once."""
 

@@ -11,11 +11,14 @@ likewise degrades to serial instead of aborting the run.
 import functools
 import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from test_pool import normalized_journal
 
-from repro.errors import ResourceError, RunnerError
+from repro.errors import ResourceError
+from repro.obs.telemetry import Telemetry
 from repro.runner import (
     PoolRunner,
     RunJournal,
@@ -180,14 +183,21 @@ class TestWorkerDeath:
     def teardown_method(self):
         faults.clear()
 
-    def test_dead_worker_aborts_without_watchdog(self, tmp_path, monkeypatch):
+    def test_dead_worker_heals_without_watchdog(self, tmp_path, monkeypatch):
+        ids = ["a", "b", "c"]
+        serial = Runner(journal=None).run(make_units(ids))
+
         monkeypatch.setenv(faults.ENV_VAR, "killworker=b")
         runner = PoolRunner(
             journal=RunJournal.open(tmp_path / "j.jsonl"), workers=2
         )
-        with pytest.raises(RunnerError) as excinfo:
-            runner.run(make_units(["a", "b", "c"]))
-        assert "resume" in str(excinfo.value)
+        result = runner.run(make_units(ids))
+        # b kills every worker it reaches: one rebuild, then the second
+        # death degrades to serial, where the fault is a no-op.
+        assert runner.degraded_reason is not None
+        assert "died" in runner.degraded_reason
+        assert [o.status for o in result.outcomes] == ["ok"] * 3
+        assert result.values() == serial.values()
 
     def test_dead_worker_degrades_with_watchdog(self, tmp_path, monkeypatch):
         ids = ["a", "b", "c", "d"]
@@ -205,6 +215,31 @@ class TestWorkerDeath:
         # The killed unit itself completes on the serial rung: the
         # killworker fault only fires inside a pool worker process.
         assert [o.status for o in result.outcomes] == ["ok"] * 4
+        assert result.values() == serial.values()
+
+    def test_broken_submit_is_a_death_not_an_escape(self, tmp_path, monkeypatch):
+        """A worker that dies while units are still being submitted makes
+        ``submit`` itself raise BrokenProcessPool; that is one death."""
+        ids = [f"u{i}" for i in range(6)]
+        serial = Runner(journal=None).run(make_units(ids))
+
+        real_submit = ProcessPoolExecutor.submit
+        calls = []
+
+        def submit(executor, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise BrokenProcessPool("a worker died mid-submission")
+            return real_submit(executor, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        pool = PoolRunner(
+            journal=RunJournal.open(tmp_path / "j.jsonl"), workers=2
+        )
+        result = pool.run(make_units(ids))
+        # One death rebuilds the pool; the run never degrades.
+        assert pool.degraded_reason is None
+        assert [o.status for o in result.outcomes] == ["ok"] * len(ids)
         assert result.values() == serial.values()
 
     def test_degraded_run_resumes_cleanly(self, tmp_path, monkeypatch):
@@ -225,6 +260,47 @@ class TestWorkerDeath:
         result = resumed.run(make_units(["a", "b", "c"]))
         assert resumed.degraded_reason is None
         assert [o.status for o in result.outcomes] == ["skipped"] * 3
+
+
+@fork_only
+class TestDegradationCause:
+    """Each way a pool degrades exports its cause as a metric label."""
+
+    def setup_method(self):
+        faults.clear()
+
+    def teardown_method(self):
+        faults.clear()
+
+    @pytest.mark.parametrize("cause", ["rss", "worker-death", "hung-worker"])
+    def test_cause_is_the_metric_label(self, tmp_path, monkeypatch, cause):
+        policy = TINY_RSS
+        if cause == "worker-death":
+            monkeypatch.setenv(faults.ENV_VAR, "killworker=b")
+            policy = WatchdogPolicy()
+        elif cause == "hung-worker":
+            # b wedges every worker it reaches; the serial rung runs it.
+            monkeypatch.setenv(faults.ENV_VAR, "hang=b:30")
+            policy = WatchdogPolicy(hang_timeout_s=0.4)
+        telemetry = Telemetry()
+        pool = PoolRunner(
+            workers=2, watchdog=ResourceWatchdog(policy), telemetry=telemetry
+        )
+        result = pool.run(make_units(["a", "b", "c"]))
+        assert [o.status for o in result.outcomes] == ["ok"] * 3
+        assert pool.degraded_reason is not None
+        samples = [
+            sample
+            for sample in telemetry.registry.snapshot()
+            if sample["name"] == "repro_degradations_total"
+        ]
+        assert [(s["labels"], s["value"]) for s in samples] == [
+            ({"reason": cause}, 1.0)
+        ]
+        assert (
+            f'repro_degradations_total{{reason="{cause}"}} 1'
+            in telemetry.registry.render_prometheus()
+        )
 
 
 @fork_only
