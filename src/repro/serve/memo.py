@@ -24,12 +24,16 @@ exact bytes just read, so a reused entry equals what ``json.loads``
 plus :func:`~repro.serve.compute.canonical_json` would give for them.
 Serving a cached body without re-reading the file would skip the check
 that catches bit rot, so the map is never consulted before the hash.
+:meth:`MemoStore.probe` is that check alone, never a write or a counted
+miss, so ``repro serve`` answers a verified hit on its event loop and
+sends only what the probe cannot vouch for to :meth:`MemoStore.read`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -49,7 +53,12 @@ MemoEntry = Tuple[dict, bytes]
 
 
 class MemoStore:
-    """Persistent memoization of evaluate records, keyed by config hash."""
+    """Persistent memoization of evaluate records, keyed by config hash.
+
+    Every write to ``hits``, ``misses``, ``quarantined`` and the
+    verified-body map holds ``_lock``: ``repro serve`` probes on its loop
+    and reads on its I/O thread, the one thread that changes the files.
+    """
 
     #: Bound on the digest -> decoded entry map (oldest dropped first).
     VERIFIED_ENTRIES = 512
@@ -61,6 +70,7 @@ class MemoStore:
         self.misses = 0
         self.quarantined = 0
         self._verified: Dict[str, MemoEntry] = {}
+        self._lock = threading.Lock()
 
     def path(self, key: str) -> Path:
         return self.root / f"{key}.json"
@@ -72,55 +82,68 @@ class MemoStore:
     def _demote_corrupt(self, key: str) -> None:
         """Quarantine a damaged entry through the repair machinery."""
         verify_tree(self.root, repair=True)
-        self.quarantined += 1
+        with self._lock:
+            self.quarantined += 1
 
-    def read(self, key: str) -> Optional[MemoEntry]:
-        """The verified ``(record, canonical body)`` for ``key``, or None.
-
-        Never raises for a damaged entry and never returns one: every
-        corruption shape ends in quarantine (or removal) plus a miss.
-        The sidecar is read before the bytes, so an entry quarantined
-        between the two reads is a plain miss.
+    def _verify(self, key: str) -> Tuple[Optional[MemoEntry], Optional[str]]:
+        """``(entry, None)`` on a counted hit, else ``(None, damage)``, where
+        damage is what :meth:`read` repairs: ``"corrupt"``, ``"undecodable"``
+        or None.  The sidecar is read before the bytes, so an entry
+        quarantined between the two reads is a plain miss.
         """
         path = self.path(key)
         try:
             recorded = read_sidecar(path)
             data = None if recorded is None else path.read_bytes()
         except IntegrityError:
-            # The sidecar itself is rotten; repair rewrites or
-            # quarantines, and the entry is not trusted either way.
-            if path.exists():
-                self._demote_corrupt(key)
-            self.misses += 1
-            return None
+            return None, "corrupt"  # the sidecar itself is rotten
         except FileNotFoundError:
             # Quarantined or removed mid-read (say, by a concurrent
             # ``repro verify --repair``): the point computes cold.
-            self.misses += 1
-            return None
-        if data is None or hashlib.sha256(data).hexdigest() != recorded:
-            # No sidecar = unvouched entry (someone wrote around the
-            # store); mismatch = post-write damage.  Both are cold.
-            if data is not None:
-                self._demote_corrupt(key)
-            self.misses += 1
-            return None
-        entry = self._verified.get(recorded)
+            data = None
+        if data is None:  # vanished, or unvouched (written around the store)
+            return None, None
+        if hashlib.sha256(data).hexdigest() != recorded:
+            return None, "corrupt"  # post-write damage
+        cached = self._verified.get(recorded)
+        entry = cached or self._decode(data)
         if entry is None:
-            entry = self._decode(data)
-            if entry is None:
-                # Hash-consistent but semantically unusable: a bad
-                # store() blessed garbage.  Drop it so the rewrite
-                # replaces it.
-                path.unlink(missing_ok=True)
-                untrack(path)
-                self.misses += 1
-                return None
-            if len(self._verified) >= self.VERIFIED_ENTRIES:
-                del self._verified[next(iter(self._verified))]
-            self._verified[recorded] = entry
-        self.hits += 1
-        return entry
+            return None, "undecodable"
+        with self._lock:
+            if cached is None:
+                if len(self._verified) >= self.VERIFIED_ENTRIES:
+                    del self._verified[next(iter(self._verified))]
+                self._verified[recorded] = entry
+            self.hits += 1
+        return entry, None
+
+    def probe(self, key: str) -> Optional[MemoEntry]:
+        """:meth:`read` without repairs: the verified entry, or None, which
+        means "ask :meth:`read`" (it counts the miss), not "miss"."""
+        return self._verify(key)[0]
+
+    def read(self, key: str) -> Optional[MemoEntry]:
+        """The verified ``(record, canonical body)`` for ``key``, or None.
+
+        Never raises for a damaged entry and never returns one: every
+        corruption shape ends in quarantine (or removal) plus a miss.
+        """
+        entry, damage = self._verify(key)
+        if entry is not None:
+            return entry
+        path = self.path(key)
+        if damage == "undecodable":
+            # Hash-consistent but semantically unusable: a bad store()
+            # blessed garbage.  Drop it so the rewrite replaces it.
+            path.unlink(missing_ok=True)
+            untrack(path)
+        elif damage == "corrupt" and path.exists():
+            # Repair rewrites a rotten sidecar or quarantines the entry;
+            # the entry is not trusted either way.
+            self._demote_corrupt(key)
+        with self._lock:
+            self.misses += 1
+        return None
 
     @staticmethod
     def _decode(data: bytes) -> Optional[MemoEntry]:

@@ -3,14 +3,18 @@
 ``oracle_load`` is the memo read as it was before digest-keyed bodies:
 an ``exists()`` stat, the sidecar, a streamed ``hash_file``, a second
 read of the file and a fresh ``json.loads``.  The differential tests
-hold :meth:`MemoStore.read` to it, damage shape by damage shape, both on
-a first read and once the entry's body is already cached.
+hold :meth:`MemoStore.read`, and the serve lookup (``probe`` on the
+event loop, then ``read`` only when the probe did not verify), to it,
+damage shape by damage shape, both on a first read and once the entry's
+body is already cached.
 """
 
 import asyncio
 import http.client
 import json
 import socket
+import sys
+import threading
 import time
 
 import pytest
@@ -128,6 +132,12 @@ DAMAGE = {
 }
 
 
+def _lookup(store, key):
+    """``repro serve``'s lookup: ``probe`` first, ``read`` if it did not verify."""
+    entry = store.probe(key)
+    return entry if entry is not None else store.read(key)
+
+
 def _tree(root):
     return {
         str(path.relative_to(root)): path.read_bytes()
@@ -137,22 +147,21 @@ def _tree(root):
 
 
 class TestReadMatchesOracle:
-    @pytest.mark.parametrize("cached", [False, True], ids=["first-read", "after-a-hit"])
-    @pytest.mark.parametrize("shape", sorted(DAMAGE))
-    def test_damage_shape(self, tmp_path, monkeypatch, shape, cached):
+    @staticmethod
+    def _matches_oracle(tmp_path, monkeypatch, shape, cached, lookup):
         old = MemoStore(tmp_path / "old")
         new = MemoStore(tmp_path / "new")
         for store in (old, new):
             store.store("k1", RECORD)
         if cached:
             assert oracle_load(old, "k1") == RECORD
-            assert new.read("k1") == (RECORD, canonical_json(RECORD).encode("utf-8"))
+            assert lookup(new, "k1") == (RECORD, canonical_json(RECORD).encode("utf-8"))
         with monkeypatch.context() as patch:
             DAMAGE[shape](old, patch)
             expected = oracle_load(old, "k1")
         with monkeypatch.context() as patch:
             DAMAGE[shape](new, patch)
-            entry = new.read("k1")
+            entry = lookup(new, "k1")
         if expected is None:
             assert entry is None
         else:
@@ -165,6 +174,36 @@ class TestReadMatchesOracle:
         # The store settles the same way: the next read agrees too.
         expected = oracle_load(old, "k1")
         assert new.load("k1") == expected
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["first-read", "after-a-hit"])
+    @pytest.mark.parametrize("shape", sorted(DAMAGE))
+    def test_damage_shape(self, tmp_path, monkeypatch, shape, cached):
+        self._matches_oracle(tmp_path, monkeypatch, shape, cached, MemoStore.read)
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["first-read", "after-a-hit"])
+    @pytest.mark.parametrize("shape", sorted(DAMAGE))
+    def test_probe_then_read(self, tmp_path, monkeypatch, shape, cached):
+        self._matches_oracle(tmp_path, monkeypatch, shape, cached, _lookup)
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["first-read", "after-a-hit"])
+    @pytest.mark.parametrize("shape", sorted(DAMAGE))
+    def test_probe_alone_changes_nothing(self, tmp_path, monkeypatch, shape, cached):
+        store = MemoStore(tmp_path / "memo")
+        store.store("k1", RECORD)
+        if cached:
+            assert store.probe("k1") == (RECORD, canonical_json(RECORD).encode("utf-8"))
+        hits = store.hits
+        with monkeypatch.context() as patch:
+            DAMAGE[shape](store, patch)
+            before = _tree(store.root)
+            if shape == "vanishes-mid-read":
+                del before["k1.json"]  # the concurrent repair's move, not the probe's
+            entry = store.probe("k1")
+        assert _tree(store.root) == before
+        assert (store.misses, store.quarantined) == (0, 0)
+        # Only the hash-valid, decodable reshaping verifies (and counts).
+        assert (entry is not None) == (shape == "indented-json")
+        assert store.hits == hits + (entry is not None)
 
     def test_hash_valid_non_utf8_is_dropped_not_raised(self, tmp_path):
         # The oracle raised UnicodeDecodeError here (read_text outside
@@ -214,6 +253,64 @@ class TestVerifiedBodies:
         _flip(store.path("k1"))
         assert store.read("k1") is None
         assert store.quarantined == 1
+
+
+class TestWarmHitOnTheLoop:
+    def test_warm_hits_make_no_io_thread_hop(self, tmp_path):
+        with BackgroundServer(tmp_path / "store") as server:
+            assert server.request("POST", "/v1/evaluate", PAYLOAD)[0] == 200
+            executor = server.app._io_executor
+            submitted = []
+            submit = executor.submit
+
+            def counting_submit(fn, *args, **kwargs):
+                submitted.append(fn)
+                return submit(fn, *args, **kwargs)
+
+            executor.submit = counting_submit
+            replies = [server.request("POST", "/v1/evaluate", PAYLOAD) for _ in range(50)]
+        assert submitted == []
+        assert all(status == 200 for status, _, _ in replies)
+        assert all(headers["x-repro-source"] == "memo" for _, headers, _ in replies)
+        assert all(body == reference_bytes() for _, _, body in replies)
+
+    def test_probe_races_a_restore_of_the_same_record(self, tmp_path):
+        store = MemoStore(tmp_path / "memo")
+        store.store("k1", RECORD)
+        body = canonical_json(RECORD).encode("utf-8")
+        done = threading.Event()
+        restores = []
+
+        def restore():
+            # The I/O thread's side: rewrite K (entry, sidecar, manifest)
+            # and read it back, while the loop keeps probing.
+            while not done.is_set():
+                store.store("k1", RECORD)
+                restores.append(store.read("k1"))
+
+        async def probe_many():
+            # At least 1,000 probes, and on until K was re-stored 3 times.
+            answers = []
+            while (len(answers) < 1000 or len(restores) < 3) and writer.is_alive():
+                answers.append(store.probe("k1"))
+                await asyncio.sleep(0)
+            return answers
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        writer = threading.Thread(target=restore)
+        writer.start()
+        try:
+            answers = asyncio.run(probe_many())
+        finally:
+            done.set()
+            writer.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not writer.is_alive()
+        assert len(answers) >= 1000 and len(restores) >= 3
+        assert all(answer is not None and answer[1] == body for answer in answers)
+        assert all(entry is not None and entry[1] == body for entry in restores)
+        assert (store.hits, store.misses, store.quarantined) == (len(answers) + len(restores), 0, 0)
 
 
 def _raw_post(port, path, body):
