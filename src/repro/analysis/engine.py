@@ -1,24 +1,19 @@
 """The lint engine: file discovery, rule execution, suppression audit.
 
-Each file is one :class:`~repro.runner.engine.RunUnit`, so linting runs
-through the same machinery as sweeps and reports: serial by default,
-fanned out over a :class:`~repro.runner.pool.PoolRunner` when
-``workers`` is given.  The per-file task is a module-level dataclass,
-so it pickles to pool workers, and a checker crash in one file
-is isolated, collected, and re-raised as a single
-:class:`~repro.errors.LintError` naming every broken file.
+Linting runs in one process, file by file.  An unreadable file or a
+checker crash in one file is isolated, collected, and re-raised as a
+single :class:`~repro.errors.LintError` naming every broken file.
 
 The optional **program phase** (``program=True``) adds whole-program
-rules in two steps that keep the parallel shape: a
-serial graph build (per-file summaries, content-hash cached, linked
-into a :class:`~repro.analysis.program.graph.Program`) followed by
-per-rule evaluation units that fan out over the same pool.  Program
-findings go through the same suppression filter, driven by the
-suppression sites carried in the module summaries, and REP000 audits
-program-rule suppressions after the program phase (the per-file audit
-only judges file-scope rules, so a ``lint-ok[REP007]`` is never
-reported unused just because the program phase was off for that file's
-unit).
+rules in two steps: a graph build (per-file summaries, content-hash
+cached, linked into a :class:`~repro.analysis.program.graph.Program`)
+followed by one evaluation per rule, whose crashes are collected the
+same way.  Program findings go through the same suppression filter,
+driven by the suppression sites carried in the module summaries, and
+REP000 audits program-rule suppressions after the program phase (the
+per-file audit only judges file-scope rules, so a ``lint-ok[REP007]``
+is never reported unused just because the program phase was off for
+that file's run).
 
 The optional **cache** (``cache=<path>``) skips re-linting and
 re-summarizing files whose sha256 is unchanged; see
@@ -43,8 +38,6 @@ from typing import (
 
 from .. import __version__
 from ..errors import LintError
-from ..runner.engine import RunResult, RunUnit
-from ..runner.pool import resolve_workers, run_units
 from .cache import LintCache, file_sha256, ruleset_key
 from .finding import FileContext, Finding
 from .program.graph import Program, link_program
@@ -106,7 +99,7 @@ def lint_source(
 ) -> Tuple[List[Finding], List[Finding]]:
     """Lint one source text; returns (active findings, suppressed).
 
-    The in-memory entry point the per-file unit and the tests share.
+    The in-memory entry point :func:`lint_paths` and the tests share.
     Program-scope rules are engine-level and are filtered out here:
     they cannot run on a single file, and the REP000 audit must not
     judge their suppressions against a phase that did not run.
@@ -246,50 +239,9 @@ def _is_known_rule(rule_id: str) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class _LintFileTask:
-    """Pool-safe unit body: lint one file with the given rule filters."""
-
-    path: str
-    select: Optional[Tuple[str, ...]] = None
-    ignore: Optional[Tuple[str, ...]] = None
-
-    def __call__(self) -> Tuple[Tuple[Finding, ...], Tuple[Finding, ...]]:
-        rules = resolve_rules(self.select, self.ignore)
-        try:
-            source = Path(self.path).read_text()
-        except OSError as error:
-            raise LintError(f"cannot read {self.path}: {error}") from error
-        findings, suppressed = lint_source(source, self.path, rules)
-        return tuple(findings), tuple(suppressed)
-
-
-@dataclass(frozen=True)
-class _ProgramRuleTask:
-    """Pool-safe unit body: evaluate one program rule over the graph."""
-
-    rule_id: str
-    program: Program
-
-    def __call__(self) -> Tuple[Tuple[str, int, int, str], ...]:
-        rule = get_rule(self.rule_id)
-        if rule.program_check is None:
-            raise LintError(f"{self.rule_id} is not a whole-program rule")
-        return tuple(rule.program_check(self.program))
-
-
-def _run_units(
-    units: List[RunUnit], workers: Union[None, int, str]
-) -> RunResult:
-    serial = len(units) <= 1 or resolve_workers(workers) is None
-    return run_units(units, None if serial else workers, keep_going=True)
-
-
-def _raise_broken(result: RunResult, message: str = "lint failed on {} file(s): {}") -> None:
-    broken = [
-        f"{outcome.unit_id}: {(outcome.error or {}).get('message', 'unknown error')}"
-        for outcome in result.failed
-    ]
+def _raise_broken(
+    broken: List[str], message: str = "lint failed on {} file(s): {}"
+) -> None:
     if broken:
         raise LintError(message.format(len(broken), "; ".join(broken)))
 
@@ -321,45 +273,37 @@ def _build_summaries(
             if cache is not None:
                 cache.store_summary(posix, shas[posix], summary)
         summaries.append(summary)
-    if errors:
-        raise LintError(
-            "lint failed on {} file(s): {}".format(len(errors), "; ".join(errors))
-        )
+    _raise_broken(errors)
     return summaries
 
 
 def _program_phase(
     program: Program,
     program_rules: Sequence[Rule],
-    workers: Union[None, int, str],
     audit_unused: bool,
 ) -> Tuple[List[Finding], List[Finding]]:
     """Evaluate program rules, apply suppressions, audit their usage."""
-    units = [
-        RunUnit(
-            unit_id=rule.rule_id,
-            payload={"rule": rule.rule_id},
-            run=_ProgramRuleTask(rule.rule_id, program),
-        )
-        for rule in program_rules
-    ]
-    result = _run_units(units, workers)
-    _raise_broken(result, "program analysis failed on {} rule(s): {}")
-    rule_map = {rule.rule_id: rule for rule in program_rules}
     raw: List[Finding] = []
-    for outcome in result.completed:
-        rule = rule_map[outcome.unit_id]
-        for path, line, col, message in outcome.value:
-            raw.append(
-                Finding(
-                    rule=rule.rule_id,
-                    severity=rule.severity,
-                    path=path,
-                    line=line,
-                    col=col,
-                    message=message,
-                )
+    broken: List[str] = []
+    for rule in program_rules:
+        assert rule.program_check is not None  # scope == "program"
+        try:
+            hits = list(rule.program_check(program))
+        except Exception as error:
+            broken.append(f"{rule.rule_id}: {error}")
+            continue
+        raw.extend(
+            Finding(
+                rule=rule.rule_id,
+                severity=rule.severity,
+                path=path,
+                line=line,
+                col=col,
+                message=message,
             )
+            for path, line, col, message in hits
+        )
+    _raise_broken(broken, "program analysis failed on {} rule(s): {}")
 
     findings: List[Finding] = []
     suppressed: List[Finding] = []
@@ -382,7 +326,7 @@ def _program_phase(
 
     if audit_unused:
         meta = get_rule("REP000")
-        program_ids = set(rule_map)
+        program_ids = {rule.rule_id for rule in program_rules}
         for summary in program.by_path.values():
             for site in summary.suppressions:
                 if not site.rule_ids or not site.reason:
@@ -413,16 +357,13 @@ def lint_paths(
     paths: Sequence[Union[str, Path]],
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    workers: Union[None, int, str] = None,
     *,
     program: bool = False,
     cache: Union[None, str, Path] = None,
 ) -> LintReport:
     """Lint files or directory trees and aggregate one report.
 
-    ``select``/``ignore`` filter the rule set (validated up front);
-    ``workers`` follows the CLI convention of the other commands
-    (``None``/``0``/``"serial"`` serial, ``"auto"`` one per CPU).
+    ``select``/``ignore`` filter the rule set (validated up front).
     ``program=True`` enables the whole-program phase;
     explicitly selecting a program rule without it is an error rather
     than a silent no-op.  ``cache`` names a content-hash cache file
@@ -458,9 +399,7 @@ def lint_paths(
     n_cached = 0
 
     if file_rules:
-        select_t = tuple(select) if select is not None else None
-        ignore_t = tuple(ignore) if ignore is not None else None
-        pending: List[str] = []
+        broken: List[str] = []
         for posix in posix_files:
             if cache_obj is not None:
                 hit = cache_obj.lookup_findings(posix, shas[posix])
@@ -469,36 +408,26 @@ def lint_paths(
                     suppressed.extend(hit[1])
                     n_cached += 1
                     continue
-            pending.append(posix)
-        if pending:
-            units = [
-                RunUnit(
-                    unit_id=posix,
-                    payload={"path": posix},
-                    run=_LintFileTask(posix, select_t, ignore_t),
+            try:
+                source = Path(posix).read_text()
+                file_findings, file_suppressed = lint_source(source, posix, file_rules)
+            except Exception as error:  # unreadable file or crashing rule
+                broken.append(f"{posix}: {error}")
+                continue
+            findings.extend(file_findings)
+            suppressed.extend(file_suppressed)
+            if cache_obj is not None:
+                cache_obj.store_findings(
+                    posix, shas[posix], file_findings, file_suppressed
                 )
-                for posix in pending
-            ]
-            result = _run_units(units, workers)
-            _raise_broken(result)
-            for outcome in result.completed:
-                file_findings, file_suppressed = outcome.value
-                findings.extend(file_findings)
-                suppressed.extend(file_suppressed)
-                if cache_obj is not None:
-                    cache_obj.store_findings(
-                        outcome.unit_id,
-                        shas[outcome.unit_id],
-                        file_findings,
-                        file_suppressed,
-                    )
+        _raise_broken(broken)
 
     if program_rules:
         summaries = _build_summaries(files, posix_files, shas, cache_obj)
         linked = link_program(summaries)
         audit_unused = any(rule.rule_id == "REP000" for rule in file_rules)
         program_findings, program_suppressed = _program_phase(
-            linked, program_rules, workers, audit_unused
+            linked, program_rules, audit_unused
         )
         findings.extend(program_findings)
         suppressed.extend(program_suppressed)

@@ -10,8 +10,7 @@ variable) is kept as an explicit ``unknown`` target so downstream rules
 can tell "resolved safe" apart from "could not resolve".
 
 Everything in here is plain data (frozen dataclasses, dicts, tuples),
-so a linked :class:`Program` pickles to pool workers for per-rule
-evaluation and the taint helpers below are pure functions over it.
+and the taint helpers below are pure functions over it.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 A :class:`ModuleSummary` is everything the linker needs to know about
 one source file, expressed as plain frozen dataclasses over strings and
-ints — no AST nodes — so summaries pickle cleanly to pool workers and
-round-trip through the JSON lint cache (:meth:`ModuleSummary.to_record`
+ints — no AST nodes — so summaries round-trip through the JSON lint
+cache (:meth:`ModuleSummary.to_record`
 / :meth:`ModuleSummary.from_record`).  Extraction is the expensive,
 per-file half of the program phase; it is cached by content hash so a
 warm run only re-parses edited files.

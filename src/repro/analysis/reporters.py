@@ -40,10 +40,9 @@ def render_human(report: LintReport) -> str:
 def render_json(report: LintReport) -> str:
     """Stable machine-readable report (``--format json``).
 
-    Byte-identical for identical trees regardless of worker count or
-    cache state: findings are fully sorted by the engine, keys are
-    sorted here, and nothing derived from wall-clock or scheduling
-    order is included.
+    Byte-identical for identical trees regardless of cache state:
+    findings are fully sorted by the engine, keys are sorted here, and
+    nothing derived from wall-clock time is included.
     """
     payload = {
         "schema_version": JSON_SCHEMA_VERSION,

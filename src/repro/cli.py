@@ -59,7 +59,7 @@ Commands
     entries, and slow workers must never produce a wrong answer or an
     untyped failure.
 
-``report``, ``sweep``, ``lint``, ``verify``, ``chaos``, and ``serve``
+``report``, ``sweep``, ``verify``, ``chaos``, and ``serve``
 accept ``--workers N`` (or ``--workers auto``) to fan units out over
 worker processes with identical output.  ``report`` and ``sweep``
 accept ``--telemetry`` to record ``METRICS.jsonl`` + ``SPANS.jsonl``
@@ -431,7 +431,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         paths,
         select=args.select.split(",") if args.select else None,
         ignore=args.ignore.split(",") if args.ignore else None,
-        workers=args.workers,
         program=args.program,
         cache=None if args.no_cache else args.cache_file or DEFAULT_CACHE_NAME,
     )
@@ -704,12 +703,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
-    )
-    lint.add_argument(
-        "--workers",
-        default=None,
-        metavar="N",
-        help="lint files in N worker processes ('auto' = one per CPU)",
     )
     lint.add_argument(
         "--program",

@@ -304,10 +304,11 @@ def run_sweep(
     without it the run stops at the first failure (the caller decides
     whether to re-raise via ``RunResult.raise_first_failure``).
 
-    ``workers`` selects the execution backend: ``None`` (default) runs
-    serially; an integer or ``"auto"`` fans the configurations out over
-    that many worker processes (:class:`~repro.runner.PoolRunner`),
-    each pre-warmed with the sweep's trace and L1 filter passes.
+    ``workers`` sizes the :class:`~repro.runner.Runner`'s pool:
+    ``None`` (default) runs every point in this process; an integer or
+    ``"auto"`` fans the configurations out over that many worker
+    processes, each pre-warmed with the sweep's trace and L1 filter
+    passes.  Points with no pool, or a degraded one, run in-process.
     Results, journal contents, and failure manifests are deterministic:
     identical to the serial run whatever the worker count or completion
     order (wall-clock ``elapsed_s`` measurements aside).
@@ -325,12 +326,10 @@ def run_sweep(
     ``resume=True`` re-run — and the returned result marks itself
     ``interrupted``.
 
-    A ``watchdog`` preflights the journal directory's disk before the
-    journal is opened, and lets a pool shed to serial under memory
+    A ``watchdog`` preflights the journal directory's disk before any
+    point runs, and lets a pool shed to this process under memory
     pressure.
     """
-    if watchdog is not None and journal_path is not None:
-        watchdog.preflight_disk(Path(journal_path).parent)
     journal = (
         RunJournal.open(journal_path, resume=resume) if journal_path is not None else None
     )

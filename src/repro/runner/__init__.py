@@ -1,9 +1,10 @@
 """Resilient batch execution: checkpoints, isolation, retries, timeouts.
 
 Every sweep and report goes through this subsystem.  See
-:mod:`repro.runner.engine` for the execution model,
-:mod:`repro.runner.pool` for the process-pool backend that fans units
-out over workers with identical guarantees and bit-identical output,
+:mod:`repro.runner.engine` for the execution model (units, outcomes,
+the attempt loop), :mod:`repro.runner.pool` for the one
+:class:`~repro.runner.pool.Runner`, which runs units in-process or fans
+them out over worker processes with bit-identical output,
 :mod:`repro.runner.journal` for the crash-safe checkpoint format,
 :mod:`repro.runner.atomic` for torn-write-free artefact persistence,
 :mod:`repro.runner.integrity` for self-verifying artefacts (sha256
@@ -18,15 +19,12 @@ that prove the machinery works.
 from .atomic import atomic_open, fsync_directory, write_bytes_atomic, write_text_atomic
 from .engine import (
     RetryPolicy,
-    Runner,
     RunResult,
     RunUnit,
     UnitOutcome,
     crashed_outcome,
-    error_record,
     execute_attempts,
     record_outcome,
-    resume_outcome,
     unit_timeout,
 )
 from .integrity import (
@@ -57,7 +55,7 @@ from .lifecycle import (
     Supervisor,
     read_heartbeats,
 )
-from .pool import PoolRunner, WorkerTask, execute_task, resolve_workers, run_units
+from .pool import Runner, WorkerTask, execute_task, resolve_workers, run_units
 from .watchdog import ResourceWatchdog, WatchdogPolicy, peak_rss_bytes
 
 __all__ = [
@@ -71,10 +69,8 @@ __all__ = [
     "RunUnit",
     "UnitOutcome",
     "crashed_outcome",
-    "error_record",
     "execute_attempts",
     "record_outcome",
-    "resume_outcome",
     "unit_timeout",
     "FAILURES_NAME",
     "MANIFEST_NAME",
@@ -99,7 +95,6 @@ __all__ = [
     "HeartbeatRecord",
     "Supervisor",
     "read_heartbeats",
-    "PoolRunner",
     "WorkerTask",
     "execute_task",
     "resolve_workers",

@@ -2,7 +2,8 @@
 
 Batch work (a report over many experiments, a sweep over many
 configurations) is decomposed into :class:`RunUnit` objects and driven
-by a :class:`Runner`, which layers four protections around each unit:
+by :class:`~repro.runner.pool.Runner`, which layers four protections
+around each unit:
 
 * **checkpointing** — completed units are recorded in a
   :class:`~repro.runner.journal.RunJournal` keyed by a configuration
@@ -20,8 +21,8 @@ by a :class:`Runner`, which layers four protections around each unit:
   :class:`~repro.errors.UnitTimeoutError`.
 
 The attempt loop itself (:func:`execute_attempts`) is journal-free and
-usable from any process, which is how the process-pool backend
-(:mod:`repro.runner.pool`) reuses it inside workers.  Deterministic
+usable from any process: the runner calls it in-process, and pool
+workers call it through :func:`~repro.runner.pool.execute_task`.  Deterministic
 fault injection (:mod:`repro.runner.faults`) hooks into the attempt
 loop so all four behaviours are testable.
 """
@@ -31,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from pathlib import Path
 
@@ -42,14 +43,13 @@ from ..obs.telemetry import DISABLED as _DISABLED_TELEMETRY
 from ..obs.telemetry import Telemetry, activate
 from . import faults
 from .journal import RunJournal, unit_key
-from .lifecycle import CancelToken, Heartbeat, unit_timeout
+from .lifecycle import Heartbeat, unit_timeout
 
 __all__ = [
     "RetryPolicy",
     "RunUnit",
     "UnitOutcome",
     "RunResult",
-    "Runner",
     "crashed_outcome",
     "error_record",
     "execute_attempts",
@@ -190,12 +190,14 @@ class UnitOutcome:
 
 @dataclass(frozen=True)
 class RunResult:
-    """All outcomes of one :meth:`Runner.run` call, in unit order.
+    """All outcomes of one :meth:`~repro.runner.pool.Runner.run` call, in
+    unit order.
 
-    ``interrupted`` is None for a run that covered every unit; when a
-    :class:`~repro.runner.lifecycle.CancelToken` drained the run early
-    it holds the cancel reason, and the missing units are exactly the
-    ones a ``--resume`` against the same journal will pick up.
+    ``interrupted`` holds the cancel reason whenever the run's
+    :class:`~repro.runner.lifecycle.CancelToken` tripped during it, with
+    or without a pool, even if every unit finished; else None.  Units
+    missing from ``outcomes`` are exactly the ones a ``--resume``
+    against the same journal will pick up.
     """
 
     outcomes: Tuple[UnitOutcome, ...]
@@ -272,8 +274,8 @@ def execute_attempts(
 ) -> UnitOutcome:
     """Run one unit's full attempt loop; never touches a journal.
 
-    This is the engine's core shared by the serial :class:`Runner` and
-    the process-pool workers (:mod:`repro.runner.pool`): bounded
+    This is the engine's core shared by the runner's in-process loop
+    and the process-pool workers (:mod:`repro.runner.pool`): bounded
     retries with backoff for transient failures, per-attempt timeout
     enforcement (timeouts are never retried), and the fault-injection
     hook before every attempt.  Unit failures come back as a ``failed``
@@ -384,7 +386,7 @@ def record_outcome(
 ) -> None:
     """Append one executed unit's outcome to ``journal`` (None: no-op).
 
-    The single journal writer of both execution backends.  ``stored``
+    The runner's single journal writer, in-process or pooled.  ``stored``
     is the ``to_record`` payload of an OK outcome (None when the unit
     has no serialiser); a failed outcome carries its error record.
     """
@@ -403,74 +405,3 @@ def record_outcome(
         result=stored,
     )
 
-
-class Runner:
-    """Drives a sequence of :class:`RunUnit` with the four protections.
-
-    ``run`` never raises for unit failures — it returns a
-    :class:`RunResult` and leaves the raise-or-continue decision to the
-    caller (``RunResult.raise_first_failure``).  ``BaseException``
-    (KeyboardInterrupt, injected crashes) always propagates: by then
-    every finished unit is journalled, which is what makes resume work.
-    """
-
-    def __init__(
-        self,
-        journal: Optional[RunJournal] = None,
-        retry: Optional[RetryPolicy] = None,
-        timeout_s: Optional[float] = None,
-        keep_going: bool = False,
-        sleep: Callable[[float], None] = time.sleep,
-        telemetry: Optional[Telemetry] = None,
-        profile_dir: Optional[Path] = None,
-        cancel: Optional[CancelToken] = None,
-    ):
-        self.journal = journal
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.timeout_s = timeout_s
-        self.keep_going = keep_going
-        self._sleep = sleep
-        self.telemetry = telemetry if telemetry is not None else _DISABLED_TELEMETRY
-        self.profile_dir = profile_dir
-        self.cancel = cancel
-
-    def run(self, units: Sequence[RunUnit]) -> RunResult:
-        result = self._run_serial(units)
-        self.telemetry.flush([unit.unit_id for unit in units])
-        return result
-
-    def _run_serial(self, units: Sequence[RunUnit]) -> RunResult:
-        """The serial loop minus the final flush (the pool's last rung)."""
-        outcomes: List[UnitOutcome] = []
-        interrupted: Optional[str] = None
-        for unit in units:
-            if self.cancel is not None and self.cancel.cancelled:
-                # Drain: the unit that was executing when the token
-                # tripped has finished and is journalled; stop here.
-                self.cancel.raise_if_expired()
-                interrupted = self.cancel.reason
-                break
-            outcome = self._run_unit(unit)
-            outcomes.append(outcome)
-            if outcome.status == "failed" and not self.keep_going:
-                break
-        return RunResult(tuple(outcomes), interrupted=interrupted)
-
-    def _run_unit(self, unit: RunUnit) -> UnitOutcome:
-        skipped = resume_outcome(self.journal, unit)
-        if skipped is not None:
-            self.telemetry.count("repro_units_total", status="skipped")
-            return skipped
-        outcome = execute_attempts(
-            unit,
-            retry=self.retry,
-            timeout_s=self.timeout_s,
-            sleep=self._sleep,
-            telemetry=self.telemetry,
-            profile_dir=self.profile_dir,
-        )
-        stored = None
-        if self.journal is not None and outcome.ok and unit.to_record is not None:
-            stored = unit.to_record(outcome.value)
-        record_outcome(self.journal, unit, outcome, stored)
-        return outcome

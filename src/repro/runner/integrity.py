@@ -64,6 +64,7 @@ __all__ = [
     "IntegrityFinding",
     "IntegrityReport",
     "verify_tree",
+    "verify_artifact",
     "tree_fingerprint",
 ]
 
@@ -478,7 +479,7 @@ def _verify_directory(
     root: Path, directory: Path, repair: bool
 ) -> Tuple[List[IntegrityFinding], int]:
     findings: List[IntegrityFinding] = []
-    manifest_entries: Dict[str, str] = {}
+    manifest_names: List[str] = []
     manifest_volatile: List[str] = []
     try:
         manifest = load_manifest(directory)
@@ -493,9 +494,7 @@ def _verify_directory(
             )
         )
     if manifest is not None:
-        for name, entry in manifest["artifacts"].items():
-            digest = entry.get("sha256") if isinstance(entry, dict) else None
-            manifest_entries[name] = str(digest).lower() if digest else ""
+        manifest_names = list(manifest["artifacts"])
         manifest_volatile = [str(name) for name in manifest["volatile"]]
 
     sidecar_names = {
@@ -503,7 +502,7 @@ def _verify_directory(
         for sidecar in directory.glob("*" + SIDECAR_SUFFIX)
     }
     names = sorted(
-        (set(manifest_entries) | set(manifest_volatile) | sidecar_names)
+        (set(manifest_names) | set(manifest_volatile) | sidecar_names)
         - {name for name in sidecar_names if _is_integrity_name(name)}
     )
     n_artifacts = 0
@@ -514,11 +513,7 @@ def _verify_directory(
         if is_volatile(name):
             findings.extend(_verify_volatile(path, rel, repair))
             continue
-        findings.extend(
-            _verify_artifact(
-                directory, path, rel, manifest_entries.get(name), repair
-            )
-        )
+        findings.extend(verify_artifact(path, manifest, repair, rel))
     return findings, n_artifacts
 
 
@@ -554,13 +549,19 @@ def _verify_volatile(path: Path, rel: str, repair: bool) -> List[IntegrityFindin
     return []
 
 
-def _verify_artifact(
-    directory: Path,
-    path: Path,
-    rel: str,
-    manifest_digest: Optional[str],
-    repair: bool,
+def verify_artifact(
+    path: Path, manifest: Optional[dict], repair: bool, rel: Optional[str] = None
 ) -> List[IntegrityFinding]:
+    """Arbitrate one artefact between its bytes, its sidecar and its entry
+    in ``manifest`` (its directory's, loaded), as :func:`verify_tree`
+    does for each.  ``repair`` quarantines a corrupt artefact or rewrites
+    a stale or rotten sidecar; the caller rewrites the manifest.
+    """
+    directory = path.parent
+    rel = path.name if rel is None else rel
+    entry = (manifest or {}).get("artifacts", {}).get(path.name)
+    recorded = entry.get("sha256") if isinstance(entry, dict) else None
+    manifest_sha256 = str(recorded).lower() if recorded else ""
     sidecar_corrupt = False
     try:
         sidecar_digest = read_sidecar(path)
@@ -579,7 +580,7 @@ def _verify_artifact(
             )
         ]
     actual = _try_hash(path)
-    records = [d for d in (manifest_digest, sidecar_digest) if d]
+    records = [d for d in (manifest_sha256, sidecar_digest) if d]
 
     if actual is not None and records and actual in records:
         findings: List[IntegrityFinding] = []
@@ -605,7 +606,7 @@ def _verify_artifact(
                     action="rewrote-sidecar" if repair else "",
                 )
             )
-        if manifest_digest and manifest_digest != actual:
+        if manifest_sha256 and manifest_sha256 != actual:
             findings.append(
                 IntegrityFinding(
                     path=rel,

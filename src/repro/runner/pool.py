@@ -1,51 +1,52 @@
-"""Process-pool execution backend: fan units out over worker processes.
+"""The batch runner: one :class:`Runner`, in-process or over a process pool.
 
-:class:`PoolRunner` is the parallel counterpart of the serial
-:class:`~repro.runner.engine.Runner` and preserves every protection it
-offers — with the work distributed over a
-:class:`concurrent.futures.ProcessPoolExecutor`:
+Reports and sweeps hand their units to :class:`Runner` (through
+:func:`run_units`).  With ``workers=None`` it runs every unit in this
+process; with a worker count it fans the units out over a
+:class:`WorkerPool` first, and the same in-process loop then finishes
+whatever a degraded pool left.  Either way a run keeps the same
+protections:
 
 * **resume** — journal replay and ``check_skip`` artefact validation
-  run in the parent *before* any work is submitted, so completed units
-  never reach a worker;
-* **isolation / retries / timeouts** — each worker runs the shared
-  attempt loop (:func:`~repro.runner.engine.execute_attempts`), so a
-  unit's bounded retries with backoff and its per-attempt wall-clock
-  budget behave exactly as in the serial engine.  Timeouts in workers
-  use the same two-tier enforcement: pre-emptive ``SIGALRM`` where the
-  task runs on the worker's main thread (the normal case), a portable
-  post-hoc deadline check otherwise;
+  run in the parent *before* any unit runs, once per unit, so completed
+  units never run again or reach a worker;
+* **isolation / retries / timeouts** — every unit, in this process or
+  a worker, runs the shared attempt loop
+  (:func:`~repro.runner.engine.execute_attempts`): bounded retries
+  with backoff and a per-attempt wall-clock budget, pre-emptive
+  ``SIGALRM`` on a main thread and a portable post-hoc deadline check
+  otherwise;
 * **crash-safe journaling** — outcomes are journalled by the *parent*
   as they arrive (workers never touch the journal, so there is no
   cross-process write contention), each append persisting atomically.
-  A killed parallel run therefore resumes from exactly the units whose
-  outcomes made it back; on successful completion the journal is
-  canonically reordered (:meth:`~repro.runner.journal.RunJournal.rewrite_ordered`)
+  A killed run therefore resumes from exactly the units whose outcomes
+  made it back; after a pooled run the journal is canonically
+  reordered (:meth:`~repro.runner.journal.RunJournal.rewrite_ordered`)
   so its final contents are independent of worker count and completion
-  order;
-* **determinism** — unit outcomes are keyed by unit id / configuration
-  hash and the returned :class:`~repro.runner.engine.RunResult` is
-  assembled in unit submission order, never arrival order.  Downstream
+  order.  An in-process run appends in unit order already;
+* **determinism** — the returned :class:`~repro.runner.engine.RunResult`
+  is assembled in unit order, never arrival order.  Downstream
   artefacts (report rows, sweep tables, envelopes, failure manifests)
-  are thus bit-identical to a serial run; the only volatile journal
-  fields are the wall-clock ``elapsed_s`` measurements;
+  are thus bit-identical with or without a pool; the only volatile
+  journal fields are the wall-clock ``elapsed_s`` measurements;
 * **one pool life** — :class:`WorkerPool` owns the executor, here and
   in ``repro serve``: a dead or hung worker is one death per broken
   executor and a rebuild, and the :data:`DEATH_LIMIT`-th death (or an
-  RSS breach) degrades to serial with its cause recorded.
+  RSS breach) degrades the pool, with its cause recorded, and leaves
+  the rest of the run to this process.
 
 Worker-side fault injection (:mod:`repro.runner.faults`) works through
 the ``REPRO_FAULTS`` environment variable (inherited by workers under
 every start method) or, under ``fork``, through a plan installed before
 the pool is created.  An injected crash (``BaseException``) in a worker
-terminates the whole parallel run — mirroring the serial engine — with
-the journal intact.
+terminates the whole run, as it does in-process, with the journal
+intact.
 
 Pickling contract: a unit shipped to a worker carries its ``run`` and
 ``to_record`` callables, which must therefore be picklable (module-level
 functions or instances of module-level classes — not closures).
 ``check_skip`` and ``from_record`` stay parent-side and may be
-closures, exactly as before.
+closures.  An in-process run pickles nothing.
 """
 
 from __future__ import annotations
@@ -75,10 +76,10 @@ from typing import (
 from pathlib import Path
 
 from ..errors import RunnerError
+from ..obs.telemetry import DISABLED as _DISABLED_TELEMETRY
 from ..obs.telemetry import Telemetry
 from .engine import (
     RetryPolicy,
-    Runner,
     RunResult,
     RunUnit,
     UnitOutcome,
@@ -93,7 +94,7 @@ from .watchdog import ResourceWatchdog, peak_rss_bytes
 
 __all__ = [
     "DEATH_LIMIT",
-    "PoolRunner",
+    "Runner",
     "WorkerPool",
     "WorkerTask",
     "execute_task",
@@ -104,9 +105,9 @@ __all__ = [
 
 
 def resolve_workers(spec: Union[None, int, str]) -> Optional[int]:
-    """Normalise a ``--workers`` value: None for serial, else a count.
+    """Normalise a ``--workers`` value: None for no pool, else a count.
 
-    ``None``/``0``/``"serial"`` select the serial engine; ``"auto"``
+    ``None``/``0``/``"serial"`` select an in-process run; ``"auto"``
     means one worker per CPU; any other value must be a positive
     integer (1 runs the pool machinery with a single worker, which is
     occasionally useful for debugging the parallel path).
@@ -346,43 +347,49 @@ class WorkerPool:
             executor.shutdown(wait=False, cancel_futures=cancel)
 
 
-class PoolRunner(Runner):
-    """Drive :class:`RunUnit` sequences over a process pool.
+class Runner:
+    """Drive a sequence of :class:`RunUnit`: the one batch runner.
 
-    Extends the serial :class:`~repro.runner.engine.Runner`: it takes
-    the same settings, keeps the same contract, and its inherited
-    serial loop is the last rung of the degradation ladder.  ``run``
-    returns a :class:`RunResult` in unit submission order and never
-    raises for unit failures; ``BaseException`` from a worker (an
-    injected crash) propagates with the journal intact.  With
-    ``keep_going=False`` the first failure (in submission order)
-    truncates the result exactly like the serial engine; units already
-    finished by other workers remain journalled so a later ``resume``
-    does not repeat them.
+    ``run`` returns a :class:`RunResult` in unit order and never raises
+    for unit failures (``RunResult.raise_first_failure`` is the
+    caller's choice); ``BaseException`` (an interrupt, an injected
+    crash, in-process or from a worker) propagates with every finished
+    unit journalled, which is what makes resume work.  With
+    ``keep_going=False`` the first failure in unit order truncates the
+    result; units other workers already finished stay journalled, so a
+    later resume does not repeat them.
+
+    A run rejects duplicate unit ids, preflights the journal's disk
+    (with a watchdog), skips the units the journal already completed,
+    fans the rest over a :class:`WorkerPool` when ``workers`` is set,
+    and then runs every unit still without an outcome in this process,
+    in unit order: the whole run with no pool, or a degraded pool's
+    leftovers.
 
     Parameters
     ----------
     workers:
-        Worker process count (see :func:`resolve_workers`).
+        Worker process count (see :func:`resolve_workers`); None runs
+        every unit in this process.
     initializer / initargs:
         Forwarded to the executor; use them to pre-warm per-worker
         caches (e.g. trace generation and L1 filter passes) once per
         worker instead of once per unit.
     submit_order:
-        Optional permutation of unit indices controlling *submission*
-        order.  Results are always assembled in unit order, so any
-        permutation must produce identical output — the differential
-        tests shuffle this to prove order independence.
+        Optional permutation of the pending units' indices controlling
+        pool *submission* order.  Results are always assembled in unit
+        order, so any permutation must produce identical output — the
+        differential tests shuffle this to prove order independence.
     mp_context:
         Optional :mod:`multiprocessing` context (e.g. the ``fork``
         context when workers must inherit parent state).
     watchdog:
         Optional :class:`~repro.runner.watchdog.ResourceWatchdog`.
         When set, the journal directory gets a disk-space preflight, a
-        reply over the RSS ceiling sheds the queued work to serial, and
-        with ``hang_timeout_s`` a worker whose heartbeat goes stale is
-        killed.  With or without one, worker deaths follow
-        :class:`WorkerPool`'s rule.  After a degraded run
+        reply over the RSS ceiling sheds the queued work to this
+        process, and with ``hang_timeout_s`` a worker whose heartbeat
+        goes stale is killed.  With or without one, worker deaths
+        follow :class:`WorkerPool`'s rule.  After a degraded run
         :attr:`degraded_reason` records why.
     """
 
@@ -392,7 +399,7 @@ class PoolRunner(Runner):
         retry: Optional[RetryPolicy] = None,
         timeout_s: Optional[float] = None,
         keep_going: bool = False,
-        workers: int = 2,
+        workers: Optional[int] = None,
         initializer: Optional[Callable[..., None]] = None,
         initargs: Tuple[Any, ...] = (),
         submit_order: Optional[Sequence[int]] = None,
@@ -401,40 +408,36 @@ class PoolRunner(Runner):
         telemetry: Optional[Telemetry] = None,
         profile_dir: Optional[Path] = None,
         cancel: Optional[CancelToken] = None,
+        sleep: Callable[[float], None] = time.sleep,
     ):
-        if workers < 1:
-            raise RunnerError(f"PoolRunner needs at least one worker, got {workers}")
-        super().__init__(
-            journal,
-            retry,
-            timeout_s,
-            keep_going,
-            telemetry=telemetry,
-            profile_dir=profile_dir,
-            cancel=cancel,
-        )
+        if workers is not None and workers < 1:
+            raise RunnerError(f"a worker pool needs at least one worker, got {workers}")
+        self.journal = journal
+        self.retry = retry if retry is not None else RetryPolicy()
+        self.timeout_s = timeout_s
+        self.keep_going = keep_going
         self.workers = workers
         self.initializer = initializer
         self.initargs = initargs
         self.submit_order = submit_order
         self.mp_context = mp_context
         self.watchdog = watchdog
+        self.telemetry = telemetry if telemetry is not None else _DISABLED_TELEMETRY
+        self.profile_dir = profile_dir
+        self.cancel = cancel
+        self._sleep = sleep
         #: Why the last run shed its workers, or None if it never did.
         self.degraded_reason: Optional[str] = None
         #: Hung workers killed (their units requeued) during the last run.
         self.rescues = 0
 
     def run(self, units: Sequence[RunUnit]) -> RunResult:
-        if self.watchdog is not None and self.journal is not None:
-            self.watchdog.preflight_disk(self.journal.path.parent)
-        return self._run_preflighted(units)
-
-    def _run_preflighted(self, units: Sequence[RunUnit]) -> RunResult:
-        """:meth:`run` minus the disk preflight, for already-checked dirs."""
         units = list(units)
         unit_ids = [unit.unit_id for unit in units]
         if len(set(unit_ids)) != len(unit_ids):
-            raise RunnerError("duplicate unit ids in one parallel run")
+            raise RunnerError("duplicate unit ids in one run")
+        if self.watchdog is not None and self.journal is not None:
+            self.watchdog.preflight_disk(self.journal.path.parent)
         self.degraded_reason = None
         self.rescues = 0
         outcomes: Dict[str, UnitOutcome] = {}
@@ -446,9 +449,12 @@ class PoolRunner(Runner):
                 self.telemetry.count("repro_units_total", status="skipped")
             else:
                 pending.append(unit)
-        if pending:
-            self._run_pool(pending, outcomes)
-        if self.journal is not None:
+        stopping = False
+        if self.workers is not None and pending:
+            stopping = self._run_pool(self.workers, pending, outcomes)
+        if not stopping:
+            self._run_here(pending, outcomes)
+        if self.workers is not None and self.journal is not None:
             self.journal.rewrite_ordered(unit_ids)
         self.telemetry.flush(unit_ids)
         interrupted: Optional[str] = None
@@ -464,6 +470,34 @@ class PoolRunner(Runner):
                 break
         return RunResult(tuple(ordered), interrupted=interrupted)
 
+    def _run_here(
+        self, pending: Sequence[RunUnit], outcomes: Dict[str, UnitOutcome]
+    ) -> None:
+        """Run the units still without an outcome in this process, in order."""
+        for unit in pending:
+            if unit.unit_id in outcomes:
+                continue
+            if self.cancel is not None and self.cancel.cancelled:
+                # Drain: the unit that was executing when the token
+                # tripped has finished and is journalled; stop here.
+                self.cancel.raise_if_expired()
+                return
+            outcome = execute_attempts(
+                unit,
+                retry=self.retry,
+                timeout_s=self.timeout_s,
+                sleep=self._sleep,
+                telemetry=self.telemetry,
+                profile_dir=self.profile_dir,
+            )
+            stored = None
+            if self.journal is not None and outcome.ok and unit.to_record is not None:
+                stored = unit.to_record(outcome.value)
+            record_outcome(self.journal, unit, outcome, stored)
+            outcomes[unit.unit_id] = outcome
+            if outcome.status == "failed" and not self.keep_going:
+                return
+
     def _submission(self, pending: Sequence[RunUnit]) -> List[RunUnit]:
         if self.submit_order is None:
             return list(pending)
@@ -474,10 +508,18 @@ class PoolRunner(Runner):
         return [pending[index] for index in self.submit_order]
 
     def _run_pool(
-        self, pending: Sequence[RunUnit], outcomes: Dict[str, UnitOutcome]
-    ) -> None:
+        self,
+        workers: int,
+        pending: Sequence[RunUnit],
+        outcomes: Dict[str, UnitOutcome],
+    ) -> bool:
+        """Drive ``pending`` over a fresh pool; True if a failure stopped it.
+
+        A pool that degrades leaves the units it never finished to
+        :meth:`_run_here`, the last rung before ``--resume``.
+        """
         pool = WorkerPool(
-            min(self.workers, len(pending)),
+            min(workers, len(pending)),
             mp_context=self.mp_context,
             initializer=self.initializer,
             initargs=self.initargs,
@@ -487,18 +529,9 @@ class PoolRunner(Runner):
         finally:
             pool.close(wait=True)
         self.degraded_reason = pool.degraded_reason
-        if pool.degraded_cause is None:
-            return
-        self.telemetry.count("repro_degradations_total", reason=pool.degraded_cause)
-        if stopping:
-            return
-        # Degradation ladder, final rung before --resume: the inherited
-        # serial Runner loop, with this pool's settings, finishes the
-        # units that never produced an outcome in the parent.  Telemetry
-        # is flushed once, for the whole run, after this rung.
-        leftover = [unit for unit in pending if unit.unit_id not in outcomes]
-        for outcome in self._run_serial(leftover).outcomes:
-            outcomes[outcome.unit_id] = outcome
+        if pool.degraded_cause is not None:
+            self.telemetry.count("repro_degradations_total", reason=pool.degraded_cause)
+        return stopping
 
     def _drive_pool(
         self,
@@ -509,7 +542,7 @@ class PoolRunner(Runner):
         """Fan ``pending`` out over ``pool``; True if a failure stopped it.
 
         Units a pool death took down are resubmitted; once the pool
-        degrades, the units without an outcome are left for the serial rung.
+        degrades, the units without an outcome are left to this process.
         """
         watchdog = self.watchdog
         hang_limit = None if watchdog is None else watchdog.policy.hang_timeout_s
@@ -589,8 +622,13 @@ class PoolRunner(Runner):
                         stored = None
                     else:
                         reply = future.result()
-                        outcome = self._outcome_from_reply(unit, reply)
-                        stored = reply["result"]
+                        outcome, stored = reply["outcome"], reply["result"]
+                        if (
+                            not reply["has_value"]  # the value did not pickle
+                            and unit.from_record is not None
+                            and stored is not None
+                        ):
+                            outcome = replace(outcome, value=unit.from_record(stored))
                         self.telemetry.absorb(reply.get("telemetry"))
                         rss = reply.get("rss_bytes")
                         if rss is not None:
@@ -604,7 +642,7 @@ class PoolRunner(Runner):
                         ):
                             # Shed: cancel what has not started (running
                             # units drain normally and are journalled);
-                            # cancelled units fall to the serial rung.
+                            # cancelled units fall to this process.
                             pool.degrade("rss", rss_reason(rss, watchdog))
                             cancel_queued()
                     outcomes[unit.unit_id] = outcome
@@ -616,7 +654,7 @@ class PoolRunner(Runner):
                     # A hung worker is killed: a pool death like any
                     # other, so its unit comes back as BrokenProcessPool
                     # and is resubmitted, or at the death limit left for
-                    # the serial rung, where a wedge cannot block a pool.
+                    # this process, where a wedge cannot block a pool.
                     beats = watchdog.hung_workers(read_heartbeats(heartbeat_dir))
                     killed = pool.kill({beat.pid for beat in beats})
                     if killed:
@@ -626,13 +664,6 @@ class PoolRunner(Runner):
             if heartbeat_dir is not None:
                 shutil.rmtree(heartbeat_dir, ignore_errors=True)
         return stopping
-
-    def _outcome_from_reply(self, unit: RunUnit, reply: dict) -> UnitOutcome:
-        outcome: UnitOutcome = reply["outcome"]
-        stored = reply["result"]  # only an OK outcome carries one
-        if not reply["has_value"] and unit.from_record is not None and stored is not None:
-            outcome = replace(outcome, value=unit.from_record(stored))
-        return outcome
 
 
 def run_units(
@@ -651,31 +682,23 @@ def run_units(
     initargs: Tuple[Any, ...] = (),
     submit_order: Optional[Sequence[int]] = None,
 ) -> RunResult:
-    """Run ``units`` serially, or on a pool when ``workers`` asks for one.
+    """Run ``units`` on a :class:`Runner`, pooled when ``workers`` asks.
 
-    The one backend choice of reports, sweeps and lint.  ``retries``
-    counts extra attempts; the watchdog, initializer and submission
-    order concern the pool only.  The disk preflight belongs to the
-    caller that opens the output directory, so the pool skips its own.
+    The one entry point of reports and sweeps.  ``retries`` counts
+    extra attempts; the initializer and submission order concern the
+    pool only.
     """
-    n_workers = resolve_workers(workers)
-    settings: Dict[str, Any] = dict(
+    return Runner(
         journal=journal,
         retry=RetryPolicy(max_attempts=retries + 1),
         timeout_s=timeout_s,
         keep_going=keep_going,
-        telemetry=telemetry,
-        profile_dir=profile_dir,
-        cancel=cancel,
-    )
-    if n_workers is None:
-        return Runner(**settings).run(units)
-    pool = PoolRunner(
-        workers=n_workers,
+        workers=resolve_workers(workers),
         initializer=initializer,
         initargs=initargs,
         submit_order=submit_order,
         watchdog=watchdog,
-        **settings,
-    )
-    return pool._run_preflighted(units)
+        telemetry=telemetry,
+        profile_dir=profile_dir,
+        cancel=cancel,
+    ).run(units)

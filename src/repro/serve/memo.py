@@ -9,9 +9,10 @@ so ``repro verify`` works on a serve store unchanged.
 Reads are *integrity-verified*: an entry is only served when its bytes
 re-hash to the sidecar digest.  Anything else — missing sidecar,
 unparsable sidecar, digest mismatch, undecodable JSON — demotes the
-request to a cold compute, and actual corruption is handed to the
-existing :func:`repro.runner.integrity.verify_tree` repair machinery,
-which quarantines the damaged artefact.  A poisoned entry is therefore
+request to a cold compute, and actual corruption of an entry is handed
+to :func:`repro.runner.integrity.verify_artifact`, the per-artefact
+arbitration of ``repro verify --repair``, which quarantines that entry
+alone (or rewrites its rotten sidecar).  A poisoned entry is therefore
 *detected, quarantined, and recomputed* — never served, which is the
 property the ``poisonmemo`` chaos fault exists to prove.
 
@@ -40,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..errors import IntegrityError
 from ..runner import faults
 from ..runner.atomic import write_text_atomic
-from ..runner.integrity import read_sidecar, untrack, verify_tree, write_manifest
+from ..runner.integrity import load_manifest, read_sidecar, untrack, verify_artifact, write_manifest
 from .compute import canonical_json
 
 __all__ = ["MEMO_DIR", "MemoEntry", "MemoStore"]
@@ -80,8 +81,13 @@ class MemoStore:
         return sum(1 for _ in entries)
 
     def _demote_corrupt(self, key: str) -> None:
-        """Quarantine a damaged entry through the repair machinery."""
-        verify_tree(self.root, repair=True)
+        """Repair ``key``'s damaged entry alone, then rewrite the manifest."""
+        try:
+            manifest = load_manifest(self.root)
+        except IntegrityError:
+            manifest = None  # write_manifest rebuilds it from the sidecars
+        verify_artifact(self.path(key), manifest, repair=True)
+        write_manifest(self.root)
         with self._lock:
             self.quarantined += 1
 

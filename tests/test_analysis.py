@@ -209,13 +209,6 @@ class TestEngine:
         again = lint_paths([FIXTURES])
         assert report.findings == again.findings
 
-    def test_parallel_matches_serial(self):
-        serial = lint_paths([FIXTURES])
-        parallel = lint_paths([FIXTURES], workers=2)
-        assert serial.findings == parallel.findings
-        assert serial.suppressed == parallel.suppressed
-        assert serial.n_files == parallel.n_files
-
 
 class TestReporters:
     def test_json_schema(self):

@@ -236,15 +236,6 @@ class TestLint:
         ):
             assert rule_id in out
 
-    def test_workers_matches_serial(self, capsys, tmp_path):
-        self._package_file(tmp_path, "dirty.py", self.BAD)
-        self._package_file(tmp_path, "clean.py", self.GOOD)
-        target = str(tmp_path / "src")
-        assert main(["lint", target]) == 1
-        serial = capsys.readouterr().out
-        assert main(["lint", target, "--workers", "2"]) == 1
-        assert capsys.readouterr().out == serial
-
     def test_program_rule_without_flag_exits_2(self, capsys, tmp_path):
         path = self._package_file(tmp_path, "clean.py", self.GOOD)
         assert main(["lint", str(path), "--select", "REP007"]) == 2

@@ -21,7 +21,6 @@ from repro.runner import (
     CancelToken,
     Heartbeat,
     HeartbeatRecord,
-    PoolRunner,
     ResourceWatchdog,
     RunJournal,
     Runner,
@@ -293,6 +292,46 @@ class _SlowRun:
         return self.unit_id
 
 
+@dataclass(frozen=True)
+class _MarkThenSleep:
+    """Create ``marker`` (the unit has started), then keep running."""
+
+    marker: str
+    sleep_s: float
+
+    def __call__(self):
+        Path(self.marker).write_text("started")
+        time.sleep(self.sleep_s)
+        return "done"
+
+
+class TestInterruptedRule:
+    @pytest.mark.parametrize(
+        "workers", [None, pytest.param(2, marks=fork_only)], ids=["serial", "pool"]
+    )
+    def test_token_tripped_in_the_last_unit_marks_the_run(self, tmp_path, workers):
+        token = CancelToken()
+        marker = tmp_path / "last.started"
+        units = [
+            make_unit("first", _LoggedRun("first", str(tmp_path / "log.txt"))),
+            make_unit("last", _MarkThenSleep(str(marker), 0.5)),
+        ]
+
+        def trip_once_last_runs():
+            deadline = time.monotonic() + 30.0
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            token.cancel("drain during the last unit")
+
+        watcher = threading.Thread(target=trip_once_last_runs, daemon=True)
+        watcher.start()
+        result = Runner(workers=workers, cancel=token).run(units)
+        watcher.join()
+        # Every unit finished, yet the token tripped during the run.
+        assert [o.status for o in result.outcomes] == ["ok", "ok"]
+        assert result.interrupted == "drain during the last unit"
+
+
 @fork_only
 class TestPoolDrain:
     def test_cancel_drains_pool_and_resume_completes(self, tmp_path):
@@ -301,7 +340,7 @@ class TestPoolDrain:
         log = tmp_path / "log.txt"
         ids = [f"u{i}" for i in range(10)]
         units = [make_unit(uid, _SlowRun(uid, str(log), 0.25)) for uid in ids]
-        runner = PoolRunner(
+        runner = Runner(
             journal=RunJournal.open(journal_path), workers=2, cancel=token
         )
         # Cancel during the first wave: the executor pre-buffers a few
@@ -318,7 +357,7 @@ class TestPoolDrain:
         assert 0 < len(done_first) < len(ids)  # drained mid-flight
         assert all(o.status == "ok" for o in result.completed)
 
-        resumed = PoolRunner(
+        resumed = Runner(
             journal=RunJournal.open(journal_path, resume=True), workers=2
         )
         final = resumed.run(units)
@@ -341,7 +380,7 @@ class TestHungWorkerRescue:
             make_unit("a", _LoggedRun("a", str(log))),
             make_unit("b", _LoggedRun("b", str(log))),
         ]
-        runner = PoolRunner(
+        runner = Runner(
             journal=RunJournal.open(tmp_path / "j.jsonl"),
             workers=2,
             watchdog=ResourceWatchdog(
@@ -367,7 +406,7 @@ class TestHungWorkerRescue:
             ),
             make_unit("a", _LoggedRun("a", str(log))),
         ]
-        runner = PoolRunner(
+        runner = Runner(
             journal=RunJournal.open(tmp_path / "j.jsonl"),
             workers=2,
             watchdog=ResourceWatchdog(

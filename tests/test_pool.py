@@ -23,7 +23,7 @@ from repro.core.envelope import best_envelope
 from repro.core.explorer import as_point, design_space, run_sweep, sweep
 from repro.errors import RunnerError
 from repro.runner import (
-    PoolRunner,
+    Runner,
     RetryPolicy,
     RunJournal,
     RunUnit,
@@ -390,7 +390,7 @@ class TestPoolKillAndResume:
 
         monkeypatch.setenv(faults.ENV_VAR, "crash=c")
         with pytest.raises(faults.InjectedCrash):
-            PoolRunner(journal=RunJournal.open(journal), workers=1).run(units())
+            Runner(journal=RunJournal.open(journal), workers=1).run(units())
         # The crash fires before c runs; a and b finished and were
         # journalled on arrival.  (d may or may not have been prefetched
         # into the worker's queue before the run died — like a real
@@ -405,7 +405,7 @@ class TestPoolKillAndResume:
         assert journalled == {"a", "b"}
 
         monkeypatch.delenv(faults.ENV_VAR)
-        resumed = PoolRunner(
+        resumed = Runner(
             journal=RunJournal.open(journal, resume=True), workers=1
         ).run(units())
         assert [o.status for o in resumed.outcomes] == [
@@ -430,14 +430,14 @@ class TestPoolKillAndResume:
 
         monkeypatch.setenv(faults.ENV_VAR, "crash=u5")
         with pytest.raises(faults.InjectedCrash):
-            PoolRunner(journal=RunJournal.open(journal), workers=3).run(units())
+            Runner(journal=RunJournal.open(journal), workers=3).run(units())
         journalled = {
             json.loads(line)["unit"]
             for line in journal.read_text().splitlines()[1:]
         }
 
         monkeypatch.delenv(faults.ENV_VAR)
-        PoolRunner(journal=RunJournal.open(journal, resume=True), workers=3).run(
+        Runner(journal=RunJournal.open(journal, resume=True), workers=3).run(
             units()
         )
         # Whatever made it to the journal before the crash must not have
@@ -455,14 +455,14 @@ class TestPoolRunnerSemantics:
         ids = [f"u{i}" for i in range(6)]
         # Delay the first-submitted unit so it completes last.
         monkeypatch.setenv(faults.ENV_VAR, "delay=u0:0.3")
-        result = PoolRunner(workers=3).run([touch_unit(markers, uid) for uid in ids])
+        result = Runner(workers=3).run([touch_unit(markers, uid) for uid in ids])
         assert [o.unit_id for o in result.outcomes] == ids
 
     def test_keep_going_false_truncates_like_serial(self, tmp_path, monkeypatch):
         markers = tmp_path / "markers"
         markers.mkdir()
         monkeypatch.setenv(faults.ENV_VAR, "fail=b:99")
-        result = PoolRunner(workers=1).run(
+        result = Runner(workers=1).run(
             [touch_unit(markers, uid) for uid in "abc"]
         )
         # c is cancelled (or, if already prefetched by the worker, its
@@ -474,16 +474,16 @@ class TestPoolRunnerSemantics:
     def test_duplicate_unit_ids_rejected(self, tmp_path):
         units = [touch_unit(tmp_path, "dup"), touch_unit(tmp_path, "dup")]
         with pytest.raises(RunnerError, match="duplicate"):
-            PoolRunner(workers=1).run(units)
+            Runner(workers=1).run(units)
 
     def test_bad_submit_order_rejected(self, tmp_path):
         units = [touch_unit(tmp_path, "a"), touch_unit(tmp_path, "b")]
         with pytest.raises(RunnerError, match="permutation"):
-            PoolRunner(workers=1, submit_order=[0, 0]).run(units)
+            Runner(workers=1, submit_order=[0, 0]).run(units)
 
     def test_zero_workers_rejected(self):
         with pytest.raises(RunnerError):
-            PoolRunner(workers=0)
+            Runner(workers=0)
 
 
 def test_only_the_worker_pool_builds_a_process_pool():
@@ -499,3 +499,42 @@ def test_only_the_worker_pool_builds_a_process_pool():
             if name == "ProcessPoolExecutor":
                 sites.append(path.relative_to(src).as_posix())
     assert sites == ["repro/runner/pool.py"]
+
+
+def _top_level_defs(tree):
+    """(qualified name, node) of every module function and class method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_one_runner_runs_units_in_process():
+    """``class Runner`` is defined once in ``src/repro``, and only its
+    in-process loop and the worker entry point call execute_attempts."""
+    src = REPO_ROOT / "src"
+    runners = []
+    callers = []
+    for path in sorted((src / "repro").rglob("*.py")):
+        rel = path.relative_to(src).as_posix()
+        tree = ast.parse(path.read_text(), str(path))
+        runners += [
+            rel
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == "Runner"
+        ]
+        for name, node in _top_level_defs(tree):
+            if any(
+                isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == "execute_attempts"
+                for call in ast.walk(node)
+            ):
+                callers.append(f"{rel}::{name}")
+    assert runners == ["repro/runner/pool.py"]
+    assert callers == [
+        "repro/runner/pool.py::execute_task",
+        "repro/runner/pool.py::Runner._run_here",
+    ]

@@ -139,10 +139,10 @@ class TestLazyRegistrationInWorkers:
     def test_spawned_worker_registers_on_first_lookup(self, tmp_path):
         """A spawned worker inherits no registry: its first lookup fills it."""
         from repro.runner import RunUnit
-        from repro.runner.pool import PoolRunner
+        from repro.runner.pool import Runner
         from repro.study.resultstore import _ReportRun
 
-        runner = PoolRunner(workers=1, mp_context=multiprocessing.get_context("spawn"))
+        runner = Runner(workers=1, mp_context=multiprocessing.get_context("spawn"))
         unit = RunUnit("fig21", {"id": "fig21"}, _ReportRun(str(tmp_path), "fig21", None))
         result = runner.run([unit])
         assert result.failed == []

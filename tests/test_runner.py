@@ -494,6 +494,24 @@ class TestKillAndResume:
         assert len(calls) == 2
 
 
+class TestOnePath:
+    def test_duplicate_unit_ids_rejected_without_a_pool(self):
+        with pytest.raises(RunnerError, match="duplicate"):
+            Runner().run([make_unit("dup"), make_unit("dup")])
+
+    def test_serial_journal_is_written_once(self, tmp_path, monkeypatch):
+        rewrites = []
+        monkeypatch.setattr(
+            RunJournal, "rewrite_ordered", lambda self, ids: rewrites.append(ids)
+        )
+        journal = RunJournal.open(tmp_path / "j.jsonl")
+        result = Runner(journal=journal).run([make_unit("a"), make_unit("b")])
+        assert [o.status for o in result.outcomes] == ["ok", "ok"]
+        assert rewrites == []
+        lines = (tmp_path / "j.jsonl").read_text().splitlines()[1:]
+        assert [json.loads(line)["unit"] for line in lines] == ["a", "b"]
+
+
 class TestEnospcWrites:
     """Injected disk exhaustion surfaces as a retryable CheckpointError."""
 

@@ -254,6 +254,25 @@ class TestVerifiedBodies:
         assert store.read("k1") is None
         assert store.quarantined == 1
 
+    def test_quarantine_touches_only_the_entry_read(self, tmp_path):
+        store = MemoStore(tmp_path / "memo")
+        for key in ("k1", "k2", "k3"):
+            store.store(key, dict(RECORD, label=key))
+        _flip(store.path("k1"))
+        _flip(store.path("k2"))
+        rotten_k2 = store.path("k2").read_bytes()
+        assert store.read("k1") is None
+        quarantine = store.root / "quarantine"
+        assert sorted(p.name for p in quarantine.iterdir()) == ["k1.json"]
+        assert store.path("k2").read_bytes() == rotten_k2  # left until read
+        manifest = json.loads((store.root / "MANIFEST.json").read_text())
+        assert sorted(manifest["artifacts"]) == ["k2.json", "k3.json"]
+        assert store.quarantined == 1
+        assert store.read("k2") is None
+        assert sorted(p.name for p in quarantine.iterdir()) == ["k1.json", "k2.json"]
+        assert store.quarantined == 2
+        assert store.load("k3") == dict(RECORD, label="k3")
+
 
 class TestWarmHitOnTheLoop:
     def test_warm_hits_make_no_io_thread_hop(self, tmp_path):

@@ -20,7 +20,6 @@ from test_pool import normalized_journal
 from repro.errors import ResourceError
 from repro.obs.telemetry import Telemetry
 from repro.runner import (
-    PoolRunner,
     RunJournal,
     Runner,
     RunUnit,
@@ -136,7 +135,7 @@ class TestDiskPreflight:
 
     def test_pool_run_preflights_journal_directory(self, tmp_path):
         journal = RunJournal.open(tmp_path / "j.jsonl")
-        runner = PoolRunner(
+        runner = Runner(
             journal=journal,
             workers=2,
             watchdog=ResourceWatchdog(WatchdogPolicy(min_free_bytes=HUGE_FLOOR)),
@@ -153,7 +152,7 @@ class TestRssShedding:
         ids = [f"u{i}" for i in range(6)]
         serial = Runner(journal=None).run(make_units(ids))
 
-        pool = PoolRunner(
+        pool = Runner(
             journal=RunJournal.open(tmp_path / "j.jsonl"),
             workers=2,
             watchdog=ResourceWatchdog(TINY_RSS),
@@ -165,7 +164,7 @@ class TestRssShedding:
         assert result.values() == serial.values()
 
     def test_no_ceiling_never_sheds(self, tmp_path):
-        pool = PoolRunner(
+        pool = Runner(
             journal=RunJournal.open(tmp_path / "j.jsonl"),
             workers=2,
             watchdog=ResourceWatchdog(),
@@ -188,7 +187,7 @@ class TestWorkerDeath:
         serial = Runner(journal=None).run(make_units(ids))
 
         monkeypatch.setenv(faults.ENV_VAR, "killworker=b")
-        runner = PoolRunner(
+        runner = Runner(
             journal=RunJournal.open(tmp_path / "j.jsonl"), workers=2
         )
         result = runner.run(make_units(ids))
@@ -204,7 +203,7 @@ class TestWorkerDeath:
         serial = Runner(journal=None).run(make_units(ids))
 
         monkeypatch.setenv(faults.ENV_VAR, "killworker=b")
-        pool = PoolRunner(
+        pool = Runner(
             journal=RunJournal.open(tmp_path / "j.jsonl"),
             workers=2,
             watchdog=ResourceWatchdog(),
@@ -233,7 +232,7 @@ class TestWorkerDeath:
             return real_submit(executor, *args, **kwargs)
 
         monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
-        pool = PoolRunner(
+        pool = Runner(
             journal=RunJournal.open(tmp_path / "j.jsonl"), workers=2
         )
         result = pool.run(make_units(ids))
@@ -244,7 +243,7 @@ class TestWorkerDeath:
 
     def test_degraded_run_resumes_cleanly(self, tmp_path, monkeypatch):
         monkeypatch.setenv(faults.ENV_VAR, "killworker=b")
-        pool = PoolRunner(
+        pool = Runner(
             journal=RunJournal.open(tmp_path / "j.jsonl"),
             workers=2,
             watchdog=ResourceWatchdog(),
@@ -252,7 +251,7 @@ class TestWorkerDeath:
         pool.run(make_units(["a", "b", "c"]))
 
         monkeypatch.delenv(faults.ENV_VAR)
-        resumed = PoolRunner(
+        resumed = Runner(
             journal=RunJournal.open(tmp_path / "j.jsonl", resume=True),
             workers=2,
             watchdog=ResourceWatchdog(),
@@ -283,7 +282,7 @@ class TestDegradationCause:
             monkeypatch.setenv(faults.ENV_VAR, "hang=b:30")
             policy = WatchdogPolicy(hang_timeout_s=0.4)
         telemetry = Telemetry()
-        pool = PoolRunner(
+        pool = Runner(
             workers=2, watchdog=ResourceWatchdog(policy), telemetry=telemetry
         )
         result = pool.run(make_units(["a", "b", "c"]))
@@ -334,7 +333,7 @@ class TestSerialFallback:
         else:
             monkeypatch.setenv(faults.ENV_VAR, f"killworker={target}")
             watchdog = ResourceWatchdog()
-        pool = PoolRunner(
+        pool = Runner(
             journal=RunJournal.open(tmp_path / "pool.jsonl"),
             workers=2,
             mp_context=multiprocessing.get_context("fork"),
