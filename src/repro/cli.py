@@ -82,10 +82,11 @@ the stop is picked up by ``--resume`` without re-execution.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, NoReturn, Optional, Sequence, Tuple
 
 from .errors import AbortError, IntegrityError, LintError, ReproError
 
@@ -96,7 +97,7 @@ if TYPE_CHECKING:
 # Every other import lives in the command that uses it, so a cold
 # ``repro eval`` loads only the model packages (DESIGN.md §7).
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 
 def _print_table(columns: Sequence[str], rows: Iterable[Tuple[object, ...]]) -> None:
@@ -752,5 +753,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """Process entry point: :func:`main`, then exit without a last heap walk.
+
+    ``gc.freeze()`` moves every live object into the permanent
+    generation, so the interpreter's exit-time collections skip a heap
+    that dies with the process anyway.  Exit still runs ``atexit``
+    hooks, joins non-daemon threads, flushes stdout and stderr and
+    finalises refcount-freed objects; only cyclic garbage still alive
+    at exit goes unfinalised, and every artefact write is closed and
+    fsynced before :func:`main` returns.  :func:`main` itself never
+    freezes: tests and library callers run it in-process, and a freeze
+    there would keep their later cycles alive (DESIGN.md §7).
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__
-    sys.exit(main())
+    run()

@@ -21,7 +21,6 @@ enable it to find *where* a phase goes, not to watch production runs.
 
 from __future__ import annotations
 
-import cProfile
 import marshal
 from contextlib import contextmanager
 from pathlib import Path
@@ -50,6 +49,8 @@ def capture_profile(path: Optional[Union[str, Path]]) -> Iterator[None]:
     if path is None:
         yield
         return
+    import cProfile
+
     from ..runner.atomic import write_bytes_atomic
 
     path = Path(path)

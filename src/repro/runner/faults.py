@@ -71,14 +71,14 @@ so a colon-bearing unit id must spell the argument out explicitly
 from __future__ import annotations
 
 import errno
-import multiprocessing
 import os
 import signal
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from ..errors import ReproError, RunnerError
 
@@ -278,13 +278,21 @@ def _matches(spec: Optional[str], unit_id: str) -> bool:
     return spec is not None and (spec == "*" or spec == unit_id)
 
 
+def _pool_parent() -> Optional[Any]:
+    """The process that started this one through :mod:`multiprocessing`,
+    or None.  Exact without importing the module: a process multiprocessing
+    started always has it loaded, so an unloaded module means no parent."""
+    module = sys.modules.get("multiprocessing")
+    return None if module is None else module.parent_process()
+
+
 def before_unit(unit_id: str) -> None:
     """Fault hook called by the engine before each unit attempt."""
     plan = active_plan()
     if plan is None:
         return
     if plan.killworker_unit == unit_id and _fires("killworker", unit_id, 1):
-        if multiprocessing.parent_process() is not None:
+        if _pool_parent() is not None:
             # A hard worker death: no exception, no cleanup, no reply —
             # the parent observes a broken pool, as with a real OOM kill.
             # repro: lint-ok[REP013] emulating a SIGKILL requires a true hard exit; routing it through the lifecycle drain would defeat the fault
@@ -293,7 +301,7 @@ def before_unit(unit_id: str) -> None:
         # a degraded-to-serial rerun of the same unit can complete.
     if (
         _matches(plan.pooldeath_unit, unit_id)
-        and multiprocessing.parent_process() is not None
+        and _pool_parent() is not None
         and _fires("pooldeath", "*", plan.pooldeath_times)
     ):
         # Same mechanics as killworker, but times-bounded and wildcard-
@@ -303,7 +311,7 @@ def before_unit(unit_id: str) -> None:
         os._exit(86)
     if (
         _matches(plan.hang_unit, unit_id)
-        and multiprocessing.parent_process() is not None
+        and _pool_parent() is not None
         and _fires("hang", unit_id, 1)
     ):
         # Wedge this worker *after* the heartbeat stamped the unit as
@@ -313,7 +321,7 @@ def before_unit(unit_id: str) -> None:
         # a no-op — the serial engine's SIGALRM already bounds a unit.
         time.sleep(plan.hang_s)
     if _matches(plan.sigterm_unit, unit_id) and _fires("sigterm", "*", 1):
-        parent = multiprocessing.parent_process()
+        parent = _pool_parent()
         target = parent.pid if parent is not None else os.getpid()
         # A real mid-flight shutdown signal to the supervising process;
         # this unit then proceeds normally — a graceful drain lets

@@ -60,6 +60,7 @@ __all__ = [
     "untrack",
     "is_volatile",
     "write_manifest",
+    "refresh_manifest_entry",
     "load_manifest",
     "IntegrityFinding",
     "IntegrityReport",
@@ -203,6 +204,34 @@ def _is_integrity_name(name: str) -> bool:
     return name == MANIFEST_NAME or name.endswith(SIDECAR_SUFFIX) or name.endswith(".tmp")
 
 
+def _enter(payload: dict, target: Path) -> None:
+    """Enter ``target`` into the manifest ``payload`` from its sidecar.
+
+    A volatile artefact is listed by name; any other gets its sidecar
+    digest and current size.  Nothing is entered for an integrity
+    record, or for an artefact or sidecar that is gone.
+    """
+    name = target.name
+    if _is_integrity_name(name) or not target.exists():
+        return
+    if is_volatile(name):
+        if _sidecar_path(target).exists():
+            payload["volatile"].append(name)
+        return
+    digest = read_sidecar(target)
+    if digest is not None:
+        payload["artifacts"][name] = {"sha256": digest, "size": target.stat().st_size}
+
+
+def _save_manifest(directory: Path, payload: dict) -> dict:
+    payload["volatile"].sort()
+    write_text_atomic(
+        directory / MANIFEST_NAME,
+        json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    )
+    return payload
+
+
 def write_manifest(directory: Union[str, Path]) -> dict:
     """Rebuild ``directory``'s ``MANIFEST.json`` from its sidecars.
 
@@ -212,30 +241,33 @@ def write_manifest(directory: Union[str, Path]) -> dict:
     Volatile artefacts (journals) are listed by name without a digest.
     """
     directory = Path(directory)
-    artifacts: Dict[str, dict] = {}
-    volatile: List[str] = []
+    payload: dict = {"manifest": MANIFEST_SCHEMA, "artifacts": {}, "volatile": []}
     for sidecar in sorted(directory.glob("*" + SIDECAR_SUFFIX)):
-        name = sidecar.name[: -len(SIDECAR_SUFFIX)]
-        target = directory / name
-        if _is_integrity_name(name) or not target.exists():
-            continue
-        if is_volatile(name):
-            volatile.append(name)
-            continue
-        digest = read_sidecar(target)
-        if digest is None:  # pragma: no cover - sidecar raced away
-            continue
-        artifacts[name] = {"sha256": digest, "size": target.stat().st_size}
-    payload = {
-        "manifest": MANIFEST_SCHEMA,
-        "artifacts": artifacts,
-        "volatile": sorted(volatile),
-    }
-    write_text_atomic(
-        directory / MANIFEST_NAME,
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-    )
-    return payload
+        _enter(payload, directory / sidecar.name[: -len(SIDECAR_SUFFIX)])
+    return _save_manifest(directory, payload)
+
+
+def refresh_manifest_entry(path: Union[str, Path]) -> None:
+    """Re-enter ``path`` alone into its directory's ``MANIFEST.json``.
+
+    The entry comes from ``path``'s sidecar, as :func:`write_manifest`
+    makes it, and is dropped when the artefact or its sidecar is gone;
+    every other entry is kept as it stands.  So one artefact's change
+    costs one sidecar read, not one per artefact in the directory.  A
+    missing or unreadable manifest is rebuilt in full instead.
+    """
+    path = Path(path)
+    try:
+        payload = load_manifest(path.parent)
+    except IntegrityError:
+        payload = None
+    if payload is None:
+        write_manifest(path.parent)
+        return
+    payload["artifacts"].pop(path.name, None)
+    payload["volatile"] = [name for name in payload["volatile"] if name != path.name]
+    _enter(payload, path)
+    _save_manifest(path.parent, payload)
 
 
 def open_run_dir(

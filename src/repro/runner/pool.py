@@ -58,10 +58,10 @@ import shutil
 import tempfile
 import time
 import weakref
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, replace
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Collection,
@@ -91,6 +91,12 @@ from .engine import (
 from .journal import RunJournal
 from .lifecycle import CancelToken, Heartbeat, read_heartbeats
 from .watchdog import ResourceWatchdog, peak_rss_bytes
+
+# ``concurrent.futures.process`` (and with it ``multiprocessing``) is
+# imported only where a WorkerPool builds or drives an executor, so a
+# run without a pool never loads it (DESIGN.md §7).
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "DEATH_LIMIT",
@@ -272,6 +278,8 @@ class WorkerPool:
         """Run ``task`` on a worker; None once degraded (run it in-process)."""
         if self.workers is None or self.degraded_cause is not None:
             return None
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
         if self._executor is None:
             self._executor = ProcessPoolExecutor(self.workers, **self._options)
             self._builds += 1
@@ -544,6 +552,8 @@ class Runner:
         Units a pool death took down are resubmitted; once the pool
         degrades, the units without an outcome are left to this process.
         """
+        from concurrent.futures.process import BrokenProcessPool
+
         watchdog = self.watchdog
         hang_limit = None if watchdog is None else watchdog.policy.hang_timeout_s
         heartbeat_dir: Optional[str] = None

@@ -41,7 +41,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..errors import IntegrityError
 from ..runner import faults
 from ..runner.atomic import write_text_atomic
-from ..runner.integrity import load_manifest, read_sidecar, untrack, verify_artifact, write_manifest
+from ..runner.integrity import (
+    load_manifest,
+    read_sidecar,
+    refresh_manifest_entry,
+    untrack,
+    verify_artifact,
+)
 from .compute import canonical_json
 
 __all__ = ["MEMO_DIR", "MemoEntry", "MemoStore"]
@@ -81,13 +87,13 @@ class MemoStore:
         return sum(1 for _ in entries)
 
     def _demote_corrupt(self, key: str) -> None:
-        """Repair ``key``'s damaged entry alone, then rewrite the manifest."""
+        """Repair ``key``'s damaged entry alone, and its manifest entry."""
         try:
             manifest = load_manifest(self.root)
         except IntegrityError:
-            manifest = None  # write_manifest rebuilds it from the sidecars
+            manifest = None  # refresh_manifest_entry rebuilds it
         verify_artifact(self.path(key), manifest, repair=True)
-        write_manifest(self.root)
+        refresh_manifest_entry(self.path(key))
         with self._lock:
             self.quarantined += 1
 
@@ -143,6 +149,7 @@ class MemoStore:
             # blessed garbage.  Drop it so the rewrite replaces it.
             path.unlink(missing_ok=True)
             untrack(path)
+            refresh_manifest_entry(path)
         elif damage == "corrupt" and path.exists():
             # Repair rewrites a rotten sidecar or quarantines the entry;
             # the entry is not trusted either way.
@@ -175,9 +182,10 @@ class MemoStore:
 
         The ``poisonmemo`` fault hook runs *after* the sidecar is
         recorded — the damage shape is post-write bit rot, which the
-        next :meth:`load` must catch.
+        next :meth:`load` must catch.  Only ``key``'s manifest entry is
+        re-entered: a store reads one sidecar, not one per entry.
         """
         path = self.path(key)
         write_text_atomic(path, canonical_json(record), track=True)
         faults.damage_memo(key, path)
-        write_manifest(self.root)
+        refresh_manifest_entry(path)

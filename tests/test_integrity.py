@@ -29,7 +29,7 @@ from repro.runner import (
     write_sidecar,
     write_text_atomic,
 )
-from repro.runner.integrity import is_volatile
+from repro.runner.integrity import is_volatile, refresh_manifest_entry
 from repro.study.registry import _REGISTRY, ExperimentResult, Series, register
 from repro.study.repair import rerun_directory, verify_and_repair
 from repro.study.resultstore import write_report
@@ -137,6 +137,42 @@ class TestManifest:
         write_manifest(tmp_path)
         doc = json.loads((tmp_path / MANIFEST_NAME).read_text())
         assert doc["artifacts"]["a.txt"]["sha256"] == good
+
+    def test_refreshing_one_entry_equals_a_rebuild(self, tmp_path):
+        """Every way one artefact changes, re-entering it alone leaves the
+        bytes a full rebuild writes."""
+
+        a, c = tmp_path / "a.txt", tmp_path / "c.txt"
+        tracked(a, "A")
+        journal = tracked(tmp_path / "b.journal.jsonl", "volatile journal\n")
+        write_manifest(tmp_path)
+        changes = [
+            (c, lambda: tracked(c, "new")),  # added
+            (a, lambda: tracked(a, "AAA")),  # rewritten
+            (a, lambda: a.write_bytes(b"rot")),  # damaged after the write
+            (journal, lambda: (journal.unlink(), untrack(journal))),  # a volatile one gone
+            (journal, lambda: tracked(journal, "journal again\n")),  # and back
+            (c, lambda: (c.unlink(), untrack(c))),  # removed
+        ]
+        for path, change in changes:
+            change()
+            refresh_manifest_entry(path)
+            refreshed = (tmp_path / MANIFEST_NAME).read_bytes()
+            write_manifest(tmp_path)
+            assert refreshed == (tmp_path / MANIFEST_NAME).read_bytes(), path.name
+
+    def test_refresh_rebuilds_a_missing_or_unreadable_manifest(self, tmp_path):
+        tracked(tmp_path / "a.txt", "A")
+        tracked(tmp_path / "b.txt", "B")
+        refresh_manifest_entry(tmp_path / "b.txt")  # no manifest yet
+        assert sorted(json.loads((tmp_path / MANIFEST_NAME).read_text())["artifacts"]) == [
+            "a.txt", "b.txt"
+        ]
+        (tmp_path / MANIFEST_NAME).write_text("{not json")
+        refresh_manifest_entry(tmp_path / "b.txt")
+        kept = (tmp_path / MANIFEST_NAME).read_bytes()
+        write_manifest(tmp_path)
+        assert kept == (tmp_path / MANIFEST_NAME).read_bytes()
 
     def test_volatile_classification(self):
         assert is_volatile("journal.jsonl")

@@ -66,6 +66,13 @@ CASES = {
         ("repro.study.chaos", "repro.study.repair"),
         ("repro.serve", "asyncio"),
     ),
+    # A run without a pool loads neither the process pool nor the profiler.
+    "serial-report": (
+        "from repro.cli import main\n"
+        "assert main(['report', '--out', 'r', '--ids', 'table1', '--scale', '0.02']) == 0",
+        ("repro.runner", "repro.runner.pool"),
+        ("multiprocessing", "concurrent.futures.process", "cProfile"),
+    ),
 }
 
 

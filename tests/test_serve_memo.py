@@ -24,7 +24,8 @@ from repro.core.config import SystemConfig
 from repro.core.evaluate import evaluate
 from repro.errors import IntegrityError
 from repro.runner import faults, write_text_atomic
-from repro.runner.integrity import hash_file, untrack, write_sidecar
+import repro.runner.integrity as integrity
+from repro.runner.integrity import hash_file, untrack, verify_tree, write_manifest, write_sidecar
 from repro.serve import BackgroundServer, MemoStore, ServePolicy, canonical_json, point_record
 
 PAYLOAD = {"l1_kb": 2, "l2_kb": 16, "workload": "gcc1", "scale": 0.02}
@@ -47,7 +48,8 @@ def reference_bytes():
 
 
 def oracle_load(store, key):
-    """The previous ``MemoStore.load``, kept verbatim as the oracle."""
+    """The previous ``MemoStore.load``, kept as the oracle.  Its one edit:
+    dropping an undecodable entry drops its manifest entry too."""
     path = store.path(key)
     if not path.exists():
         store.misses += 1
@@ -74,6 +76,7 @@ def oracle_load(store, key):
     if not isinstance(record, dict) or "kind" not in record:
         path.unlink(missing_ok=True)
         untrack(path)
+        memo_module.refresh_manifest_entry(path)
         store.misses += 1
         return None
     store.hits += 1
@@ -272,6 +275,64 @@ class TestVerifiedBodies:
         assert sorted(p.name for p in quarantine.iterdir()) == ["k1.json", "k2.json"]
         assert store.quarantined == 2
         assert store.load("k3") == dict(RECORD, label="k3")
+
+
+class TestManifestPerEntry:
+    """A store, a drop and a quarantine each re-enter one manifest entry."""
+
+    @staticmethod
+    def _rebuilt(root):
+        kept = (root / "MANIFEST.json").read_bytes()
+        write_manifest(root)
+        return kept, (root / "MANIFEST.json").read_bytes()
+
+    def test_manifest_equals_a_rebuild(self, tmp_path):
+        store = MemoStore(tmp_path / "memo")
+        for i in range(12):
+            store.store(f"k{i}", dict(RECORD, tpi_ns=float(i)))
+        store.store("k3", dict(RECORD, tpi_ns=30.0))  # a re-store
+        _vouched(store.path("k5"), "[1, 2, 3]\n")  # undecodable: dropped
+        _flip(store.path("k7"))  # rotten: quarantined
+        _flip(store.root / "k9.json.sha256", index=0)  # rotten sidecar: rewritten
+        assert [store.read(key) for key in ("k5", "k7", "k9")] == [None] * 3
+        assert not store.path("k5").exists()
+        assert (store.root / "quarantine" / "k7.json").exists()
+        assert store.load("k9") == dict(RECORD, tpi_ns=9.0)  # its sidecar was rewritten
+        assert store.quarantined == 2
+        kept, full = self._rebuilt(store.root)
+        assert kept == full
+        assert sorted(json.loads(kept)["artifacts"]) == sorted(
+            f"k{i}.json" for i in range(12) if i not in (5, 7)
+        )
+        assert verify_tree(store.root).clean
+
+    def test_a_store_reads_one_sidecar(self, tmp_path, monkeypatch):
+        read_sidecar = integrity.read_sidecar
+        calls = []
+
+        def counted(path):
+            calls.append(path)
+            return read_sidecar(path)
+
+        monkeypatch.setattr(integrity, "read_sidecar", counted)
+        store = MemoStore(tmp_path / "memo")
+        per_store = []
+        for i in range(40):
+            del calls[:]
+            store.store(f"k{i}", dict(RECORD, tpi_ns=float(i)))
+            per_store.append(len(calls))
+        assert per_store == [1] * 40
+        kept, full = self._rebuilt(store.root)
+        assert kept == full
+
+    def test_an_unreadable_manifest_is_rebuilt(self, tmp_path):
+        store = MemoStore(tmp_path / "memo")
+        store.store("k1", RECORD)
+        (store.root / "MANIFEST.json").write_text("{torn")
+        store.store("k2", dict(RECORD, label="k2"))
+        kept, full = self._rebuilt(store.root)
+        assert kept == full
+        assert sorted(json.loads(kept)["artifacts"]) == ["k1.json", "k2.json"]
 
 
 class TestWarmHitOnTheLoop:
