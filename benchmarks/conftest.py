@@ -1,7 +1,7 @@
 """Shared infrastructure for the gate benchmarks.
 
 Each ``bench_*.py`` here measures one operational property (telemetry
-overhead, serve load, lint cache, integrity, parallel sweep) and gates
+overhead, serve load, integrity, parallel sweep) and gates
 it; :func:`bench_record` writes its ``BENCH_<name>.json`` under
 ``benchmarks/output/`` with the :func:`bench_context` provenance block,
 which ``benchmarks/suite/run.py`` also attaches to its results.

@@ -38,20 +38,6 @@ class Finding:
             record["reason"] = self.suppression_reason
         return record
 
-    @classmethod
-    def from_record(cls, record: Dict[str, object]) -> "Finding":
-        """Inverse of :meth:`to_record`; used by the lint cache."""
-        return cls(
-            rule=str(record["rule"]),
-            severity=str(record["severity"]),
-            path=str(record["path"]),
-            line=int(record["line"]),  # type: ignore[call-overload]
-            col=int(record["col"]),  # type: ignore[call-overload]
-            message=str(record["message"]),
-            suppressed="reason" in record,
-            suppression_reason=str(record.get("reason", "")),
-        )
-
     def suppress(self, reason: str) -> "Finding":
         return replace(self, suppressed=True, suppression_reason=reason)
 

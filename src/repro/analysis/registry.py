@@ -3,54 +3,32 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from ..errors import LintError
 from .finding import FileContext
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .program.graph import Program
-
 __all__ = [
     "Rule",
     "Violation",
-    "ProgramViolation",
     "checker",
-    "program_checker",
     "all_rules",
     "resolve_rules",
     "get_rule",
 ]
 
-#: What a file-scope checker yields: (line, col, message), both 1-based.
+#: What a checker yields: (line, col, message), both 1-based.
 Violation = Tuple[int, int, str]
 
-#: What a program-scope checker yields: (posix path, line, col, message).
-ProgramViolation = Tuple[str, int, int, str]
-
 CheckFn = Callable[[FileContext], Iterator[Violation]]
-ProgramCheckFn = Callable[["Program"], Iterator[ProgramViolation]]
 
 
 @dataclass(frozen=True)
 class Rule:
     """One registered lint rule.
 
-    File-scope rules carry ``check`` (one AST at a time); program-scope
-    rules carry ``program_check`` (the whole linked
-    :class:`~repro.analysis.program.graph.Program`).  Both are None for
-    meta-rules the engine implements itself (REP000 suppression
-    hygiene, which audits file-scope suppressions per file and
-    program-scope suppressions after the program phase).
+    ``check`` inspects one AST at a time; it is None for the meta-rule
+    the engine implements itself (REP000 suppression hygiene).
     """
 
     rule_id: str
@@ -58,12 +36,6 @@ class Rule:
     severity: str
     rationale: str
     check: Optional[CheckFn] = field(default=None, repr=False)
-    program_check: Optional[ProgramCheckFn] = field(default=None, repr=False)
-
-    @property
-    def scope(self) -> str:
-        """``"program"`` for whole-program rules, ``"file"`` otherwise."""
-        return "program" if self.program_check is not None else "file"
 
 
 _REGISTRY: Dict[str, Rule] = {}
@@ -87,18 +59,6 @@ def checker(
     return decorate
 
 
-def program_checker(
-    rule_id: str, name: str, rationale: str, severity: str = "error"
-) -> Callable[[ProgramCheckFn], ProgramCheckFn]:
-    """Decorator registering a whole-program checker as a lint rule."""
-
-    def decorate(fn: ProgramCheckFn) -> ProgramCheckFn:
-        _register(Rule(rule_id, name, severity, rationale, program_check=fn))
-        return fn
-
-    return decorate
-
-
 # The engine's own meta-rule: suppression comments must name a known
 # rule, carry a non-empty reason, and actually mask a finding.
 _register(
@@ -116,7 +76,6 @@ def _load_builtin_rules() -> None:
     # Imported for their registration side effects; late import breaks
     # the registry <-> rules module cycle.
     from . import rules  # noqa: F401
-    from .program import rules as program_rules  # noqa: F401
 
 
 def all_rules() -> Tuple[Rule, ...]:

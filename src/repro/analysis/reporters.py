@@ -10,9 +10,9 @@ from .engine import LintReport
 __all__ = ["render_human", "render_json", "JSON_SCHEMA_VERSION"]
 
 #: Bumped whenever the JSON layout changes incompatibly.  v2 renamed
-#: ``schema`` to ``schema_version``, added the package ``version`` and
-#: the ``cached`` file count.
-JSON_SCHEMA_VERSION = 2
+#: ``schema`` to ``schema_version`` and added the package ``version``;
+#: v3 dropped the ``cached`` file count with the lint cache.
+JSON_SCHEMA_VERSION = 3
 
 
 def render_human(report: LintReport) -> str:
@@ -21,9 +21,6 @@ def render_human(report: LintReport) -> str:
         f"{f.path}:{f.line}:{f.col}: {f.rule} [{f.severity}] {f.message}"
         for f in report.findings
     ]
-    # Cache hits are deliberately not mentioned: human and JSON output
-    # must be identical for identical trees whatever the cache state
-    # (the JSON ``cached`` field is metadata, outside the findings).
     if report.clean:
         summary = (
             f"repro lint: clean — {report.n_files} file(s), "
@@ -40,16 +37,15 @@ def render_human(report: LintReport) -> str:
 def render_json(report: LintReport) -> str:
     """Stable machine-readable report (``--format json``).
 
-    Byte-identical for identical trees regardless of cache state:
-    findings are fully sorted by the engine, keys are sorted here, and
-    nothing derived from wall-clock time is included.
+    Byte-identical for identical trees: findings are fully sorted by
+    the engine, keys are sorted here, and nothing derived from
+    wall-clock time is included.
     """
     payload = {
         "schema_version": JSON_SCHEMA_VERSION,
         "version": __version__,
         "clean": report.clean,
         "files": report.n_files,
-        "cached": report.n_cached,
         "findings": [finding.to_record() for finding in report.findings],
         "suppressed": [finding.to_record() for finding in report.suppressed],
     }

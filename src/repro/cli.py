@@ -37,13 +37,10 @@ Commands
 ``spans <run-dir> [--limit N] [--format json]``
     Print a run directory's span tree from ``SPANS.jsonl`` (requires
     the run to have used ``--telemetry``).
-``lint [paths] [--format json] [--select ...] [--program] [--no-cache]``
+``lint [paths] [--format json] [--select ...] [--ignore ...]``
     Run the repro static-analysis checkers (atomic writes,
     determinism, error policy, manifest tracking, process control)
     over source trees; exit 0 clean, 1 findings, 2 internal error.
-    ``--program`` adds the whole-program phase (call graph, taint:
-    REP007, REP009); results are cached by content
-    hash in ``.repro-lint-cache.json`` unless ``--no-cache``.
     ``--list-rules`` prints the rule catalogue.
 ``verify DIR [--repair]``
     Re-hash every tracked artefact under ``DIR`` against its sha256
@@ -411,7 +408,6 @@ LINT_DEFAULT_PATHS = ("src", "benchmarks", "examples")
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     from .analysis import all_rules, lint_paths, render_human, render_json
-    from .analysis.cache import DEFAULT_CACHE_NAME
 
     if args.list_rules:
         rows = [
@@ -432,8 +428,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         paths,
         select=args.select.split(",") if args.select else None,
         ignore=args.ignore.split(",") if args.ignore else None,
-        program=args.program,
-        cache=None if args.no_cache else args.cache_file or DEFAULT_CACHE_NAME,
     )
     if args.format == "json":
         print(render_json(report))
@@ -704,23 +698,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
-    )
-    lint.add_argument(
-        "--program",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="enable the whole-program phase (call graph: REP007, REP009)",
-    )
-    lint.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the content-hash lint cache",
-    )
-    lint.add_argument(
-        "--cache-file",
-        default=None,
-        metavar="PATH",
-        help="lint cache location (default: .repro-lint-cache.json in the cwd)",
     )
     lint.set_defaults(func=_cmd_lint)
 

@@ -40,7 +40,10 @@ def find_journal(run_dir: Path) -> Optional[Path]:
 
 
 def _journal_entries(path: Path) -> List[dict]:
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text().splitlines()
+    except OSError as error:
+        raise ObsError(f"{path}: cannot read journal: {error}") from None
     entries = []
     for line in lines[1:]:  # skip the header
         if not line.strip():

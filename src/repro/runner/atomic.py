@@ -14,7 +14,9 @@ Durability and failure semantics:
 * a full disk (``ENOSPC``/``EDQUOT``) or a short write surfaces as a
   typed, retryable :class:`~repro.errors.CheckpointError` with the
   temporary file cleaned up, so the engine's bounded-retry policy can
-  re-attempt the unit once space frees up;
+  re-attempt the unit once space frees up; any other ``OSError`` (an
+  ``EIO``, a permission error) surfaces as the same typed error, so the
+  CLI reports it as ``error: …`` rather than a traceback;
 * ``track=True`` registers the artefact with the integrity layer
   (:mod:`repro.runner.integrity`): its sha256 is recorded in a
   ``.sha256`` sidecar immediately after the rename, from which the
@@ -54,6 +56,11 @@ def _tmp_sibling(path: Path) -> Path:
     return path.with_name(path.name + ".tmp")
 
 
+def _write_error(path: Path, doing: str, error: OSError) -> CheckpointError:
+    what = "disk full" if error.errno in _NO_SPACE else "I/O error"
+    return CheckpointError(f"{path}: {what} {doing} ({error})")
+
+
 def fsync_directory(directory: Union[str, Path]) -> None:
     """Flush ``directory``'s entry table to stable storage.
 
@@ -90,41 +97,32 @@ def atomic_open(
     completed artefact's sha256 is recorded in its integrity sidecar.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = _tmp_sibling(path)
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         handle = open(tmp, mode)
     except OSError as error:
-        if error.errno in _NO_SPACE:
-            raise CheckpointError(
-                f"{path}: disk full creating artefact ({error})"
-            ) from error
-        raise
+        raise _write_error(path, "creating artefact", error) from error
     try:
         yield handle
         faults.check_write(path)
         handle.flush()
         os.fsync(handle.fileno())
+        handle.close()
+        os.replace(tmp, path)
     except OSError as error:
         handle.close()
         tmp.unlink(missing_ok=True)
-        if error.errno in _NO_SPACE:
-            raise CheckpointError(
-                f"{path}: disk full while writing artefact ({error})"
-            ) from error
-        raise
+        raise _write_error(path, "while writing artefact", error) from error
     except BaseException:
         handle.close()
         tmp.unlink(missing_ok=True)
         raise
-    else:
-        handle.close()
-        os.replace(tmp, path)
-        fsync_directory(path.parent)
-        if track:
-            from .integrity import write_sidecar
+    fsync_directory(path.parent)
+    if track:
+        from .integrity import write_sidecar
 
-            write_sidecar(path)
+        write_sidecar(path)
 
 
 def write_text_atomic(
@@ -173,10 +171,6 @@ def append_line(path: Union[str, Path], line: str, hasher: Any) -> None:
             handle.flush()
             os.fsync(handle.fileno())
     except OSError as error:
-        if error.errno in _NO_SPACE:
-            raise CheckpointError(
-                f"{path}: disk full while appending ({error})"
-            ) from error
-        raise
+        raise _write_error(path, "while appending", error) from error
     hasher.update(data)
     write_sidecar(path, hasher.hexdigest())

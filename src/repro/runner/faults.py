@@ -356,7 +356,6 @@ def check_write(path: Union[str, Path]) -> None:
     if plan is None or unit_id is None or plan.enospc_unit != unit_id:
         return
     if _fires("enospc", unit_id, plan.enospc_times):
-        # repro: lint-ok[REP009] emulates a real ENOSPC; atomic_open converts it to CheckpointError
         raise OSError(errno.ENOSPC, "injected: no space left on device", str(path))
 
 

@@ -85,7 +85,10 @@ class RunJournal:
         return journal
 
     def _load(self) -> None:
-        data = self.path.read_bytes()
+        try:
+            data = self.path.read_bytes()
+        except OSError as error:
+            raise CheckpointError(f"{self.path}: cannot read journal: {error}") from None
         lines = data.decode("utf-8").splitlines()
         if not lines:
             return

@@ -430,11 +430,13 @@ class ServeApp:
                 self.breaker.record_failure()
             raise
 
-    # Memo and journal are synchronous disk I/O (REP007: they bottom
-    # out in file reads/writes and fsync).  Every call from the async
+    # Memo and journal are synchronous disk I/O (they bottom out in
+    # file reads/writes and fsync).  Every call from the async
     # request path goes through these executor bridges so a slow disk
     # stalls one request, not the whole event loop, and every store
     # write stays on the one I/O thread (_memo_lookup's probe only reads).
+    # The live serve tests fail on any other file I/O on the loop
+    # (tests/conftest.py, the loop I/O guard).
 
     async def _memo_read_many(self, keys: List[str]) -> List[Optional[MemoEntry]]:
         loop = asyncio.get_running_loop()
@@ -448,7 +450,6 @@ class ServeApp:
         Only the keys ``probe`` did not verify take the hop, together,
         to ``read_many``, which counts the misses and repairs.
         """
-        # repro: lint-ok[REP007] probe only reads a sidecar and a ~450-byte entry: p50 <= 38 us, p99 <= 87 us per key on a 2-vCPU host, less than the hop it saves
         entries = [self.memo.probe(key) for key in keys]
         unverified = [i for i, entry in enumerate(entries) if entry is None]
         if unverified:

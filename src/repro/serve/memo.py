@@ -87,15 +87,20 @@ class MemoStore:
         return sum(1 for _ in entries)
 
     def _demote_corrupt(self, key: str) -> None:
-        """Repair ``key``'s damaged entry alone, and its manifest entry."""
+        """Repair ``key``'s damaged entry alone, and its manifest entry.
+
+        Only a quarantined entry counts in ``quarantined``: a rewritten
+        rotten sidecar is a repair of an intact entry.
+        """
         try:
             manifest = load_manifest(self.root)
         except IntegrityError:
             manifest = None  # refresh_manifest_entry rebuilds it
-        verify_artifact(self.path(key), manifest, repair=True)
+        findings = verify_artifact(self.path(key), manifest, repair=True)
         refresh_manifest_entry(self.path(key))
-        with self._lock:
-            self.quarantined += 1
+        if any(finding.action.startswith("quarantined") for finding in findings):
+            with self._lock:
+                self.quarantined += 1
 
     def _verify(self, key: str) -> Tuple[Optional[MemoEntry], Optional[str]]:
         """``(entry, None)`` on a counted hit, else ``(None, damage)``, where

@@ -46,17 +46,9 @@ class TestRegistry:
             "REP002",
             "REP003",
             "REP006",
-            "REP007",
-            "REP009",
+            "REP013",
         ):
             assert expected in ids
-
-    def test_program_rules_are_program_scoped(self):
-        by_id = {rule.rule_id: rule for rule in all_rules()}
-        for rule_id in ("REP007", "REP009"):
-            assert by_id[rule_id].scope == "program"
-        for rule_id in ("REP000", "REP001", "REP006"):
-            assert by_id[rule_id].scope == "file"
 
     def test_every_rule_has_rationale(self):
         for rule in all_rules():
@@ -214,9 +206,8 @@ class TestReporters:
     def test_json_schema(self):
         report = lint_paths([RULE_FIXTURES["REP001"]], select=["REP001", "REP000"])
         payload = json.loads(render_json(report))
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         assert payload["version"] == repro.__version__
-        assert payload["cached"] == 0
         assert payload["clean"] is False
         assert payload["files"] == 4
         assert isinstance(payload["findings"], list)

@@ -1,6 +1,10 @@
 """Command-line interface."""
 
+import os
+import shutil
+
 import pytest
+from conftest import inject_eio
 
 from repro.cli import main
 
@@ -174,11 +178,6 @@ class TestLint:
         "def save(path, text):\n    write_text_atomic(path, text, track=True)\n"
     )
 
-    @pytest.fixture(autouse=True)
-    def _cache_in_tmp(self, tmp_path, monkeypatch):
-        # The lint cache is written to the working directory: keep it out of the checkout.
-        monkeypatch.chdir(tmp_path)
-
     def _package_file(self, tmp_path, name, source):
         target = tmp_path / "src" / "repro" / "study"
         target.mkdir(parents=True, exist_ok=True)
@@ -212,7 +211,7 @@ class TestLint:
         path = self._package_file(tmp_path, "dirty.py", self.BAD)
         assert main(["lint", str(path), "--format", "json"]) == 1
         payload = json_module.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         assert payload["version"]
         assert payload["clean"] is False
         assert payload["findings"][0]["rule"] == "REP001"
@@ -232,52 +231,9 @@ class TestLint:
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in (
-            "REP000", "REP001", "REP002", "REP003", "REP006", "REP007", "REP009",
+            "REP000", "REP001", "REP002", "REP003", "REP006", "REP013",
         ):
             assert rule_id in out
-
-    def test_program_rule_without_flag_exits_2(self, capsys, tmp_path):
-        path = self._package_file(tmp_path, "clean.py", self.GOOD)
-        assert main(["lint", str(path), "--select", "REP007"]) == 2
-        assert "--program" in capsys.readouterr().err
-
-    def test_program_flag_runs_interprocedural_rules(self, capsys, tmp_path):
-        serve = tmp_path / "src" / "repro" / "serve"
-        serve.mkdir(parents=True)
-        (serve / "helpers.py").write_text(
-            "import time\n\n\ndef relay(x):\n    time.sleep(0.01)\n    return x\n"
-        )
-        (serve / "app.py").write_text(
-            "from . import helpers\n\n\nasync def handle(x):\n"
-            "    return helpers.relay(x)\n"
-        )
-        target = str(tmp_path / "src")
-        cache = str(tmp_path / "cache.json")
-        argv = ["lint", target, "--program", "--select", "REP007",
-                "--cache-file", cache]
-        assert main(argv) == 1
-        out = capsys.readouterr().out
-        assert "REP007" in out and "transitively blocks" in out
-        # Warm re-run: cached, and byte-identical output.
-        assert main(argv) == 1
-        assert "REP007" in capsys.readouterr().out
-
-    def test_no_cache_writes_nothing(self, capsys, tmp_path):
-        self._package_file(tmp_path, "clean.py", self.GOOD)
-        assert main(["lint", "src", "--no-cache"]) == 0
-        capsys.readouterr()
-        assert not (tmp_path / ".repro-lint-cache.json").exists()
-        assert main(["lint", "src"]) == 0
-        capsys.readouterr()
-        assert (tmp_path / ".repro-lint-cache.json").exists()
-
-    def test_help_names_the_default_cache_file(self, capsys):
-        from repro.analysis.cache import DEFAULT_CACHE_NAME
-
-        with pytest.raises(SystemExit):
-            main(["lint", "--help"])
-        # argparse may wrap the help text at the file name's hyphens.
-        assert DEFAULT_CACHE_NAME in "".join(capsys.readouterr().out.split())
 
 
 class TestSweepDefaultOut:
@@ -396,3 +352,59 @@ class TestMetricsSpansCommands:
     def test_metrics_on_a_missing_directory_exits_2(self, capsys, tmp_path):
         assert main(["metrics", str(tmp_path / "nope")]) == 2
         assert "not a run directory" in capsys.readouterr().err
+
+
+#: Each CLI I/O boundary: the argv (``{d}`` is the run directory, a copy
+#: of a telemetry-recorded ``report`` of fig21), the audit event that
+#: fails with EIO and the file name it fails on, and the files removed
+#: from the copy first.
+IO_BOUNDARIES = {
+    "report-atomic-write": (["report", "--out", "{d}", "--ids", "fig21"], "open", ".tmp", ()),
+    "report-atomic-rename": (
+        ["report", "--out", "{d}", "--ids", "fig21"], "os.rename", ".tmp", ()
+    ),
+    "sweep-atomic-write": (
+        ["sweep", "--workload", "espresso", "--scale", "0.01", "--out", "{d}"],
+        "open",
+        ".tmp",
+        (),
+    ),
+    "verify-sidecar-read": (["verify", "{d}"], "open", ".sha256", ()),
+    "report-resume-journal": (
+        ["report", "--out", "{d}", "--ids", "fig21", "--resume"],
+        "open",
+        "journal.jsonl",
+        (),
+    ),
+    "metrics-snapshot": (["metrics", "{d}"], "open", "METRICS.jsonl", ()),
+    "metrics-journal": (["metrics", "{d}"], "open", "journal.jsonl", ("METRICS.jsonl",)),
+    "spans": (["spans", "{d}"], "open", "SPANS.jsonl", ()),
+}
+
+
+class TestIOBoundaryFaults:
+    """An I/O error under a CLI command is a typed ``error:`` with exit 2,
+    never a traceback: an ``OSError(EIO)`` is injected at the file system
+    call beneath each boundary the command crosses."""
+
+    @pytest.fixture(scope="class")
+    def recorded_run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("runs") / "report"
+        assert main(["report", "--out", str(out), "--ids", "fig21", "--telemetry"]) == 0
+        return out
+
+    @pytest.mark.parametrize("boundary", sorted(IO_BOUNDARIES))
+    def test_eio_is_a_typed_error(self, boundary, recorded_run, tmp_path, capsys):
+        argv, event, failing, removed = IO_BOUNDARIES[boundary]
+        run_dir = tmp_path / "run"
+        shutil.copytree(recorded_run, run_dir)
+        for name in removed:
+            (run_dir / name).unlink()
+        capsys.readouterr()
+        inside = str(run_dir) + os.sep
+        with inject_eio(event, lambda path: path.startswith(inside) and path.endswith(failing)):
+            code = main([arg.format(d=run_dir) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error:") and "input/output error" in err, err
+        assert not list(run_dir.rglob("*.tmp"))

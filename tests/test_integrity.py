@@ -29,7 +29,7 @@ from repro.runner import (
     write_sidecar,
     write_text_atomic,
 )
-from repro.runner.integrity import is_volatile, refresh_manifest_entry
+from repro.runner.integrity import is_volatile, load_manifest, refresh_manifest_entry
 from repro.study.registry import _REGISTRY, ExperimentResult, Series, register
 from repro.study.repair import rerun_directory, verify_and_repair
 from repro.study.resultstore import write_report
@@ -173,6 +173,31 @@ class TestManifest:
         kept = (tmp_path / MANIFEST_NAME).read_bytes()
         write_manifest(tmp_path)
         assert kept == (tmp_path / MANIFEST_NAME).read_bytes()
+
+    def test_an_indented_manifest_still_verifies(self, tmp_path):
+        """Manifests were once written with ``indent=2``: such a tree
+        loads, verifies clean, and a refresh rewrites it one-line."""
+        a = tracked(tmp_path / "a.txt", "A")
+        tracked(tmp_path / "b.journal.jsonl", "volatile journal\n")
+        doc = write_manifest(tmp_path)
+        one_line = (tmp_path / MANIFEST_NAME).read_bytes()
+        assert one_line.count(b"\n") == 1
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        assert load_manifest(tmp_path) == doc
+        assert verify_tree(tmp_path).clean
+        refresh_manifest_entry(a)
+        assert (tmp_path / MANIFEST_NAME).read_bytes() == one_line
+
+    def test_a_damaged_entry_key_is_a_corrupt_manifest(self, tmp_path):
+        tracked(tmp_path / "a.txt", "A")
+        manifest = tmp_path / MANIFEST_NAME
+        for key in ("sha256", "size"):
+            write_manifest(tmp_path)
+            manifest.write_text(manifest.read_text().replace(f'"{key}"', f'"3{key[1:]}"'))
+            with pytest.raises(IntegrityError):
+                load_manifest(tmp_path)
+            kinds = [f.kind for f in verify_tree(tmp_path).findings]
+            assert kinds == ["corrupt-manifest"]
 
     def test_volatile_classification(self):
         assert is_volatile("journal.jsonl")

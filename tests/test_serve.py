@@ -13,6 +13,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from conftest import LOOP_IO
 
 from repro.core.config import SystemConfig
 from repro.core.envelope import best_envelope
@@ -628,6 +629,71 @@ class TestServeLintClean:
         )
         assert lint_paths([str(exec_mod)], select=["REP002"]).clean
         assert not lint_paths([str(model_mod)], select=["REP002"]).clean
+
+
+def _touch(path):
+    path.write_text("x")
+    return path
+
+
+#: Blocking calls the loop I/O guard must record, by the name it records.
+BLOCKING_ON_LOOP = {
+    "open-write": ("open", lambda d: (d / "w.txt").write_text("x")),
+    "open-read": ("open", lambda d: _touch(d / "r.txt").read_text()),
+    "replace": ("os.rename", lambda d: os.replace(_touch(d / "a"), d / "b")),
+    "unlink": ("os.remove", lambda d: os.unlink(_touch(d / "u"))),
+    "mkdir": ("os.mkdir", lambda d: (d / "sub").mkdir()),
+    "popen": ("subprocess.Popen", lambda d: subprocess.run([sys.executable, "-c", ""])),
+    "sleep": ("time.sleep", lambda d: time.sleep(0.001)),
+    "exists": ("os.stat", lambda d: (d / "nothing").exists()),
+    "lstat": ("os.lstat", lambda d: os.path.islink(d / "nothing")),
+    "scandir": ("os.scandir", lambda d: list(os.walk(d))),
+}
+
+
+class TestLoopIOGuard:
+    """The serve-loop I/O guard sees each blocking call the async-safety
+    lint rule once caught, and lets a memo probe and a lazy import be."""
+
+    @pytest.fixture(scope="class")
+    def server(self, tmp_path_factory):
+        with BackgroundServer(tmp_path_factory.mktemp("guard") / "store") as server:
+            yield server
+
+    @staticmethod
+    def on_loop(server, fn):
+        """Run ``fn`` on the server's event loop; what the guard recorded."""
+
+        async def call():
+            fn()
+
+        asyncio.run_coroutine_threadsafe(call(), server._loop).result(timeout=60)
+        return LOOP_IO.take()
+
+    @pytest.mark.parametrize("case", sorted(BLOCKING_ON_LOOP))
+    def test_blocking_call_on_the_loop_is_recorded(self, server, tmp_path, case):
+        event, fn = BLOCKING_ON_LOOP[case]
+        recorded = self.on_loop(server, lambda: fn(tmp_path))
+        assert any(line.startswith(event + " ") for line in recorded), recorded
+
+    @pytest.mark.parametrize("case", sorted(BLOCKING_ON_LOOP))
+    def test_off_the_loop_nothing_is_recorded(self, server, tmp_path, case):
+        BLOCKING_ON_LOOP[case][1](tmp_path)
+        assert LOOP_IO.events == []
+
+    def test_a_memo_probe_is_not_recorded(self, server):
+        key = point_key(CONFIG, "gcc1", 0.02)
+        server.app.memo.store(key, {"kind": "evaluate", "label": "probe"})
+        found = []
+        assert self.on_loop(server, lambda: found.append(server.app.memo.probe(key))) == []
+        assert found[0][0]["label"] == "probe"
+
+    def test_a_lazy_import_is_not_recorded(self, server, tmp_path, monkeypatch):
+        (tmp_path / "guard_lazy_module.py").write_text("VALUE = 1\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.delitem(sys.modules, "guard_lazy_module", raising=False)
+        assert self.on_loop(server, lambda: __import__("guard_lazy_module")) == []
+        assert sys.modules["guard_lazy_module"].VALUE == 1
 
 
 class TestServeChaosSoak:

@@ -298,7 +298,7 @@ class TestManifestPerEntry:
         assert not store.path("k5").exists()
         assert (store.root / "quarantine" / "k7.json").exists()
         assert store.load("k9") == dict(RECORD, tpi_ns=9.0)  # its sidecar was rewritten
-        assert store.quarantined == 2
+        assert store.quarantined == 1  # k7 alone; k9's rewrite is a repair
         kept, full = self._rebuilt(store.root)
         assert kept == full
         assert sorted(json.loads(kept)["artifacts"]) == sorted(
