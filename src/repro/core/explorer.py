@@ -22,7 +22,6 @@ from ..obs.telemetry import current as current_telemetry
 from ..runner import (
     FAILURES_NAME,
     CancelToken,
-    ResourceWatchdog,
     RunJournal,
     RunResult,
     RunUnit,
@@ -290,7 +289,6 @@ def run_sweep(
     resume: bool = False,
     workers: Union[None, int, str] = None,
     submit_order: Optional[Sequence[int]] = None,
-    watchdog: Optional[ResourceWatchdog] = None,
     telemetry: Optional[Telemetry] = None,
     profile_dir: "Union[str, Path, None]" = None,
     cancel: Optional[CancelToken] = None,
@@ -325,10 +323,6 @@ def run_sweep(
     points finish and are journalled, queued points are left for a
     ``resume=True`` re-run — and the returned result marks itself
     ``interrupted``.
-
-    A ``watchdog`` preflights the journal directory's disk before any
-    point runs, and lets a pool shed to this process under memory
-    pressure.
     """
     journal = (
         RunJournal.open(journal_path, resume=resume) if journal_path is not None else None
@@ -343,7 +337,6 @@ def run_sweep(
         telemetry=telemetry,
         profile_dir=Path(profile_dir) if profile_dir is not None else None,
         cancel=cancel,
-        watchdog=watchdog,
         initializer=_sweep_worker_init,
         initargs=(workload, scale, configs),
         submit_order=submit_order,
@@ -385,7 +378,6 @@ def run_sweep_dir(
     retries: int = 0,
     resume: bool = False,
     workers: Union[None, int, str] = None,
-    watchdog: Optional[ResourceWatchdog] = None,
     telemetry: Union[bool, Telemetry] = False,
     profile: bool = False,
     cancel: Optional[CancelToken] = None,
@@ -419,7 +411,7 @@ def run_sweep_dir(
         "scale": scale,
         "config": template.to_dict(),
     }
-    bundle, guard = open_run_dir(out_dir, metadata, telemetry, watchdog)
+    bundle = open_run_dir(out_dir, metadata, telemetry)
     configs = design_space(template)
     result = run_units(
         _sweep_units(workload, configs, scale),
@@ -431,7 +423,6 @@ def run_sweep_dir(
         telemetry=bundle,
         profile_dir=(out_dir / PROFILE_DIR_NAME) if profile else None,
         cancel=cancel,
-        watchdog=guard,
         initializer=_sweep_worker_init,
         initargs=(workload, scale, configs),
     )
@@ -453,35 +444,14 @@ def sweep(
     workload: Union[str, Trace],
     configs: Sequence[SystemConfig],
     scale: Optional[float] = None,
-    *,
-    keep_going: bool = False,
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    workers: Union[None, int, str] = None,
 ) -> List[SystemPerformance]:
-    """Evaluate every configuration on one workload.
+    """Evaluate every configuration on one workload, in order.
 
     Simulation results and trace generation are memoised, so sweeping
     multiple related spaces (e.g. 50 ns then 200 ns off-chip) only pays
-    for the distinct cache shapes once.  With ``workers`` set the
-    configurations are evaluated by a process pool instead (memoisation
-    then lives per worker, pre-warmed by the pool initializer) and the
-    returned list is identical to the serial one.
-
-    Runs through the resilient engine: by default the first failing
-    configuration raises (as it always did); with ``keep_going=True``
-    failing points are dropped from the returned list and the sweep
-    continues.
+    for the distinct cache shapes once.  The first failing
+    configuration raises.  For journalled, pooled or fault-isolated
+    sweeps use :func:`run_sweep`.
     """
-    result = run_sweep(
-        workload,
-        configs,
-        scale=scale,
-        keep_going=keep_going,
-        timeout_s=timeout_s,
-        retries=retries,
-        workers=workers,
-    )
-    if result.failed and not keep_going:
-        result.raise_first_failure()
-    return result.values()
+    trace = workload if isinstance(workload, Trace) else get_trace(workload, scale)
+    return [evaluate(config, trace) for config in configs]

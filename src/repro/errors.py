@@ -80,9 +80,8 @@ class IntegrityError(RunnerError):
 class ResourceError(RunnerError):
     """A run was refused or degraded because a resource limit was hit.
 
-    Examples: the output filesystem has less free space than the
-    watchdog's preflight requires, or a worker's RSS high-water mark
-    exceeded the configured ceiling.
+    Example: the output filesystem has less free space than the disk
+    preflight (:func:`repro.runner.watchdog.preflight_disk`) requires.
     """
 
 

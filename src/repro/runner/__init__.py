@@ -9,9 +9,9 @@ them out over worker processes with bit-identical output,
 :mod:`repro.runner.atomic` for torn-write-free artefact persistence,
 :mod:`repro.runner.integrity` for self-verifying artefacts (sha256
 sidecars, per-directory manifests, ``repro verify``),
-:mod:`repro.runner.watchdog` for resource-guarded execution,
-:mod:`repro.runner.lifecycle` for supervision (graceful drain on
-SIGTERM/SIGINT, worker heartbeats, wall-clock budgets), and
+:mod:`repro.runner.watchdog` for the disk preflight and worker RSS
+readings, :mod:`repro.runner.lifecycle` for supervision (graceful
+drain on SIGTERM/SIGINT, wall-clock budgets), and
 :mod:`repro.runner.faults` for the deterministic fault-injection hooks
 that prove the machinery works.
 """
@@ -50,13 +50,10 @@ from .lifecycle import (
     EXIT_ABORTED,
     EXIT_DRAINED,
     CancelToken,
-    Heartbeat,
-    HeartbeatRecord,
     Supervisor,
-    read_heartbeats,
 )
 from .pool import Runner, WorkerTask, execute_task, resolve_workers, run_units
-from .watchdog import ResourceWatchdog, WatchdogPolicy, peak_rss_bytes
+from .watchdog import peak_rss_bytes, preflight_disk
 
 __all__ = [
     "atomic_open",
@@ -91,17 +88,13 @@ __all__ = [
     "EXIT_ABORTED",
     "EXIT_DRAINED",
     "CancelToken",
-    "Heartbeat",
-    "HeartbeatRecord",
     "Supervisor",
-    "read_heartbeats",
     "WorkerTask",
     "execute_task",
     "resolve_workers",
     "run_units",
-    "ResourceWatchdog",
-    "WatchdogPolicy",
     "peak_rss_bytes",
+    "preflight_disk",
     "JOURNAL_SCHEMA",
     "RunJournal",
     "unit_key",

@@ -43,7 +43,7 @@ from ..obs.telemetry import DISABLED as _DISABLED_TELEMETRY
 from ..obs.telemetry import Telemetry, activate
 from . import faults
 from .journal import RunJournal, unit_key
-from .lifecycle import Heartbeat, unit_timeout
+from .lifecycle import unit_timeout
 
 __all__ = [
     "RetryPolicy",
@@ -267,10 +267,8 @@ def execute_attempts(
     retry: Optional[RetryPolicy] = None,
     timeout_s: Optional[float] = None,
     sleep: Callable[[float], None] = time.sleep,
-    force_deadline: bool = False,
     telemetry: Optional[Telemetry] = None,
     profile_dir: Optional[Path] = None,
-    heartbeat: Optional[Heartbeat] = None,
 ) -> UnitOutcome:
     """Run one unit's full attempt loop; never touches a journal.
 
@@ -290,10 +288,6 @@ def execute_attempts(
     last attempt wins).  Neither affects the outcome: telemetry is
     measured *around* the model code, never inside it (REP002), and a
     telemetry-off run is byte-identical.
-
-    ``heartbeat`` (a :class:`~repro.runner.lifecycle.Heartbeat`) stamps
-    this process's liveness file at the start of every attempt, so a
-    supervising parent can tell a long unit from a wedged one.
     """
     retry = retry if retry is not None else RetryPolicy()
     telemetry = telemetry if telemetry is not None else _DISABLED_TELEMETRY
@@ -307,10 +301,8 @@ def execute_attempts(
         while True:
             attempts += 1
             attempt_started = time.monotonic()
-            if heartbeat is not None:
-                heartbeat.beat(unit.unit_id, phase="run")
             try:
-                with unit_timeout(timeout_s, force_deadline=force_deadline):
+                with unit_timeout(timeout_s):
                     # The scope lets write-path fault hooks (and any future
                     # per-write bookkeeping) attribute writes to this unit.
                     with faults.unit_scope(unit.unit_id):

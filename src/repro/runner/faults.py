@@ -23,7 +23,7 @@ Specification grammar (comma-separated, e.g.
     slowworker=<unit>[:<s>]   sleep before *every* attempt of <unit>
     pooldeath=<unit>[:<times>] hard-kill each worker on its first <times> <unit>s
     poisonmemo=<key>[:<times>] bit-rot a memo-store entry after it is written
-    hang=<unit>[:<seconds>]   wedge the pool worker running <unit> (no heartbeat)
+    hang=<unit>[:<seconds>]   wedge the pool worker running <unit>
     sigterm=<unit>            deliver SIGTERM to the supervising process on <unit>
 
 ``corrupt``/``bitflip``/``partial`` emulate damage that *bypassed* the
@@ -49,13 +49,10 @@ artefact *after* its sidecar was recorded — the poisoned entry must be
 detected on read, quarantined, and never served.
 
 The lifecycle kinds exercise supervision (:mod:`repro.runner.lifecycle`).
-``hang`` wedges a pool worker in an uninterruptible sleep *before* the
-unit's heartbeat-stamped attempt begins, exactly the stuck-in-C-code
-shape the RSS watchdog cannot see; the parent's liveness check must
-kill the worker and requeue the unit.  Outside a pool worker it is a
-no-op (the serial engine's pre-emptive ``SIGALRM`` already bounds a
-wedged unit), which is also what lets a rescue-exhausted pool finish
-the hanging unit on the serial rung.  ``sigterm`` delivers a real
+``hang`` wedges a pool worker in a sleep inside the unit's attempt; a
+per-unit budget (``--timeout``) must end it, through the worker's
+pre-emptive ``SIGALRM``, with :class:`~repro.errors.UnitTimeoutError`.
+Outside a pool worker it is a no-op.  ``sigterm`` delivers a real
 SIGTERM to the supervising process (the pool's parent, or the serial
 process itself) when the named unit starts, driving the
 graceful-drain machinery end to end; it fires once per process tree,
@@ -314,11 +311,9 @@ def before_unit(unit_id: str) -> None:
         and _pool_parent() is not None
         and _fires("hang", unit_id, 1)
     ):
-        # Wedge this worker *after* the heartbeat stamped the unit as
-        # running: the stamp goes stale and the parent's liveness check
-        # must kill us.  Bounded (not an infinite loop) so a run without
-        # hang detection still terminates; outside a pool worker this is
-        # a no-op — the serial engine's SIGALRM already bounds a unit.
+        # Wedge this worker inside the unit's attempt, where a per-unit
+        # budget's SIGALRM must end it.  Bounded (not an infinite loop)
+        # so a run without a budget still terminates.
         time.sleep(plan.hang_s)
     if _matches(plan.sigterm_unit, unit_id) and _fires("sigterm", "*", 1):
         parent = _pool_parent()

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 from ..errors import IntegrityError
 from ..obs.telemetry import Telemetry
 from .atomic import write_text_atomic
-from .watchdog import ResourceWatchdog
+from .watchdog import preflight_disk
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import RunResult
@@ -275,31 +275,26 @@ def open_run_dir(
     out: Path,
     metadata: dict,
     telemetry: Union[bool, Telemetry] = False,
-    watchdog: Optional[ResourceWatchdog] = None,
-) -> Tuple[Optional[Telemetry], ResourceWatchdog]:
+) -> Optional[Telemetry]:
     """Open a managed run directory (a report or a sweep) before its units run.
 
     Creates ``out``; binds the telemetry bundle to it (True builds a
-    fresh one, False means none); hands that bundle to the watchdog (a
-    stock :class:`~repro.runner.watchdog.ResourceWatchdog` when None)
-    unless it already reports elsewhere; runs the run's one disk
-    preflight; and writes ``metadata`` as the tracked ``RUN.json``
-    re-run recipe.  Returns the bound bundle and the watchdog.
+    fresh one, False means none); runs the run's one disk preflight
+    (:func:`~repro.runner.watchdog.preflight_disk`); and writes
+    ``metadata`` as the tracked ``RUN.json`` re-run recipe.  Returns
+    the bound bundle.
     """
     out.mkdir(parents=True, exist_ok=True)
     bundle: Optional[Telemetry] = None
     if telemetry:
         bundle = (telemetry if isinstance(telemetry, Telemetry) else Telemetry()).bind(out)
-    guard = watchdog if watchdog is not None else ResourceWatchdog()
-    if guard.telemetry is None:
-        guard.telemetry = bundle
-    guard.preflight_disk(out)
+    preflight_disk(out, bundle)
     write_text_atomic(
         out / RUN_METADATA_NAME,
         json.dumps(metadata, sort_keys=True) + "\n",
         track=True,
     )
-    return bundle, guard
+    return bundle
 
 
 def close_run_dir(out: Path, run: "RunResult") -> None:

@@ -14,10 +14,11 @@ with the journal.  A crash mid-append can tear only the final line,
 which is tolerated on load; corruption anywhere else raises
 :class:`~repro.errors.CheckpointError`.  The file is instead rewritten
 whole, through a tmp-sibling + ``os.replace``, when it is created,
-reordered (:meth:`RunJournal.rewrite_ordered`), or when the journal
-cannot be appended to as it stands: after a resume that found a torn
-final line or an older header, or after a failed write.  So a torn
-line never ends up in the middle of the file.
+reordered (:meth:`RunJournal.rewrite_ordered`), pruned
+(:meth:`RunJournal.forget`), or when the journal cannot be appended to
+as it stands: after a resume that found a torn final line or an older
+header, or after a failed write.  So a torn line never ends up in the
+middle of the file.
 
 Schema history: version 2 added the per-entry ``duration_s`` (final
 attempt wall time) and ``started_at`` / ``ended_at`` (Unix timestamps)
@@ -30,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Collection, Dict, List, Optional, Sequence, Union
 
 from ..errors import CheckpointError
 from .atomic import append_line, write_text_atomic
@@ -207,6 +208,17 @@ class RunJournal:
         tail = self._entries[self._n_loaded :]
         tail.sort(key=lambda entry: position.get(entry["unit"], len(position)))
         self._entries[self._n_loaded :] = tail
+        self._flush()
+
+    def forget(self, unit_ids: Collection[str]) -> None:
+        """Drop every entry of ``unit_ids`` and rewrite atomically.
+
+        A resume then re-runs those units (the chaos soak uses this to
+        make a faulted round run the units its schedule names).
+        """
+        self._entries = [e for e in self._entries if e["unit"] not in unit_ids]
+        self._latest = {entry["unit"]: entry for entry in self._entries}
+        self._n_loaded = len(self._entries)
         self._flush()
 
     def entry(self, unit_id: str) -> Optional[dict]:

@@ -1,12 +1,11 @@
-"""Lifecycle supervision: cooperative cancellation, heartbeats, budgets.
+"""Lifecycle supervision: cooperative cancellation and budgets.
 
-Long sweeps die in three undignified ways the rest of the runner's
+Long sweeps die in undignified ways the rest of the runner's
 protections cannot help with: a SIGTERM arrives mid-flight and the
-process vanishes without flushing its journal; a worker wedges in an
-infinite loop where the RSS watchdog sees nothing wrong; and a serve
-request that already answered 504 leaves its computation occupying a
-pool slot forever.  This module gives the whole stack one
-cooperative-cancellation story:
+process vanishes without flushing its journal; a unit wedges and
+never returns; and a serve request that already answered 504 leaves
+its computation occupying a pool slot forever.  This module gives the
+whole stack one cooperative-cancellation story:
 
 * **two-phase graceful shutdown** — a :class:`Supervisor` installs
   SIGTERM/SIGINT handlers in the CLI entry points.  The first signal
@@ -18,18 +17,13 @@ cooperative-cancellation story:
   propagates, in-flight work is abandoned (workers are killed), and the
   process exits with :data:`EXIT_ABORTED`.  Either way every unit that
   finished is journalled, so resume repeats nothing;
-* **heartbeats** — pool workers stamp a per-process mtime file
-  (:class:`Heartbeat`) when a unit starts an attempt and when the
-  worker goes idle.  The parent reads the stamps back
-  (:func:`read_heartbeats`) and the watchdog's liveness check turns a
-  stale ``run``-phase stamp into a hung-worker verdict, closing the
-  gap where :func:`unit_timeout`'s deadline fallback cannot interrupt
-  a stuck unit off the main thread;
 * **budgets** — :func:`unit_timeout` (relocated here from the engine,
-  which re-exports it) enforces a per-unit wall-clock budget and is
-  how serve's per-request deadline travels into the pool: a served
-  point is a unit whose ``timeout_s`` is the deadline, and the worker's
-  pre-emptive ``SIGALRM`` frees the slot the moment the budget blows.
+  which re-exports it) enforces a per-unit wall-clock budget (the CLI's
+  ``--timeout``).  A pool worker runs its unit on its main thread, so
+  the pre-emptive ``SIGALRM`` interrupts even a wedged unit there.  It
+  is also how serve's per-request deadline travels into the pool: a
+  served point is a unit whose ``timeout_s`` is the deadline, and the
+  worker's ``SIGALRM`` frees the slot the moment the budget blows.
 
 This is the only module in the package sanctioned to install signal
 handlers or hard-exit (lint rule REP013); everything else expresses
@@ -38,28 +32,20 @@ shutdown through a :class:`CancelToken`.
 
 from __future__ import annotations
 
-import json
-import os
 import signal
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
-from pathlib import Path
 from types import FrameType, TracebackType
-from typing import Any, Callable, Iterator, List, Optional, Type, Union
+from typing import Any, Callable, Iterator, List, Optional, Type
 
 from ..errors import AbortError, UnitTimeoutError
-from .atomic import write_text_atomic
 
 __all__ = [
     "EXIT_ABORTED",
     "EXIT_DRAINED",
     "CancelToken",
-    "Heartbeat",
-    "HeartbeatRecord",
     "Supervisor",
-    "read_heartbeats",
     "unit_timeout",
 ]
 
@@ -231,92 +217,8 @@ class Supervisor:
         self.installed = False
 
 
-@dataclass(frozen=True)
-class HeartbeatRecord:
-    """One worker's most recent heartbeat, as read by the parent."""
-
-    pid: int
-    unit_id: Optional[str]
-    phase: str
-    age_s: float
-
-    @property
-    def running(self) -> bool:
-        return self.phase == "run"
-
-
-class Heartbeat:
-    """Worker-side liveness stamp: one mtime file per worker process.
-
-    Each :meth:`beat` atomically rewrites ``<directory>/<pid>.json``
-    with the unit the worker is on and its phase (``run`` while a unit
-    attempt executes, ``idle`` between units); the rename refreshes the
-    file's mtime, which is all the parent's staleness arithmetic needs.
-    Atomic replace keeps a reader from ever seeing a torn stamp, and
-    ``track=False`` keeps heartbeat files out of manifest bookkeeping —
-    they live in a tempdir, never in the artefact tree, so fingerprints
-    stay byte-identical with and without supervision.
-    """
-
-    def __init__(self, directory: Union[str, Path]):
-        self.directory = Path(directory)
-
-    def path(self) -> Path:
-        return self.directory / f"{os.getpid()}.json"
-
-    def beat(self, unit_id: Optional[str] = None, phase: str = "run") -> None:
-        """Stamp this process's liveness; never raises.
-
-        A heartbeat that cannot be written (tempdir vanished mid-drain)
-        must not fail the unit riding above it — supervision is an
-        observer, not a participant.
-        """
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            write_text_atomic(
-                self.path(),
-                json.dumps(
-                    {"pid": os.getpid(), "unit": unit_id, "phase": phase}
-                ),
-            )
-        except Exception:
-            pass
-
-
-def read_heartbeats(directory: Union[str, Path]) -> List[HeartbeatRecord]:
-    """Parent-side read of every worker heartbeat under ``directory``.
-
-    Unreadable or torn files are skipped — a worker mid-rename just
-    reports on the next poll.  ``age_s`` is wall-clock seconds since
-    the stamp's mtime; the caller compares it against the watchdog's
-    hang budget.
-    """
-    records: List[HeartbeatRecord] = []
-    root = Path(directory)
-    if not root.is_dir():
-        return records
-    now = time.time()
-    for path in sorted(root.glob("*.json")):
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            age = max(0.0, now - path.stat().st_mtime)
-            records.append(
-                HeartbeatRecord(
-                    pid=int(payload["pid"]),
-                    unit_id=payload.get("unit"),
-                    phase=str(payload.get("phase", "run")),
-                    age_s=age,
-                )
-            )
-        except (OSError, ValueError, KeyError):
-            continue
-    return records
-
-
 @contextmanager
-def unit_timeout(
-    seconds: Optional[float], *, force_deadline: bool = False
-) -> Iterator[None]:
+def unit_timeout(seconds: Optional[float]) -> Iterator[None]:
     """Raise :class:`UnitTimeoutError` after ``seconds`` of wall clock.
 
     Two enforcement mechanisms, picked automatically:
@@ -325,10 +227,10 @@ def unit_timeout(
       mid-flight; only available on the main thread of a POSIX process
       (signals cannot be delivered to other threads);
     * **deadline** — everywhere else (worker threads, processes without
-      ``SIGALRM``, or ``force_deadline=True``) the unit runs to
-      completion and the budget is checked afterwards: an overrunning
-      unit still fails with :class:`UnitTimeoutError` and its result is
-      discarded, it just cannot be aborted mid-run.
+      ``SIGALRM``) the unit runs to completion and the budget is checked
+      afterwards: an overrunning unit still fails with
+      :class:`UnitTimeoutError` and its result is discarded, it just
+      cannot be aborted mid-run.
 
     Either way the budget is *enforced* — the historical behaviour of
     silently skipping enforcement off the main thread is gone.  With
@@ -337,12 +239,10 @@ def unit_timeout(
     if seconds is None or seconds <= 0:
         yield
         return
-    preemptive = (
-        not force_deadline
-        and hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    )
-    if not preemptive:
+    if (
+        not hasattr(signal, "SIGALRM")
+        or threading.current_thread() is not threading.main_thread()
+    ):
         started = time.monotonic()
         yield
         if time.monotonic() - started > seconds:

@@ -30,10 +30,10 @@ protections:
   are thus bit-identical with or without a pool; the only volatile
   journal fields are the wall-clock ``elapsed_s`` measurements;
 * **one pool life** — :class:`WorkerPool` owns the executor, here and
-  in ``repro serve``: a dead or hung worker is one death per broken
-  executor and a rebuild, and the :data:`DEATH_LIMIT`-th death (or an
-  RSS breach) degrades the pool, with its cause recorded, and leaves
-  the rest of the run to this process.
+  in ``repro serve``: a dead worker is one death per broken executor
+  and a rebuild, and the :data:`DEATH_LIMIT`-th death degrades the
+  pool, with its cause recorded, and leaves the rest of the run to
+  this process.
 
 Worker-side fault injection (:mod:`repro.runner.faults`) works through
 the ``REPRO_FAULTS`` environment variable (inherited by workers under
@@ -54,8 +54,6 @@ from __future__ import annotations
 import contextlib
 import os
 import pickle
-import shutil
-import tempfile
 import time
 import weakref
 from concurrent.futures import FIRST_COMPLETED, Future, wait
@@ -64,7 +62,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    Collection,
     Dict,
     List,
     Optional,
@@ -89,8 +86,8 @@ from .engine import (
     resume_outcome,
 )
 from .journal import RunJournal
-from .lifecycle import CancelToken, Heartbeat, read_heartbeats
-from .watchdog import ResourceWatchdog, peak_rss_bytes
+from .lifecycle import CancelToken
+from .watchdog import peak_rss_bytes
 
 # ``concurrent.futures.process`` (and with it ``multiprocessing``) is
 # imported only where a WorkerPool builds or drives an executor, so a
@@ -105,7 +102,6 @@ __all__ = [
     "WorkerTask",
     "execute_task",
     "resolve_workers",
-    "rss_reason",
     "run_units",
 ]
 
@@ -155,7 +151,6 @@ class WorkerTask:
     timeout_s: Optional[float] = None
     telemetry_on: bool = False
     profile_dir: Optional[Path] = None
-    heartbeat_dir: Optional[str] = None
 
 
 def execute_task(task: WorkerTask) -> dict:
@@ -171,17 +166,13 @@ def execute_task(task: WorkerTask) -> dict:
     """
     unit = task.unit
     telemetry = Telemetry() if task.telemetry_on else None
-    heartbeat = Heartbeat(task.heartbeat_dir) if task.heartbeat_dir else None
     outcome = execute_attempts(
         unit,
         retry=task.retry,
         timeout_s=task.timeout_s,
         telemetry=telemetry,
         profile_dir=task.profile_dir,
-        heartbeat=heartbeat,
     )
-    if heartbeat is not None:
-        heartbeat.beat(unit.unit_id, phase="idle")
     result = None
     if outcome.status == "ok" and unit.to_record is not None:
         result = unit.to_record(outcome.value)
@@ -215,25 +206,6 @@ def _shippable(obj: Any) -> Any:
 #: means a unit or host that kills workers: rebuilding again repeats it.
 DEATH_LIMIT = 2
 
-_DEATH_REASONS = {
-    "worker-death": "a worker died without reporting",
-    "hung-worker": "hung-worker rescue budget exhausted: a hung worker was killed",
-}
-
-
-def rss_reason(rss_bytes: Optional[int], watchdog: ResourceWatchdog) -> str:
-    """Why a pool degrades when a reply's peak RSS breaches the ceiling."""
-    return (
-        f"worker peak RSS {rss_bytes} bytes exceeded the "
-        f"{watchdog.policy.max_worker_rss_bytes}-byte watchdog ceiling; "
-        f"degraded to serial execution"
-    )
-
-
-def _workers_of(executor: Optional[ProcessPoolExecutor]) -> Dict[int, Any]:
-    """``executor``'s worker processes by pid (a private table: no public one)."""
-    return dict(getattr(executor, "_processes", None) or {})
-
 
 class WorkerPool:
     """Every decision about a process pool's life: batch runs and serve.
@@ -242,12 +214,10 @@ class WorkerPool:
     ``workers=None``).  A worker that dies breaks its whole executor;
     whether ``submit`` raised the ``BrokenProcessPool`` or a future
     carries it, :meth:`broke` counts one death per broken executor, and
-    the next submit builds a fresh one.  Killing a hung worker
-    (:meth:`kill`) is a death too.  At the :data:`DEATH_LIMIT`-th death,
-    or on an RSS breach (:meth:`degrade`), the pool degrades for good:
-    :attr:`degraded_cause` is ``worker-death``, ``hung-worker`` or
-    ``rss``, and :meth:`submit` answers None (run the task in-process).
-    One thread drives a pool, so it takes no locks.
+    the next submit builds a fresh one.  At the :data:`DEATH_LIMIT`-th
+    death the pool degrades for good: :attr:`degraded_cause` is
+    ``worker-death``, and :meth:`submit` answers None (run the task
+    in-process).  One thread drives a pool, so it takes no locks.
     """
 
     def __init__(
@@ -296,23 +266,17 @@ class WorkerPool:
         """Count the death a ``BrokenProcessPool`` future reports; True if new."""
         if self._executor is None or self._build_of.get(future) != self._builds:
             return False
-        self._died("worker-death")
+        self.deaths += 1
+        # Not cancelled: the broken executor fails every outstanding
+        # future with BrokenProcessPool, and their callers resubmit.
+        self._retire(cancel=False)
+        if self.deaths >= DEATH_LIMIT:
+            self.degraded_cause = "worker-death"
+            self.degraded_reason = (
+                f"a worker died without reporting; the worker pool died "
+                f"{self.deaths} times, degraded to serial execution"
+            )
         return True
-
-    def kill(self, pids: Collection[int]) -> int:
-        """SIGKILL the live executor's workers among ``pids`` (one death)."""
-        victims = [p for pid, p in _workers_of(self._executor).items() if pid in pids]
-        for process in victims:
-            process.kill()
-        if victims:
-            self._died("hung-worker")
-        return len(victims)
-
-    def degrade(self, cause: str, reason: str) -> None:
-        """Stop for good (the first cause sticks); running tasks still report."""
-        if self.degraded_cause is None:
-            self.degraded_cause, self.degraded_reason = cause, reason
-        self._retire(cancel=True)
 
     def abort(self) -> None:
         """SIGKILL every worker, then join: a wedged one cannot block it."""
@@ -336,22 +300,11 @@ class WorkerPool:
         self.deaths = 0
         self.degraded_cause = self.degraded_reason = None
 
-    def _died(self, cause: str) -> None:
-        self.deaths += 1
-        # Not cancelled: the broken executor fails every outstanding
-        # future with BrokenProcessPool, and their callers resubmit.
-        self._retire(cancel=False)
-        if self.deaths >= DEATH_LIMIT:
-            self.degrade(
-                cause,
-                f"{_DEATH_REASONS[cause]}; the worker pool died "
-                f"{self.deaths} times, degraded to serial execution",
-            )
-
     def _retire(self, cancel: bool) -> None:
         executor, self._executor = self._executor, None
         if executor is not None:
-            self._retired.extend(_workers_of(executor).values())
+            # The executor's private pid table: there is no public one.
+            self._retired.extend((getattr(executor, "_processes", None) or {}).values())
             executor.shutdown(wait=False, cancel_futures=cancel)
 
 
@@ -367,12 +320,11 @@ class Runner:
     result; units other workers already finished stay journalled, so a
     later resume does not repeat them.
 
-    A run rejects duplicate unit ids, preflights the journal's disk
-    (with a watchdog), skips the units the journal already completed,
-    fans the rest over a :class:`WorkerPool` when ``workers`` is set,
-    and then runs every unit still without an outcome in this process,
-    in unit order: the whole run with no pool, or a degraded pool's
-    leftovers.
+    A run rejects duplicate unit ids, skips the units the journal
+    already completed, fans the rest over a :class:`WorkerPool` when
+    ``workers`` is set, and then runs every unit still without an
+    outcome in this process, in unit order: the whole run with no pool,
+    or a degraded pool's leftovers.
 
     Parameters
     ----------
@@ -391,14 +343,9 @@ class Runner:
     mp_context:
         Optional :mod:`multiprocessing` context (e.g. the ``fork``
         context when workers must inherit parent state).
-    watchdog:
-        Optional :class:`~repro.runner.watchdog.ResourceWatchdog`.
-        When set, the journal directory gets a disk-space preflight, a
-        reply over the RSS ceiling sheds the queued work to this
-        process, and with ``hang_timeout_s`` a worker whose heartbeat
-        goes stale is killed.  With or without one, worker deaths
-        follow :class:`WorkerPool`'s rule.  After a degraded run
-        :attr:`degraded_reason` records why.
+
+    Worker deaths follow :class:`WorkerPool`'s rule; after a degraded
+    run :attr:`degraded_reason` records why.
     """
 
     def __init__(
@@ -412,7 +359,6 @@ class Runner:
         initargs: Tuple[Any, ...] = (),
         submit_order: Optional[Sequence[int]] = None,
         mp_context: Any = None,
-        watchdog: Optional[ResourceWatchdog] = None,
         telemetry: Optional[Telemetry] = None,
         profile_dir: Optional[Path] = None,
         cancel: Optional[CancelToken] = None,
@@ -429,25 +375,19 @@ class Runner:
         self.initargs = initargs
         self.submit_order = submit_order
         self.mp_context = mp_context
-        self.watchdog = watchdog
         self.telemetry = telemetry if telemetry is not None else _DISABLED_TELEMETRY
         self.profile_dir = profile_dir
         self.cancel = cancel
         self._sleep = sleep
         #: Why the last run shed its workers, or None if it never did.
         self.degraded_reason: Optional[str] = None
-        #: Hung workers killed (their units requeued) during the last run.
-        self.rescues = 0
 
     def run(self, units: Sequence[RunUnit]) -> RunResult:
         units = list(units)
         unit_ids = [unit.unit_id for unit in units]
         if len(set(unit_ids)) != len(unit_ids):
             raise RunnerError("duplicate unit ids in one run")
-        if self.watchdog is not None and self.journal is not None:
-            self.watchdog.preflight_disk(self.journal.path.parent)
         self.degraded_reason = None
-        self.rescues = 0
         outcomes: Dict[str, UnitOutcome] = {}
         pending: List[RunUnit] = []
         for unit in units:
@@ -554,13 +494,7 @@ class Runner:
         """
         from concurrent.futures.process import BrokenProcessPool
 
-        watchdog = self.watchdog
-        hang_limit = None if watchdog is None else watchdog.policy.hang_timeout_s
-        heartbeat_dir: Optional[str] = None
         poll = 0.25 if self.cancel is not None else None
-        if hang_limit is not None:
-            heartbeat_dir = tempfile.mkdtemp(prefix="repro-heartbeat-")
-            poll = max(0.05, hang_limit / 4.0)
 
         def submit(unit: RunUnit) -> None:
             future = pool.submit(
@@ -570,7 +504,6 @@ class Runner:
                     timeout_s=self.timeout_s,
                     telemetry_on=self.telemetry.enabled,
                     profile_dir=self.profile_dir,
-                    heartbeat_dir=heartbeat_dir,
                 )
             )
             if future is not None:
@@ -588,91 +521,67 @@ class Runner:
         stopping = False
         drained = False
         handed_at = time.time()
-        try:
-            for unit in self._submission(pending):
-                submit(unit)
-            while in_flight:
-                if self.cancel is not None and self.cancel.cancelled and not drained:
-                    # Drain: queued units never start (they stay
-                    # outcome-less for --resume); running units finish
-                    # and are journalled below.
-                    drained = True
+        for unit in self._submission(pending):
+            submit(unit)
+        while in_flight:
+            if self.cancel is not None and self.cancel.cancelled and not drained:
+                # Drain: queued units never start (they stay
+                # outcome-less for --resume); running units finish
+                # and are journalled below.
+                drained = True
+                cancel_queued()
+            if self.cancel is not None and self.cancel.expired():
+                pool.abort()
+                self.cancel.raise_if_expired()
+            done, _ = wait(
+                set(in_flight), timeout=poll, return_when=FIRST_COMPLETED
+            )
+            # A done *batch* is processed in submission order: when a
+            # crash arrives together with results, everything that
+            # finished before the crashing unit is journalled first,
+            # so the journal a killed run leaves behind is
+            # deterministic, not subject to set iteration order.
+            for future in [f for f in in_flight if f in done]:
+                unit = in_flight.pop(future)
+                crash = future.exception()
+                if crash is not None:
+                    if isinstance(crash, BrokenProcessPool):
+                        # A dead worker broke the executor: count the
+                        # death once, and resubmit (a rebuild) unless
+                        # the run is stopping or the pool degraded.
+                        pool.broke(future)
+                        if not stopping and not drained:
+                            submit(unit)
+                        continue
+                    if not isinstance(crash, Exception):
+                        # A simulated (or real) kill: abandon
+                        # everything in flight, journal untouched
+                        # beyond what already arrived.
+                        raise crash
+                    # Infrastructure failure around one unit (e.g.
+                    # an unpicklable reply): a structured failure.
+                    outcome = crashed_outcome(unit, crash, 1, handed_at)
+                    stored = None
+                else:
+                    reply = future.result()
+                    outcome, stored = reply["outcome"], reply["result"]
+                    if (
+                        not reply["has_value"]  # the value did not pickle
+                        and unit.from_record is not None
+                        and stored is not None
+                    ):
+                        outcome = replace(outcome, value=unit.from_record(stored))
+                    self.telemetry.absorb(reply.get("telemetry"))
+                    rss = reply.get("rss_bytes")
+                    if rss is not None:
+                        self.telemetry.gauge_max(
+                            "repro_worker_peak_rss_bytes", float(rss)
+                        )
+                outcomes[unit.unit_id] = outcome
+                record_outcome(self.journal, unit, outcome, stored)
+                if outcome.status == "failed" and not self.keep_going and not stopping:
+                    stopping = True
                     cancel_queued()
-                if self.cancel is not None and self.cancel.expired():
-                    pool.abort()
-                    self.cancel.raise_if_expired()
-                done, _ = wait(
-                    set(in_flight), timeout=poll, return_when=FIRST_COMPLETED
-                )
-                # A done *batch* is processed in submission order: when a
-                # crash arrives together with results, everything that
-                # finished before the crashing unit is journalled first,
-                # so the journal a killed run leaves behind is
-                # deterministic, not subject to set iteration order.
-                for future in [f for f in in_flight if f in done]:
-                    unit = in_flight.pop(future)
-                    crash = future.exception()
-                    if crash is not None:
-                        if isinstance(crash, BrokenProcessPool):
-                            # A dead worker broke the executor: count the
-                            # death once, and resubmit (a rebuild) unless
-                            # the run is stopping or the pool degraded.
-                            pool.broke(future)
-                            if not stopping and not drained:
-                                submit(unit)
-                            continue
-                        if not isinstance(crash, Exception):
-                            # A simulated (or real) kill: abandon
-                            # everything in flight, journal untouched
-                            # beyond what already arrived.
-                            raise crash
-                        # Infrastructure failure around one unit (e.g.
-                        # an unpicklable reply): a structured failure.
-                        outcome = crashed_outcome(unit, crash, 1, handed_at)
-                        stored = None
-                    else:
-                        reply = future.result()
-                        outcome, stored = reply["outcome"], reply["result"]
-                        if (
-                            not reply["has_value"]  # the value did not pickle
-                            and unit.from_record is not None
-                            and stored is not None
-                        ):
-                            outcome = replace(outcome, value=unit.from_record(stored))
-                        self.telemetry.absorb(reply.get("telemetry"))
-                        rss = reply.get("rss_bytes")
-                        if rss is not None:
-                            self.telemetry.gauge_max(
-                                "repro_worker_peak_rss_bytes", float(rss)
-                            )
-                        if (
-                            watchdog is not None
-                            and pool.degraded_cause is None
-                            and watchdog.over_rss(rss)
-                        ):
-                            # Shed: cancel what has not started (running
-                            # units drain normally and are journalled);
-                            # cancelled units fall to this process.
-                            pool.degrade("rss", rss_reason(rss, watchdog))
-                            cancel_queued()
-                    outcomes[unit.unit_id] = outcome
-                    record_outcome(self.journal, unit, outcome, stored)
-                    if outcome.status == "failed" and not self.keep_going and not stopping:
-                        stopping = True
-                        cancel_queued()
-                if heartbeat_dir is not None and watchdog is not None and not stopping:
-                    # A hung worker is killed: a pool death like any
-                    # other, so its unit comes back as BrokenProcessPool
-                    # and is resubmitted, or at the death limit left for
-                    # this process, where a wedge cannot block a pool.
-                    beats = watchdog.hung_workers(read_heartbeats(heartbeat_dir))
-                    killed = pool.kill({beat.pid for beat in beats})
-                    if killed:
-                        self.rescues += killed
-                        self.telemetry.count("repro_runner_rescues_total", killed)
-        finally:
-            if heartbeat_dir is not None:
-                shutil.rmtree(heartbeat_dir, ignore_errors=True)
         return stopping
 
 
@@ -687,7 +596,6 @@ def run_units(
     telemetry: Optional[Telemetry] = None,
     profile_dir: Optional[Path] = None,
     cancel: Optional[CancelToken] = None,
-    watchdog: Optional[ResourceWatchdog] = None,
     initializer: Optional[Callable[..., None]] = None,
     initargs: Tuple[Any, ...] = (),
     submit_order: Optional[Sequence[int]] = None,
@@ -707,7 +615,6 @@ def run_units(
         initializer=initializer,
         initargs=initargs,
         submit_order=submit_order,
-        watchdog=watchdog,
         telemetry=telemetry,
         profile_dir=profile_dir,
         cancel=cancel,

@@ -22,12 +22,11 @@ The fault-tolerance ladder for the backend is the batch runner's
 :class:`~repro.runner.pool.WorkerPool`: a broken pool is one death
 however many requests see it, it is rebuilt and the units resubmitted
 within their attempt budget; the
-:data:`~repro.runner.pool.DEATH_LIMIT`-th death (or a worker breaching
-the :class:`~repro.runner.watchdog.ResourceWatchdog` RSS ceiling)
-degrades the service to serial in-process execution — slower but
-available — with ``degraded_reason`` surfaced on ``/healthz`` and in
-the journal; persistent failures open the breaker, converting every
-doomed request into an immediate honest 503.
+:data:`~repro.runner.pool.DEATH_LIMIT`-th death degrades the service
+to serial in-process execution — slower but available — with
+``degraded_reason`` surfaced on ``/healthz`` and in the journal;
+persistent failures open the breaker, converting every doomed request
+into an immediate honest 503.
 
 Correctness contract: a 200 body is exactly the canonical JSON of the
 point record — a pure function of the normalized request — so memo
@@ -57,7 +56,6 @@ from ..errors import ReproError, RunnerError, ServeError, UnitTimeoutError
 from ..obs import Telemetry
 from ..runner import (
     EXIT_ABORTED,
-    ResourceWatchdog,
     RetryPolicy,
     RunJournal,
     RunUnit,
@@ -67,7 +65,8 @@ from ..runner import (
     record_outcome,
     resolve_workers,
 )
-from ..runner.pool import WorkerPool, rss_reason
+from ..runner.pool import WorkerPool
+from ..runner.watchdog import preflight_disk
 from .admission import AdmissionController
 from .breaker import CircuitBreaker
 from .compute import (
@@ -194,13 +193,11 @@ class ServeApp:
         *,
         workers: Union[None, int, str] = None,
         policy: Optional[ServePolicy] = None,
-        watchdog: Optional[ResourceWatchdog] = None,
     ):
         self.store_dir = Path(store)
         self.store_dir.mkdir(parents=True, exist_ok=True)
         self.policy = policy if policy is not None else ServePolicy()
-        self.watchdog = watchdog if watchdog is not None else ResourceWatchdog()
-        self.watchdog.preflight_disk(self.store_dir)
+        preflight_disk(self.store_dir)
         self.memo = MemoStore(self.store_dir / MEMO_DIR)
         # Normalization is a pure function of the body and SystemConfig
         # is frozen, so a repeated point body reuses its first result;
@@ -257,7 +254,7 @@ class ServeApp:
         #: refused with 503 while in-flight requests run to completion.
         self.draining = False
         self.drain_reason: Optional[str] = None
-        # Pool-backed compute futures still outstanding; what shedding
+        # Pool-backed compute futures still outstanding; what resetting
         # or closing the pool abandons (counted in stats["abandoned"]).
         self._pool_futures: Set["asyncio.Future[Any]"] = set()
         self._routes = {
@@ -381,16 +378,10 @@ class ServeApp:
         return self.pool.degraded_reason
 
     def _abandon(self) -> None:
-        """Count (not drop) the futures a shed or closed pool never answers."""
+        """Count (not drop) the futures a closed pool never answers."""
         self.stats["abandoned"] += sum(
             1 for future in self._pool_futures if not future.done()
         )
-
-    def _degrade(self, reason: str) -> None:
-        """Shed the pool for good on an RSS breach; stays on /healthz."""
-        if self.degraded_reason is None:
-            self._abandon()
-        self.pool.degrade("rss", reason)
 
     def reset_backend(self) -> None:
         """Forget pool, degradation, and breaker state (chaos harness).
@@ -483,9 +474,6 @@ class ServeApp:
                 outcome = crashed_outcome(unit, error, submissions, handed_at)
             else:
                 outcome = reply["outcome"]
-                rss = reply["rss_bytes"]
-                if self.watchdog.over_rss(rss):
-                    self._degrade(rss_reason(rss, self.watchdog))
             break
         stored = None
         if outcome.ok:

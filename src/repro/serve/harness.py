@@ -20,7 +20,6 @@ from typing import Any, Callable, Dict, Optional, Tuple, TypeVar, Union
 
 from ..errors import ServeError
 from .app import ServeApp, ServePolicy
-from ..runner import ResourceWatchdog
 
 __all__ = ["BackgroundServer"]
 
@@ -36,11 +35,8 @@ class BackgroundServer:
         *,
         workers: Union[None, int, str] = None,
         policy: Optional[ServePolicy] = None,
-        watchdog: Optional[ResourceWatchdog] = None,
     ):
-        self.app = ServeApp(
-            store, workers=workers, policy=policy, watchdog=watchdog
-        )
+        self.app = ServeApp(store, workers=workers, policy=policy)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
 

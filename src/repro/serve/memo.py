@@ -114,9 +114,10 @@ class MemoStore:
             data = None if recorded is None else path.read_bytes()
         except IntegrityError:
             return None, "corrupt"  # the sidecar itself is rotten
-        except FileNotFoundError:
+        except OSError:
             # Quarantined or removed mid-read (say, by a concurrent
-            # ``repro verify --repair``): the point computes cold.
+            # ``repro verify --repair``), or an I/O error: the bytes were
+            # never shown corrupt, so the point computes cold, unrepaired.
             data = None
         if data is None:  # vanished, or unvouched (written around the store)
             return None, None

@@ -47,14 +47,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..errors import AbortError, ReproError
 from ..obs.telemetry import DISABLED as _DISABLED_TELEMETRY, Telemetry
-from ..runner import (
-    ResourceWatchdog,
-    Supervisor,
-    WatchdogPolicy,
-    faults,
-    resolve_workers,
-    tree_fingerprint,
-)
+from ..runner import RunJournal, Supervisor, faults, tree_fingerprint
 from ..runner.integrity import RUN_METADATA_NAME, SIDECAR_SUFFIX, is_volatile, untrack
 from .registry import experiment_ids
 from .repair import verify_and_repair
@@ -72,10 +65,11 @@ _ROUND_KINDS = (
     "fail", "crash", "corrupt", "bitflip", "partial", "enospc", "sigterm"
 )
 
-#: Liveness limit the report soak's pool rounds run under: a worker
-#: silent for this long while marked running is declared hung and
-#: rescued.  Short, because the injected ``hang`` wedge sleeps far longer.
-_SOAK_HANG_TIMEOUT_S = 2.0
+#: Per-unit wall-clock budget (the ``--timeout`` path) of a faulted
+#: report-soak round: a pool worker's ``SIGALRM`` ends an injected
+#: ``hang`` wedge here instead of after its 30 s.  Over 10x the slowest
+#: soak unit (``fig5`` takes about 0.2 s at scale 0.05).
+_SOAK_UNIT_BUDGET_S = 5.0
 
 #: The serve soak's query mix, (L1 KB, L2 KB) on gcc1: small enough to
 #: keep a round fast, varied enough to mix memo hits, cold computes, and
@@ -168,8 +162,8 @@ def _random_schedule(
         elif kind == "partial":
             parts.append(f"partial={unit}:{rng.randint(0, 64)}")
         elif kind == "hang":
-            # Far beyond the soak's liveness limit: the wedge must be
-            # rescued (kill + requeue), never waited out.
+            # Far beyond the round's unit budget: the wedge must be cut
+            # short by the worker's timeout, never waited out.
             parts.append(f"hang={unit}:30")
         else:
             parts.append(f"{kind}={unit}")
@@ -285,13 +279,17 @@ def _fault_evidence(journal_path: Path) -> int:
 
 
 class _Soak:
-    """What differs between soaks: the schedule table (``draw``), the
-    round body (``round``), what gets rotted, the final check
-    (``finish``) and where the rounds' faults show up (``evidence``)."""
+    """What differs between soaks: the schedule table (``draw``), what
+    a round needs before it runs (``prepare``), the round body
+    (``round``), what gets rotted, the final check (``finish``) and
+    where the rounds' faults show up (``evidence``)."""
 
     kind = "chaos"
     counts: Tuple[str, ...] = ()
     journal: Path
+
+    def prepare(self, schedule: str) -> None:
+        """Ready the soak for a round under ``schedule`` (default: nothing)."""
 
     def evidence(self) -> int:
         """Faults observed so far (journal entries with a failure or retry)."""
@@ -329,21 +327,33 @@ class _ReportSoak(_Soak):
     def draw(self, rng: random.Random) -> str:
         return _random_schedule(rng, self.unit_ids, self.with_pool)
 
+    def prepare(self, schedule: str) -> None:
+        """Drop the journal entries of the units ``schedule`` names.
+
+        A round resumes the soak tree, and an earlier round may already
+        have completed every unit; without this the resume would skip
+        the named units and their faults would never fire.
+        """
+        plan = faults.parse_plan(schedule)
+        named = {
+            unit
+            for name, unit in vars(plan).items()
+            if name.endswith("_unit") and unit is not None
+        }
+        if named and self.journal.exists():
+            RunJournal.open(self.journal, resume=True).forget(named)
+
     def round(self, schedule: str, result: ChaosResult) -> None:
         """One faulted ``write_report`` pass; crashes/failures are expected.
 
         The pass runs under a :class:`~repro.runner.Supervisor`, so an
         injected ``sigterm`` lands exactly like an operator's Ctrl-C:
         the round drains (in-flight experiments finish and journal)
-        instead of dying mid-write.  Pool passes also run with a
-        hang-capable watchdog so an injected ``hang`` wedge is rescued,
-        not waited out.
+        instead of dying mid-write.  A faulted pass gives every unit
+        :data:`_SOAK_UNIT_BUDGET_S`, so an injected ``hang`` wedge
+        fails its unit at the budget; the fault-free finish pass runs
+        unbudgeted and heals it.
         """
-        guard = (
-            ResourceWatchdog(WatchdogPolicy(hang_timeout_s=_SOAK_HANG_TIMEOUT_S))
-            if resolve_workers(self.workers) is not None
-            else None
-        )
         try:
             with Supervisor() as supervisor:
                 write_report(
@@ -354,7 +364,7 @@ class _ReportSoak(_Soak):
                     keep_going=True,
                     retries=1,
                     workers=self.workers,
-                    watchdog=guard,
+                    timeout_s=_SOAK_UNIT_BUDGET_S if schedule else None,
                     cancel=supervisor.token,
                 )
         except faults.InjectedCrash:
@@ -574,6 +584,7 @@ def run_chaos(
                     "repro_chaos_faults_scheduled_total",
                     kind=part.split("=", 1)[0],
                 )
+            soak.prepare(schedule)
             evidence_before = soak.evidence()
             with tel.span(
                 "chaos_round", round=round_index, schedule=schedule

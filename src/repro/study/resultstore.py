@@ -27,7 +27,6 @@ from ..obs.telemetry import Telemetry
 from ..runner import (
     FAILURES_NAME,
     CancelToken,
-    ResourceWatchdog,
     RunJournal,
     RunUnit,
     close_run_dir,
@@ -221,7 +220,6 @@ def write_report(
     timeout_s: Optional[float] = None,
     retries: int = 0,
     workers: "Union[None, int, str]" = None,
-    watchdog: Optional[ResourceWatchdog] = None,
     telemetry: "Union[bool, Telemetry]" = False,
     cancel: Optional[CancelToken] = None,
 ) -> List[str]:
@@ -281,7 +279,7 @@ def write_report(
     # artefact or journal is touched.
     experiments = [get_experiment(experiment_id) for experiment_id in chosen]
     metadata = {"run": 1, "kind": "report", "ids": chosen, "scale": scale}
-    bundle, guard = open_run_dir(out, metadata, telemetry, watchdog)
+    bundle = open_run_dir(out, metadata, telemetry)
     run = run_units(
         [_report_unit(out, experiment, scale) for experiment in experiments],
         workers,
@@ -291,7 +289,6 @@ def write_report(
         keep_going=keep_going,
         telemetry=bundle,
         cancel=cancel,
-        watchdog=guard,
     )
 
     completed = {outcome.unit_id for outcome in run.completed}

@@ -9,14 +9,17 @@ the soaked tree converges byte-identical with an undisturbed run.
 
 import json
 import multiprocessing
+import os
 import random
 import shutil
 
 import pytest
 
 from repro.cli import main
-from repro.runner import tree_fingerprint, verify_tree
+from repro.obs.telemetry import Telemetry
+from repro.runner import faults, tree_fingerprint, verify_tree
 from repro.runner.integrity import SIDECAR_SUFFIX, is_volatile
+from repro.study import chaos
 from repro.study.chaos import ChaosResult, _random_schedule, run_chaos
 from repro.study.registry import _REGISTRY, ExperimentResult, Series, register
 from repro.study.repair import verify_and_repair
@@ -104,8 +107,8 @@ class TestSoakConvergence:
 
 
 #: The schedules CI's batch soaks draw (``--rounds 4 --ids fig5,table1
-#: --workers 4``) for seeds 1-3.  Seeds 1 and 3 carry the ``sigterm=`` and
-#: ``hang=`` rounds CI's lifecycle coverage step greps for.
+#: --workers 4``) for seeds 1-3.  Seeds 1 and 3 carry the ``sigterm=``,
+#: ``killworker=`` and ``hang=`` rounds CI's fault coverage step runs.
 CI_SCHEDULES = {
     1: ["", "crash=table1", "killworker=table1", "sigterm=fig5,crash=table1"],
     2: ["", "", "", "corrupt=table1"],
@@ -119,6 +122,66 @@ class TestScheduleDraws:
         rng = random.Random(seed)
         drawn = [_random_schedule(rng, ["fig5", "table1"], True) for _ in range(4)]
         assert drawn == CI_SCHEDULES[seed]
+
+
+@fork_only
+class TestFaultedRoundsRun:
+    """Each faulted CI round runs the units its schedule names.
+
+    A round resumes the soak tree.  Once a clean round has completed
+    every unit, a resume alone has nothing left to run and the round's
+    faults never fire, so the soak drops the named units' journal
+    entries first.
+    """
+
+    #: Short stand-in for the soak's unit budget; the wedge still sleeps 30 s.
+    BUDGET_S = 1.0
+
+    @pytest.mark.parametrize("seed", sorted(CI_SCHEDULES))
+    def test_each_faulted_round_runs_its_named_units(
+        self, tmp_path, fake_experiments, monkeypatch, seed
+    ):
+        ran = tmp_path / "ran.tsv"
+        before_unit = faults.before_unit
+
+        def logged(unit_id):
+            # Forked workers append to the same file: one short line each.
+            with open(ran, "a") as log:
+                log.write(f"{os.environ.get(faults.ENV_VAR, '')}\t{unit_id}\n")
+            before_unit(unit_id)
+
+        monkeypatch.setattr(faults, "before_unit", logged)
+        monkeypatch.setattr(chaos, "_SOAK_UNIT_BUDGET_S", self.BUDGET_S)
+        telemetry = Telemetry()
+        result = run_chaos(
+            tmp_path / "soak",
+            seed=seed,
+            rounds=4,
+            ids=fake_experiments,
+            scale=None,
+            workers=2,
+            telemetry=telemetry,
+        )
+        assert result.converged, result.render()
+        # The fakes stand in for fig5 and table1 position for position,
+        # so the seed draws CI's pinned schedules.
+        assert [
+            schedule.replace("unitA", "fig5").replace("unitB", "table1")
+            for schedule in result.schedules
+        ] == CI_SCHEDULES[seed]
+        runs = {}
+        for line in ran.read_text().splitlines():
+            schedule, unit = line.split("\t")
+            runs.setdefault(schedule, set()).add(unit)
+        spans = [r for r in telemetry.tracer.records() if r["name"] == "chaos_round"]
+        for schedule, span in zip(result.schedules, spans):
+            parts = [part.split("=") for part in schedule.split(",") if part]
+            named = {value.split(":")[0] for _, value in parts}
+            assert named <= runs.get(schedule, set()), (schedule, runs)
+            if "hang=" in schedule:
+                # The wedge ends at the unit budget, not after its 30 s.
+                assert self.BUDGET_S <= span["duration_s"] < 10.0, schedule
+        assert set(fake_experiments) <= runs[""]  # the reference, the finish pass
 
 
 class TestDetection:

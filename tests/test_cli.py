@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import errno
 import os
 import shutil
 
@@ -408,3 +409,20 @@ class TestIOBoundaryFaults:
         assert code == 2, err
         assert err.startswith("error:") and "input/output error" in err, err
         assert not list(run_dir.rglob("*.tmp"))
+
+    def test_fsync_eio_is_a_typed_error(self, tmp_path, capsys, monkeypatch):
+        """``fsync`` raises no audit event, so it is failed by patching."""
+
+        def fsync(fd):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        code = main(["report", "--out", str(out), "--ids", "fig21"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        (line,) = err.splitlines()
+        assert line.startswith("error:") and "I/O error" in line, err
+        assert "Traceback" not in err
+        assert not list(out.rglob("*.tmp"))

@@ -1,5 +1,6 @@
-"""Lifecycle supervision: drain tokens, two-phase signals, heartbeats,
-hung-worker rescue, and the SIGTERM-mid-sweep kill-and-resume round trip."""
+"""Lifecycle supervision: drain tokens, two-phase signals, the unit
+budget against a wedged pool worker, and the SIGTERM-mid-sweep
+kill-and-resume round trip."""
 
 import json
 import multiprocessing
@@ -19,15 +20,10 @@ from repro.runner import (
     EXIT_ABORTED,
     EXIT_DRAINED,
     CancelToken,
-    Heartbeat,
-    HeartbeatRecord,
-    ResourceWatchdog,
     RunJournal,
     Runner,
     RunUnit,
     Supervisor,
-    WatchdogPolicy,
-    read_heartbeats,
 )
 from repro.runner import faults
 from repro.runner.integrity import tree_fingerprint
@@ -147,63 +143,12 @@ class TestSupervisor:
         assert supervisor.exit_code() == EXIT_DRAINED
 
 
-class TestHeartbeat:
-    def test_beat_and_read_roundtrip(self, tmp_path):
-        Heartbeat(tmp_path).beat("0001:2:16", phase="run")
-        records = read_heartbeats(tmp_path)
-        assert len(records) == 1
-        record = records[0]
-        assert record.pid == os.getpid()
-        assert record.unit_id == "0001:2:16"
-        assert record.running
-        assert record.age_s >= 0.0
-
-    def test_idle_stamp_is_not_running(self, tmp_path):
-        Heartbeat(tmp_path).beat(None, phase="idle")
-        (record,) = read_heartbeats(tmp_path)
-        assert not record.running
-        assert record.unit_id is None
-
-    def test_torn_stamp_is_skipped(self, tmp_path):
-        (tmp_path / "123.json").write_text('{"pid": 123, "uni')
-        Heartbeat(tmp_path).beat("u", phase="run")
-        records = read_heartbeats(tmp_path)
-        assert [r.pid for r in records] == [os.getpid()]
-
-    def test_missing_directory_reads_empty(self, tmp_path):
-        assert read_heartbeats(tmp_path / "nope") == []
-
-    def test_beat_never_raises(self, tmp_path):
-        blocker = tmp_path / "file"
-        blocker.write_text("not a directory")
-        Heartbeat(blocker / "sub").beat("u")  # mkdir fails; swallowed
-
+class TestUnitTimeout:
     def test_unit_timeout_still_reexported_from_engine(self):
         from repro.runner.engine import unit_timeout as engine_alias
         from repro.runner.lifecycle import unit_timeout
 
         assert engine_alias is unit_timeout
-
-
-class TestHungWorkerPolicy:
-    def test_policy_validation(self):
-        from repro.errors import ResourceError
-
-        with pytest.raises(ResourceError):
-            WatchdogPolicy(hang_timeout_s=0.0)
-
-    def test_hung_workers_need_a_limit(self):
-        beats = [HeartbeatRecord(pid=1, unit_id="u", phase="run", age_s=999.0)]
-        assert ResourceWatchdog().hung_workers(beats) == []
-
-    def test_only_stale_running_stamps_count(self):
-        watchdog = ResourceWatchdog(WatchdogPolicy(hang_timeout_s=1.0))
-        beats = [
-            HeartbeatRecord(pid=1, unit_id="a", phase="run", age_s=5.0),
-            HeartbeatRecord(pid=2, unit_id="b", phase="run", age_s=0.1),
-            HeartbeatRecord(pid=3, unit_id=None, phase="idle", age_s=50.0),
-        ]
-        assert [b.pid for b in watchdog.hung_workers(beats)] == [1]
 
 
 class TestSerialDrain:
@@ -258,16 +203,11 @@ class _LoggedRun:
 
     unit_id: str
     log: str
-    marker: str = ""
     hang_in_worker: bool = False
 
     def __call__(self):
         with open(self.log, "a") as handle:
             handle.write(f"{self.unit_id}\n")
-        if self.marker and not os.path.exists(self.marker):
-            # First execution anywhere: wedge without heartbeating.
-            Path(self.marker).write_text("wedged once")
-            time.sleep(60.0)
         if self.hang_in_worker and multiprocessing.parent_process() is not None:
             time.sleep(60.0)  # wedges in every pool worker, serial no-op
         return self.unit_id
@@ -369,36 +309,10 @@ class TestPoolDrain:
 
 
 @fork_only
-class TestHungWorkerRescue:
-    def test_wedged_worker_is_killed_and_unit_requeued(self, tmp_path):
-        log = tmp_path / "log.txt"
-        marker = tmp_path / "wedge.marker"
-        units = [
-            make_unit(
-                "wedge", _LoggedRun("wedge", str(log), marker=str(marker))
-            ),
-            make_unit("a", _LoggedRun("a", str(log))),
-            make_unit("b", _LoggedRun("b", str(log))),
-        ]
-        runner = Runner(
-            journal=RunJournal.open(tmp_path / "j.jsonl"),
-            workers=2,
-            watchdog=ResourceWatchdog(
-                WatchdogPolicy(hang_timeout_s=0.75)
-            ),
-        )
-        result = runner.run(units)
-        assert [o.status for o in result.completed] == ["ok", "ok", "ok"]
-        assert runner.rescues == 1
-        assert runner.degraded_reason is None
-        lines = executions(log)
-        # The wedge executed twice (the killed attempt plus its rescue);
-        # the completed units were never re-executed.
-        assert lines.count("wedge") == 2
-        assert lines.count("a") == 1
-        assert lines.count("b") == 1
-
-    def test_repeat_offender_degrades_to_serial(self, tmp_path):
+class TestWedgedWorker:
+    def test_unit_budget_ends_a_wedge_in_a_pool_worker(self, tmp_path):
+        """A pool worker runs its unit on its main thread, so the
+        ``--timeout`` budget's ``SIGALRM`` ends even a wedged unit."""
         log = tmp_path / "log.txt"
         units = [
             make_unit(
@@ -409,20 +323,20 @@ class TestHungWorkerRescue:
         runner = Runner(
             journal=RunJournal.open(tmp_path / "j.jsonl"),
             workers=2,
-            watchdog=ResourceWatchdog(
-                WatchdogPolicy(hang_timeout_s=0.4)
-            ),
+            timeout_s=0.5,
+            keep_going=True,
         )
+        started = time.monotonic()
         result = runner.run(units)
-        # Each rescue is a pool death; the second degrades the run, and
-        # the serial rung (where the wedge is a no-op) finishes it.
-        assert runner.rescues == 2
-        assert runner.degraded_reason is not None
-        assert "hung-worker rescue budget exhausted" in runner.degraded_reason
-        assert {o.unit_id: o.status for o in result.completed} == {
-            "stuck": "ok",
+        assert time.monotonic() - started < 10.0  # not the 60 s wedge
+        assert {o.unit_id: o.status for o in result.outcomes} == {
+            "stuck": "failed",
             "a": "ok",
         }
+        (failure,) = result.failed
+        assert failure.error["type"] == "UnitTimeoutError"
+        assert runner.degraded_reason is None  # no worker died
+        assert sorted(executions(log)) == ["a", "stuck"]
 
 
 class TestSigtermMidSweep:

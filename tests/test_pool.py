@@ -190,9 +190,9 @@ class TestDifferentialSweep:
 
     def test_sweep_convenience_wrapper(self):
         configs = small_design_space()[:4]
-        serial = sweep("espresso", configs, scale=SCALE)
-        parallel = sweep("espresso", configs, scale=SCALE, workers=2)
-        assert [as_point(p) for p in serial] == [as_point(p) for p in parallel]
+        plain = sweep("espresso", configs, scale=SCALE)
+        engine = run_sweep("espresso", configs, scale=SCALE).values()
+        assert [as_point(p) for p in plain] == [as_point(p) for p in engine]
 
     def test_explicit_trace_workload(self):
         """A Trace object workload is shared via the pool initializer."""

@@ -341,20 +341,47 @@ class TestTimeout:
         assert result.outcomes[0].attempts == 1
 
 
+def off_main_thread(body):
+    """Run ``body`` on a worker thread, where no SIGALRM can reach it:
+    the condition the deadline fallback exists for.  Returns its value,
+    or re-raises what it raised."""
+    box = {}
+
+    def run():
+        try:
+            box["value"] = body()
+        except BaseException as error:  # re-raised on the calling thread
+            box["error"] = error
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    if "error" in box:
+        raise box["error"]
+    return box.get("value")
+
+
 class TestTimeoutPortability:
     """The budget is enforced by *both* mechanisms: pre-emptive SIGALRM
     on a POSIX main thread, and the post-hoc deadline check everywhere
-    else (worker threads, pool workers without SIGALRM).  Historically
+    else (worker threads, platforms without SIGALRM).  Historically
     the context silently skipped enforcement off the main thread."""
 
     def test_deadline_path_raises_after_completion(self):
-        with pytest.raises(UnitTimeoutError, match="deadline check"):
-            with unit_timeout(0.05, force_deadline=True):
+        def overrun():
+            with unit_timeout(0.05):
                 time.sleep(0.12)
 
+        with pytest.raises(UnitTimeoutError, match="deadline check"):
+            off_main_thread(overrun)
+
     def test_deadline_path_passes_within_budget(self):
-        with unit_timeout(5.0, force_deadline=True):
-            pass
+        def within():
+            with unit_timeout(5.0):
+                pass
+
+        off_main_thread(within)
 
     def test_preemptive_path_aborts_midflight(self):
         started = time.monotonic()
@@ -383,12 +410,13 @@ class TestTimeoutPortability:
         assert outcome.error["type"] == "UnitTimeoutError"
 
     def test_execute_attempts_deadline_not_retried(self):
-        outcome = execute_attempts(
-            make_unit("slow", fn=lambda: time.sleep(0.12)),
-            retry=RetryPolicy(max_attempts=3, backoff_s=0),
-            timeout_s=0.05,
-            sleep=lambda _: None,
-            force_deadline=True,
+        outcome = off_main_thread(
+            lambda: execute_attempts(
+                make_unit("slow", fn=lambda: time.sleep(0.12)),
+                retry=RetryPolicy(max_attempts=3, backoff_s=0),
+                timeout_s=0.05,
+                sleep=lambda _: None,
+            )
         )
         assert outcome.status == "failed"
         assert outcome.attempts == 1

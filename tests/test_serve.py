@@ -13,13 +13,13 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from conftest import LOOP_IO
+from conftest import LOOP_IO, inject_eio
 
 from repro.core.config import SystemConfig
 from repro.core.envelope import best_envelope
 from repro.core.evaluate import evaluate, system_area_rbe
 from repro.errors import ServeError
-from repro.runner import ResourceWatchdog, WatchdogPolicy, faults, write_text_atomic
+from repro.runner import faults, write_text_atomic
 from repro.runner.integrity import write_sidecar
 from repro.serve import (
     AdmissionController,
@@ -454,6 +454,30 @@ class TestServeHTTP:
         assert h2["x-repro-source"] == "cold"  # the poisoned entry was not trusted
         assert health["memo"]["quarantined"] == 1
 
+    def test_memo_read_eio_is_a_cold_miss(self, tmp_path):
+        """An I/O error reading an entry is a miss, not a 500: the bytes
+        were never shown corrupt, so nothing is quarantined."""
+        key = point_key(*normalize_point(PAYLOAD))
+        # Every read of the entry's sidecar fails until the cold compute
+        # starts storing its result (the atomic write opens a ``.tmp``).
+        faulty = [True]
+
+        def failing(path):
+            if path.endswith(f"{key}.json.tmp"):
+                faulty[0] = False
+            return faulty[0] and path.endswith(f"{key}.json.sha256")
+
+        with BackgroundServer(tmp_path / "store") as server:
+            server.request("POST", "/v1/evaluate", PAYLOAD)
+            with inject_eio("open", failing):
+                s1, h1, b1 = server.request("POST", "/v1/evaluate", PAYLOAD)
+            s2, h2, b2 = server.request("POST", "/v1/evaluate", PAYLOAD)
+            health = json.loads(server.request("GET", "/healthz")[2])
+        assert (s1, h1["x-repro-source"]) == (200, "cold")
+        assert (s2, h2["x-repro-source"]) == (200, "memo")
+        assert b1 == b2 == reference_bytes()
+        assert health["memo"]["quarantined"] == 0
+
 
 def _kill_one_of_two(rendezvous, payload):
     """``compute_point``, except that the first two calls to be in flight
@@ -565,30 +589,30 @@ class TestServedUnitJournal:
         assert entry["elapsed_s"] == entry["error"]["elapsed_s"] > 0
 
 
-class TestWatchdogDegradation:
-    """Driving the pool past the RSS ceiling must degrade, not die."""
+class TestDegradationJournal:
+    """A pool death must degrade the server, not kill it, and say so."""
 
-    def test_rss_breach_propagates_to_health_and_journal(self, tmp_path):
-        watchdog = ResourceWatchdog(WatchdogPolicy(max_worker_rss_bytes=1))
-        with BackgroundServer(
-            tmp_path / "store", workers=2, watchdog=watchdog
-        ) as server:
+    def test_pool_death_propagates_to_health_and_journal(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(faults.ENV_VAR, "pooldeath=*:1")
+        with BackgroundServer(tmp_path / "store", workers=2) as server:
             status, _, body = server.request("POST", "/v1/evaluate", PAYLOAD)
             health = json.loads(server.request("GET", "/healthz")[2])
-            # A later request is served serially, still byte-identical.
+            # A later request is still answered, byte-identical.
             other = dict(PAYLOAD, l2_kb=32)
             s2, _, b2 = server.request("POST", "/v1/evaluate", other)
         assert status == 200 and body == reference_bytes()
         assert s2 == 200 and b2 == reference_bytes(other)
         assert health["status"] == "degraded"
-        assert "RSS" in health["degraded_reason"]
+        assert "pool died" in health["degraded_reason"]
+        # The ok cold compute journals the degradation it ran under.
         journal = (tmp_path / "store" / "serve.journal.jsonl").read_text()
         entries = [json.loads(line) for line in journal.splitlines()[1:]]
-        degraded = [
-            e for e in entries if e.get("result", {}).get("degraded_reason")
-        ]
-        assert degraded, "journal must carry the degradation reason"
-        assert "RSS" in degraded[-1]["result"]["degraded_reason"]
+        key = point_key(*normalize_point(PAYLOAD))
+        first = [e for e in entries if e["status"] == "ok" and e["unit"] == key]
+        assert len(first) == 1, "one journalled ok compute for the first point"
+        assert first[0]["result"]["degraded_reason"] == health["degraded_reason"]
 
 
 class TestServeLintClean:
@@ -951,7 +975,7 @@ class TestLifecycleDrain:
                 app = server.app
                 future = asyncio.get_running_loop().create_future()
                 app._pool_futures.add(future)
-                app._degrade("pool thrown away mid-compute (test)")
+                app.reset_backend()  # the pool is thrown away mid-compute
                 future.cancel()
                 app._pool_futures.discard(future)
                 return app.stats["abandoned"]

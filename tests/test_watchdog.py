@@ -1,11 +1,11 @@
-"""Resource watchdog: disk preflight, RSS shedding, serial degradation.
+"""Disk preflight, worker peak RSS, and serial degradation on worker death.
 
-The degradation ladder under test (mildest rung first): a run on a
-too-full filesystem is refused *before* anything is written; a worker
-whose peak RSS breaches the policy ceiling sheds the queued work back
-to the parent, which finishes serially with identical results; a worker
-that dies outright (the ``killworker`` fault stands in for an OOM kill)
-likewise degrades to serial instead of aborting the run.
+The degradation ladder under test (mildest rung first): a report, a
+sweep or a serve store on a too-full filesystem is refused *before*
+anything is written; a worker that dies outright (the ``killworker``
+fault stands in for an OOM kill) costs a pool rebuild, and the
+:data:`~repro.runner.pool.DEATH_LIMIT`-th death degrades the run to
+serial instead of aborting it, with identical results.
 """
 
 import functools
@@ -17,27 +17,29 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 from test_pool import normalized_journal
 
+from repro.core.config import SystemConfig
+from repro.core.explorer import run_sweep_dir
 from repro.errors import ResourceError
 from repro.obs.telemetry import Telemetry
-from repro.runner import (
-    RunJournal,
-    Runner,
-    RunUnit,
-    ResourceWatchdog,
-    WatchdogPolicy,
-    peak_rss_bytes,
-)
-from repro.runner import faults
+from repro.runner import RunJournal, Runner, RunUnit, faults, peak_rss_bytes
+from repro.runner import watchdog
+from repro.runner.watchdog import preflight_disk
+from repro.serve import ServeApp
+from repro.study.resultstore import write_report
 
 FORK = "fork" in multiprocessing.get_all_start_methods()
 fork_only = pytest.mark.skipif(
     not FORK, reason="needs the fork start method to inherit parent state"
 )
 
-#: A ceiling every real process breaches (any reply RSS exceeds 1 byte).
-TINY_RSS = WatchdogPolicy(max_worker_rss_bytes=1)
 #: A floor no real filesystem satisfies.
 HUGE_FLOOR = 1 << 60
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """Make every filesystem look too full for the preflight."""
+    monkeypatch.setattr(watchdog, "DEFAULT_MIN_FREE_BYTES", HUGE_FLOOR)
 
 
 def _value(uid):
@@ -60,9 +62,8 @@ def dict_record(value):
     return {"value": value}
 
 
-#: How long a probe unit takes inside a pool worker.  Long enough that
-#: the first reply sheds the queue (TINY_RSS) before the later units
-#: leave it, so those finish on the serial fallback.
+#: How long a probe unit takes inside a pool worker, so the queue is
+#: still full when the target's worker dies.
 WORKER_DELAY_S = 0.25
 
 #: Probe units executed in this process (a serial Runner, or the pool's
@@ -92,86 +93,49 @@ def probe_units(ids, failing=None):
     ]
 
 
-class TestPolicy:
-    def test_negative_floor_rejected(self):
-        with pytest.raises(ResourceError):
-            WatchdogPolicy(min_free_bytes=-1)
-
-    def test_nonpositive_rss_ceiling_rejected(self):
-        with pytest.raises(ResourceError):
-            WatchdogPolicy(max_worker_rss_bytes=0)
-
+class TestPeakRss:
     def test_peak_rss_measurable_here(self):
         rss = peak_rss_bytes()
         assert rss is not None and rss > 1024 * 1024  # >1 MiB, surely
 
-    def test_over_rss(self):
-        dog = ResourceWatchdog(TINY_RSS)
-        assert dog.over_rss(2)
-        assert not dog.over_rss(1)
-        assert not dog.over_rss(None)  # unmeasurable: never sheds
-        assert not ResourceWatchdog().over_rss(1 << 50)  # no ceiling
-
 
 class TestDiskPreflight:
     def test_healthy_disk_passes(self, tmp_path):
-        free = ResourceWatchdog().preflight_disk(tmp_path)
+        telemetry = Telemetry()
+        free = preflight_disk(tmp_path, telemetry)
         assert free > 0
+        (sample,) = [
+            s
+            for s in telemetry.registry.snapshot()
+            if s["name"] == "repro_disk_free_bytes"
+        ]
+        assert sample["value"] == float(free)
 
-    def test_full_disk_refused(self, tmp_path):
-        dog = ResourceWatchdog(WatchdogPolicy(min_free_bytes=HUGE_FLOOR))
-        with pytest.raises(ResourceError):
-            dog.preflight_disk(tmp_path)
-
-    def test_explicit_need_overrides_policy(self, tmp_path):
-        with pytest.raises(ResourceError):
-            ResourceWatchdog().preflight_disk(tmp_path, need_bytes=HUGE_FLOOR)
+    def test_full_disk_refused(self, tmp_path, full_disk):
+        with pytest.raises(ResourceError, match="free space"):
+            preflight_disk(tmp_path)
 
     def test_missing_path_measures_nearest_ancestor(self, tmp_path):
-        free = ResourceWatchdog().preflight_disk(
-            tmp_path / "not" / "yet" / "created"
-        )
+        free = preflight_disk(tmp_path / "not" / "yet" / "created")
         assert free > 0
 
-    def test_pool_run_preflights_journal_directory(self, tmp_path):
-        journal = RunJournal.open(tmp_path / "j.jsonl")
-        runner = Runner(
-            journal=journal,
-            workers=2,
-            watchdog=ResourceWatchdog(WatchdogPolicy(min_free_bytes=HUGE_FLOOR)),
-        )
+    def test_report_refused_before_any_write(self, tmp_path, full_disk):
+        out = tmp_path / "report"
         with pytest.raises(ResourceError):
-            runner.run(make_units(["a", "b"]))
-        # Refused before anything ran: no outcomes were journalled.
-        assert RunJournal.open(tmp_path / "j.jsonl", resume=True).entries == []
+            write_report(out, ids=["fig21"])
+        assert list(out.iterdir()) == []
 
+    def test_sweep_refused_before_any_write(self, tmp_path, full_disk):
+        out = tmp_path / "sweep"
+        with pytest.raises(ResourceError):
+            run_sweep_dir(out, "espresso", SystemConfig(l1_bytes=4096), scale=0.01)
+        assert list(out.iterdir()) == []
 
-@fork_only
-class TestRssShedding:
-    def test_breach_degrades_to_serial_with_identical_results(self, tmp_path):
-        ids = [f"u{i}" for i in range(6)]
-        serial = Runner(journal=None).run(make_units(ids))
-
-        pool = Runner(
-            journal=RunJournal.open(tmp_path / "j.jsonl"),
-            workers=2,
-            watchdog=ResourceWatchdog(TINY_RSS),
-        )
-        result = pool.run(make_units(ids))
-        assert pool.degraded_reason is not None
-        assert "RSS" in pool.degraded_reason
-        assert [o.unit_id for o in result.outcomes] == ids
-        assert result.values() == serial.values()
-
-    def test_no_ceiling_never_sheds(self, tmp_path):
-        pool = Runner(
-            journal=RunJournal.open(tmp_path / "j.jsonl"),
-            workers=2,
-            watchdog=ResourceWatchdog(),
-        )
-        result = pool.run(make_units(["a", "b", "c"]))
-        assert pool.degraded_reason is None
-        assert [o.status for o in result.outcomes] == ["ok", "ok", "ok"]
+    def test_serve_refused_before_any_write(self, tmp_path, full_disk):
+        store = tmp_path / "store"
+        with pytest.raises(ResourceError):
+            ServeApp(store)
+        assert list(store.iterdir()) == []
 
 
 @fork_only
@@ -196,24 +160,6 @@ class TestWorkerDeath:
         assert runner.degraded_reason is not None
         assert "died" in runner.degraded_reason
         assert [o.status for o in result.outcomes] == ["ok"] * 3
-        assert result.values() == serial.values()
-
-    def test_dead_worker_degrades_with_watchdog(self, tmp_path, monkeypatch):
-        ids = ["a", "b", "c", "d"]
-        serial = Runner(journal=None).run(make_units(ids))
-
-        monkeypatch.setenv(faults.ENV_VAR, "killworker=b")
-        pool = Runner(
-            journal=RunJournal.open(tmp_path / "j.jsonl"),
-            workers=2,
-            watchdog=ResourceWatchdog(),
-        )
-        result = pool.run(make_units(ids))
-        assert pool.degraded_reason is not None
-        assert "died" in pool.degraded_reason
-        # The killed unit itself completes on the serial rung: the
-        # killworker fault only fires inside a pool worker process.
-        assert [o.status for o in result.outcomes] == ["ok"] * 4
         assert result.values() == serial.values()
 
     def test_broken_submit_is_a_death_not_an_escape(self, tmp_path, monkeypatch):
@@ -243,18 +189,12 @@ class TestWorkerDeath:
 
     def test_degraded_run_resumes_cleanly(self, tmp_path, monkeypatch):
         monkeypatch.setenv(faults.ENV_VAR, "killworker=b")
-        pool = Runner(
-            journal=RunJournal.open(tmp_path / "j.jsonl"),
-            workers=2,
-            watchdog=ResourceWatchdog(),
-        )
+        pool = Runner(journal=RunJournal.open(tmp_path / "j.jsonl"), workers=2)
         pool.run(make_units(["a", "b", "c"]))
 
         monkeypatch.delenv(faults.ENV_VAR)
         resumed = Runner(
-            journal=RunJournal.open(tmp_path / "j.jsonl", resume=True),
-            workers=2,
-            watchdog=ResourceWatchdog(),
+            journal=RunJournal.open(tmp_path / "j.jsonl", resume=True), workers=2
         )
         result = resumed.run(make_units(["a", "b", "c"]))
         assert resumed.degraded_reason is None
@@ -263,7 +203,7 @@ class TestWorkerDeath:
 
 @fork_only
 class TestDegradationCause:
-    """Each way a pool degrades exports its cause as a metric label."""
+    """A degraded pool exports its cause as a metric label."""
 
     def setup_method(self):
         faults.clear()
@@ -271,20 +211,11 @@ class TestDegradationCause:
     def teardown_method(self):
         faults.clear()
 
-    @pytest.mark.parametrize("cause", ["rss", "worker-death", "hung-worker"])
+    @pytest.mark.parametrize("cause", ["worker-death"])
     def test_cause_is_the_metric_label(self, tmp_path, monkeypatch, cause):
-        policy = TINY_RSS
-        if cause == "worker-death":
-            monkeypatch.setenv(faults.ENV_VAR, "killworker=b")
-            policy = WatchdogPolicy()
-        elif cause == "hung-worker":
-            # b wedges every worker it reaches; the serial rung runs it.
-            monkeypatch.setenv(faults.ENV_VAR, "hang=b:30")
-            policy = WatchdogPolicy(hang_timeout_s=0.4)
+        monkeypatch.setenv(faults.ENV_VAR, "killworker=b")
         telemetry = Telemetry()
-        pool = Runner(
-            workers=2, watchdog=ResourceWatchdog(policy), telemetry=telemetry
-        )
+        pool = Runner(workers=2, telemetry=telemetry)
         result = pool.run(make_units(["a", "b", "c"]))
         assert [o.status for o in result.outcomes] == ["ok"] * 3
         assert pool.degraded_reason is not None
@@ -303,16 +234,12 @@ class TestDegradationCause:
 
 
 @fork_only
-@pytest.mark.parametrize(
-    "ladder, target",
-    [("rss", "u14"), ("worker-death", "u02")],
-)
+@pytest.mark.parametrize("ladder, target", [("worker-death", "u02")])
 class TestSerialFallback:
     """The degraded rung is the serial Runner: same journal, same stop.
 
-    ``target`` is a unit that always lands on the fallback: under RSS
-    shedding it sits far down a queue of slow-in-worker units, and under
-    worker death it is the unit whose worker is killed.
+    ``target`` is the unit whose worker is killed, so it always lands
+    on the fallback.
     """
 
     IDS = [f"u{i:02d}" for i in range(16)]
@@ -328,16 +255,11 @@ class TestSerialFallback:
         units = probe_units(self.IDS, **kwargs)
         serial = Runner(journal=RunJournal.open(tmp_path / "serial.jsonl")).run(units)
         _parent_runs.clear()
-        if ladder == "rss":
-            watchdog = ResourceWatchdog(TINY_RSS)
-        else:
-            monkeypatch.setenv(faults.ENV_VAR, f"killworker={target}")
-            watchdog = ResourceWatchdog()
+        monkeypatch.setenv(faults.ENV_VAR, f"killworker={target}")
         pool = Runner(
             journal=RunJournal.open(tmp_path / "pool.jsonl"),
             workers=2,
             mp_context=multiprocessing.get_context("fork"),
-            watchdog=watchdog,
         )
         result = pool.run(units)
         assert pool.degraded_reason is not None
@@ -365,9 +287,3 @@ class TestSerialFallback:
         assert statuses[-1] == (target, "failed")
         later = self.IDS[self.IDS.index(target) + 1 :]
         assert not set(later) & set(_parent_runs)
-        if ladder == "rss":
-            # Shed units never started in the pool, so nothing past the
-            # failure ran anywhere: the journals match entry for entry.
-            assert normalized_journal(tmp_path / "pool.jsonl") == normalized_journal(
-                tmp_path / "serial.jsonl"
-            )
